@@ -12,6 +12,7 @@ across job counts.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .padic_analysis import (bound_check_prime, certify_family,
                              VERDICT_INCONCLUSIVE)
 from .resultant import hadamard_check, make_poly, resultant, tdegree_check
 from .rings import make_ring
-from .series import (comp_inverse, compose, detect_periodic_01,
+from .series import (Series, comp_inverse, compose, detect_periodic_01,
                      detect_recurrence, series_invert, series_mul)
 from .weierstrass import prepare, strong_factor
 
@@ -148,7 +149,7 @@ def _run_prepare(args, strong):
     ring = _ring_flag(args.ring) if args.ring else None
     f, _ = _load_series(_read_json(args.infile), ring)
     wf = strong_factor(f) if strong else prepare(f)
-    rep = jsonio.wfact_to_json(wf, f)
+    rep = jsonio.wfact_to_json(wf)
     rep["config"] = _config("strong-factor" if strong else "prepare",
                             None, args)
     return rep, 0
@@ -190,9 +191,13 @@ def _run_rationality(args, f, okind):
         verdict = detect_periodic_01(vals, len(vals))
         route = "periodic01"
     else:
+        upto = min(budget, f.x_prec)
+        if upto < 1:
+            raise UsageError("--budget must be at least 1, got %d" % budget)
+        head = Series(f.ring, upto, tuple(f.window(upto)))
         max_order = (args.degree_cap if args.degree_cap is not None
-                     else (f.x_prec - 2) // 2)
-        verdict = detect_recurrence(f, max_order)
+                     else (upto - 2) // 2)
+        verdict = detect_recurrence(head, max_order)
         route = "recurrence"
         offset = 0
     rep = jsonio.rationality_to_json(verdict)
@@ -359,7 +364,10 @@ def _run_h10(args):
 
 # ------------------------------------------------------------------ wiring
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on first use and shared by every later
+    main() call in the process; parsing leaves it unchanged."""
     top = _Parser(prog="prepkit", description=__doc__)
     sub = top.add_subparsers(dest="verb")
     sub.required = True

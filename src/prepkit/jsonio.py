@@ -242,8 +242,9 @@ def dio_to_json(P):
 
 # ---------------------------------------------------------------- reports
 
-def wfact_to_json(wf, f):
-    assert wf.verify(f), "factorization failed its own roundtrip"
+def wfact_to_json(wf):
+    """Report of a factorization that prepare or strong_factor has
+    already checked against its input."""
     return {"v": str(wf.v), "n": str(wf.n),
             "P": [elem_to_json(wf.ring, c) for c in wf.P],
             "U": series_to_json(wf.U),

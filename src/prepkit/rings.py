@@ -661,26 +661,3 @@ def val_unit_decompose(ring, r):
     if isinstance(ring, ExactZRing):
         return v, r // ring.p ** v
     return v, tuple(r[v:])
-
-
-def invert_unit(ring, r):
-    return ring.invert_unit(r)
-
-
-def valuation_exact(ring, r, at=None):
-    """Exact valuation on an exact kind; ZeroInput on zero. For plain
-    integers, `at` may supply the prime when the ring carries none."""
-    if not ring.is_exact:
-        raise ValueError("valuation_exact applies to exact kinds only")
-    if ring.is_zero(r):
-        raise ZeroInput("exact zero has no finite valuation")
-    if at is not None:
-        if not is_prime(at):
-            raise CompositeModulus("base %r is not prime" % (at,), p=at)
-        assert isinstance(ring, ExactZRing)
-        v = 0
-        while r % at == 0:
-            r //= at
-            v += 1
-        return v
-    return ring.val(r)

@@ -291,14 +291,14 @@ class _PrimeField:
     def is_zero(self, a):
         return a == 0
 
+    def add(self, a, b):
+        return (a + b) % self.p
+
     def mul(self, a, b):
         return a * b % self.p
 
     def sub(self, a, b):
         return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         return pow(a, -1, self.p)
@@ -314,14 +314,14 @@ class _FractionField:
     def is_zero(self, a):
         return a == 0
 
+    def add(self, a, b):
+        return a + b
+
     def mul(self, a, b):
         return a * b
 
     def sub(self, a, b):
         return a - b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         return 1 / a
@@ -412,6 +412,9 @@ class _RatFuncField:
         num = _psub(_pmul(a[0], b[1], self.p), _pmul(b[0], a[1], self.p), self.p)
         return self._norm(num, _pmul(a[1], b[1], self.p))
 
+    def add(self, a, b):
+        return self.sub(a, self.neg(b))
+
     def neg(self, a):
         return (tuple(-x % self.p for x in a[0]), a[1])
 
@@ -421,43 +424,6 @@ class _RatFuncField:
 
     def lift(self, ring, c):
         return (_ptrim(c), (1,))
-
-
-def _solve_linear(F, A, b):
-    """Reduced row echelon solve; free variables are set to zero.
-    Returns a solution vector or None when inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [list(A[i]) + [b[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, m):
-            if not F.is_zero(rows[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        inv = F.inv(rows[row][col])
-        rows[row] = [F.mul(inv, x) for x in rows[row]]
-        for i in range(m):
-            if i != row and not F.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [F.sub(x, F.mul(f, y))
-                           for x, y in zip(rows[i], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if not F.is_zero(rows[i][n]):
-            return None
-    x = [F.zero()] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return x
 
 
 def _recurrence_field(ring):
@@ -474,7 +440,14 @@ def _recurrence_field(ring):
 def detect_recurrence(f, max_order):
     """Least order d <= max_order such that q(x) * f(x) is a polynomial
     of degree < d for some q with q(0) = 1, judged on every window row
-    n in [d, M). The window must satisfy M >= 2 * max_order + 2."""
+    n in [d, M). The window must satisfy M >= 2 * max_order + 2, which
+    makes the shortest recurrence, and so q, unique.
+
+    One Berlekamp-Massey pass (Massey 1969) over the window finds the
+    linear complexity L and its connection polynomial in O(M * L) field
+    operations. L never decreases, so the pass stops as soon as L
+    exceeds max_order. An all-zero window (L = 0) reports d = 1, and q
+    is zero-padded to d + 1 entries when its degree falls below d."""
     if hasattr(f, "materialize"):
         f = f.materialize(f.x_prec)
     ring = f.ring
@@ -486,24 +459,32 @@ def detect_recurrence(f, max_order):
         raise WindowTooSmall("window %d is below 2*%d+2" % (m, max_order),
                              have=m, needed=2 * max_order + 2)
     c = [F.lift(ring, x) for x in f.coeffs]
-    for d in range(1, max_order + 1):
-        A = [[c[n - j] for j in range(1, d + 1)] for n in range(d, m)]
-        rhs = [F.neg(c[n]) for n in range(d, m)]
-        sol = _solve_linear(F, A, rhs)
-        if sol is None:
+    one = _field_one(F)
+    # C is the current connection polynomial, B the one before the last
+    # length change, b the discrepancy that forced that change and
+    # shift the x-power between them; len(C) <= L + 1 throughout.
+    C, B, L, b, shift = [one], [one], 0, one, 1
+    for n in range(m):
+        delta = c[n]
+        for i in range(1, len(C)):
+            delta = F.add(delta, F.mul(C[i], c[n - i]))
+        if F.is_zero(delta):
+            shift += 1
             continue
-        ok = True
-        for n in range(d, m):
-            acc = c[n]
-            for j in range(1, d + 1):
-                acc = F.sub(acc, F.neg(F.mul(sol[j - 1], c[n - j])))
-            if not F.is_zero(acc):
-                ok = False
-                break
-        if ok:
-            q = tuple([_field_one(F)] + sol)
-            return RationalityVerdict("rational", d=d, s=0, q=q, budget=m)
-    return RationalityVerdict("irrational_at_budget", budget=m)
+        coef = F.mul(delta, F.inv(b))
+        T = C
+        C = C + [F.zero()] * (shift + len(B) - len(C))
+        for i, y in enumerate(B):
+            C[shift + i] = F.sub(C[shift + i], F.mul(coef, y))
+        if 2 * L <= n:
+            L, B, b, shift = n + 1 - L, T, delta, 1
+            if L > max_order:
+                return RationalityVerdict("irrational_at_budget", budget=m)
+        else:
+            shift += 1
+    d = max(L, 1)
+    q = tuple(C) + (F.zero(),) * (d + 1 - len(C))
+    return RationalityVerdict("rational", d=d, s=0, q=q, budget=m)
 
 
 def _field_one(F):

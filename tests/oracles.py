@@ -711,44 +711,57 @@ def periodic_scan(seq, budget):
 def recurrence_scan_fp(seq, max_order, p):
     """Least order d <= max_order with a monic-constant recurrence
     sum q_i a_(n-i) = 0 (q_0 = 1) holding for every n in [d, M)."""
+    return _recurrence_scan([x % p for x in seq], max_order,
+                            lambda x: x % p, lambda x: inv_mod(x, p))
+
+
+def recurrence_scan_q(seq, max_order):
+    """recurrence_scan_fp over the rationals, in exact Fractions."""
+    return _recurrence_scan([Fraction(x) for x in seq], max_order,
+                            lambda x: x, lambda x: 1 / x)
+
+
+def _recurrence_scan(seq, max_order, red, inv):
     M = len(seq)
     for d in range(1, max_order + 1):
-        rows = [[seq[n - i] % p for i in range(1, d + 1)] + [(-seq[n]) % p]
+        rows = [[seq[n - i] for i in range(1, d + 1)] + [red(-seq[n])]
                 for n in range(d, M)]
-        sol = _solve_fp(rows, d, p)
+        sol = _solve(rows, d, red, inv)
         if sol is None:
             continue
-        q = [1] + sol
-        if all(sum(q[i] * seq[n - i] for i in range(d + 1)) % p == 0
+        q = [red(1)] + sol
+        if all(red(sum(q[i] * seq[n - i] for i in range(d + 1))) == 0
                for n in range(d, M)):
             return d, q
     return None
 
 
-def _solve_fp(rows, nvars, p):
+def _solve(rows, nvars, red, inv):
+    """Gauss-Jordan over a field given by its reduction and inverse;
+    free variables are set to zero."""
     mat = [r[:] for r in rows]
     where = [-1] * nvars
     row = 0
     for col in range(nvars):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col] % p), None)
+        piv = next((r for r in range(row, len(mat)) if red(mat[r][col])), None)
         if piv is None:
             continue
         mat[row], mat[piv] = mat[piv], mat[row]
-        inv = inv_mod(mat[row][col] % p, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
+        iv = inv(red(mat[row][col]))
+        mat[row] = [red(x * iv) for x in mat[row]]
         for r in range(len(mat)):
-            if r != row and mat[r][col] % p:
-                c = mat[r][col] % p
-                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[row])]
+            if r != row and red(mat[r][col]):
+                c = red(mat[r][col])
+                mat[r] = [red(x - c * y) for x, y in zip(mat[r], mat[row])]
         where[col] = row
         row += 1
     for r in range(row, len(mat)):
-        if mat[r][nvars] % p != 0:
+        if red(mat[r][nvars]) != 0:
             return None  # inconsistent
-    sol = [0] * nvars
+    sol = [red(0)] * nvars
     for col in range(nvars):
         if where[col] >= 0:
-            sol[col] = mat[where[col]][nvars] % p
+            sol[col] = red(mat[where[col]][nvars])
     return sol
 
 

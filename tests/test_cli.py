@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from prepkit import jsonio, make_ring, make_series
+from prepkit import cli, jsonio, make_ring, make_series
 from prepkit.errors import UsageError
 
 
@@ -169,6 +169,66 @@ def test_rationality_h10_oracle_route(tmp_path):
     rep = report_of(res)
     assert rep["offset"] == "1"
     assert rep["kind"] == "rational" and rep["d"] == "1"
+
+
+def _readme_fib_mod7(tmp_path):
+    fib = [1, 1]
+    for _ in range(18):
+        fib.append((fib[-1] + fib[-2]) % 7)
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"ring": {"kind": "zp", "p": 7, "prec": 1},
+                                "coeffs": [str(c) for c in fib]}))
+    return str(path)
+
+
+def test_rationality_budget_on_recurrence_route(tmp_path):
+    fib = _readme_fib_mod7(tmp_path)
+    whole = report_of(run_cli("series", "rationality", "--in", fib))
+    assert (whole["d"], whole["budget"]) == ("2", "20")
+
+    res = run_cli("series", "rationality", "--in", fib, "--budget", "4")
+    assert res.returncode == 2
+    rep = report_of(res)
+    assert (rep["kind"], rep["budget"]) == ("irrational_at_budget", "4")
+    assert rep["route"] == "recurrence" and rep["config"]["budget"] == "4"
+
+    res = run_cli("series", "rationality", "--in", fib, "--budget", "6")
+    assert res.returncode == 0
+    rep = report_of(res)
+    assert (rep["kind"], rep["d"], rep["budget"]) == ("rational", "2", "6")
+    assert rep["q"] == ["1", "6", "6"]
+
+    res = run_cli("series", "rationality", "--in", fib, "--budget", "0")
+    assert res.returncode == 1
+    assert json.loads(res.stderr)["error"]["type"] == "UsageError"
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # main() builds its parser once per process; later calls with other
+    # verbs must still print exactly what a fresh process prints
+    f = tmp_path / "f.json"
+    f.write_text("[5,1,1]")
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "f": {"ring": {"kind": "z"}, "coeffs": ["1", "0", "1"]},
+        "g": {"ring": {"kind": "z"}, "coeffs": ["-1", "1"]}}))
+    fib = _readme_fib_mod7(tmp_path)
+    runs = [
+        ["prepare", "--ring", "zp:5:3", "--in", str(f)],
+        ["series", "rationality", "--in", fib, "--budget", "4"],
+        ["resultant", "compute", "--in", str(pair)],
+        ["h10", "theta", "--N", "9", "--d", "2"],
+        ["prepare", "--ring", "zp:5:3", "--in", str(f), "--frob", "1"],
+        ["gap", "root", "--spec", "zero", "--K", "20"],
+        ["series", "rationality", "--in", fib],
+        ["strong-factor", "--ring", "zp:5:3", "--in", str(f)],
+    ]
+    for argv in runs:
+        code = cli.main(argv)
+        got = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr), argv
 
 
 def test_resultant_verbs(tmp_path):

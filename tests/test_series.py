@@ -1,6 +1,8 @@
 """Truncated power series: multiplication, inversion, composition,
 compositional inverse, evaluation, and rationality detection."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,3 +194,106 @@ def test_detect_recurrence_window_guard():
     f = make_series(F5, [1, 2, 3, 4], 4)
     with pytest.raises(WindowTooSmall):
         detect_recurrence(f, 3)
+
+
+def _recurrence_windows(rng, p, count):
+    """(window, max_order) pairs over F_p: all-zero windows, lone
+    nonzero terms (q_d = 0), order exactly max_order, windows at exactly
+    M = 2 * max_order + 2, and plain random windows."""
+    for k in range(count):
+        mo = rng.randint(1, 6)
+        M = 2 * mo + 2 + (0 if k % 2 else rng.randint(1, 6))
+        style = k % 5
+        if style == 0:
+            seq = [0] * M
+        elif style == 1:
+            seq = [0] * M
+            seq[rng.randrange(M)] = rng.randrange(1, p)
+        elif style == 2:
+            seq = [rng.randrange(p) for _ in range(M)]
+        else:
+            order = mo if style == 3 else rng.randint(1, mo)
+            qs = [rng.randrange(p) for _ in range(order)]
+            seq = [rng.randrange(p) for _ in range(order)]
+            while len(seq) < M:
+                seq.append(sum(a * b for a, b in zip(qs, reversed(seq[-order:])))
+                           % p)
+        yield seq, mo
+
+
+@pytest.mark.parametrize("p", [2, 7, 101])
+def test_detect_recurrence_matches_scan_fp(p):
+    rng = random.Random(8000 + p)
+    R = make_ring("zp", p, 1)
+    for seq, mo in _recurrence_windows(rng, p, 120):
+        v = detect_recurrence(make_series(R, seq, len(seq)), mo)
+        want = oracles.recurrence_scan_fp(seq, mo, p)
+        if want is None:
+            assert v.kind == "irrational_at_budget"
+        else:
+            assert v.kind == "rational"
+            assert (v.d, list(v.q), v.s) == (want[0], want[1], 0)
+        assert v.budget == len(seq)
+
+
+def test_detect_recurrence_matches_scan_q():
+    rng = random.Random(8001)
+    for k in range(60):
+        mo = rng.randint(1, 4)
+        M = 2 * mo + 2 + rng.randint(0, 4)
+        if k % 3 == 0:
+            seq = [rng.randint(-9, 9) for _ in range(M)]
+        else:
+            order = rng.randint(1, mo)
+            qs = [rng.randint(-3, 3) for _ in range(order)]
+            seq = [rng.randint(-3, 3) for _ in range(order)]
+            while len(seq) < M:
+                seq.append(sum(a * b for a, b in zip(qs, reversed(seq[-order:]))))
+        v = detect_recurrence(make_series(Z, seq, M), mo)
+        want = oracles.recurrence_scan_q(seq, mo)
+        if want is None:
+            assert v.kind == "irrational_at_budget"
+        else:
+            assert (v.kind, v.d, list(v.q)) == ("rational", want[0], want[1])
+
+
+def _fp_poly_mul(a, b, p):
+    return oracles.pmul(a, b, len(a) + len(b), p)
+
+
+def _fp_poly_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return [(x + y) % p for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_detect_recurrence_rational_functions_annihilate(p):
+    # q's entries are (numerator, denominator) pairs over F_p[t]; with
+    # every denominator cleared, each row sum_i q_i a_(n-i) must vanish
+    rng = random.Random(8100 + p)
+    R = make_ring("fpt_exact", p)
+    for _ in range(24):
+        mo = rng.randint(1, 4)
+        M = 2 * mo + 2 + rng.randint(0, 3)
+        order = rng.randint(1, mo)
+        digits = lambda: [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+        qs = [digits() for _ in range(order)]
+        seq = [digits() for _ in range(order)]
+        while len(seq) < M:
+            acc = []
+            for a, b in zip(qs, reversed(seq[-order:])):
+                acc = _fp_poly_add(acc, _fp_poly_mul(a, b, p), p)
+            seq.append(acc)
+        v = detect_recurrence(make_series(R, [tuple(c) for c in seq], M), mo)
+        assert v.kind == "rational" and v.d <= order
+        assert len(v.q) == v.d + 1 and v.q[0] == ((1,), (1,))
+        for n in range(v.d, M):
+            row = []
+            for i, (num, _) in enumerate(v.q):
+                term = _fp_poly_mul(list(num), seq[n - i], p)
+                for j, (_, den) in enumerate(v.q):
+                    if j != i:
+                        term = _fp_poly_mul(term, list(den), p)
+                row = _fp_poly_add(row, term, p)
+            assert not any(row)
