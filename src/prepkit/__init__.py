@@ -9,7 +9,8 @@ every inequality is decided by exact integer comparison.
 
 from .errors import (BadNormalization, BadPrecision, BothConstant,
                      BudgetExceeded, CompositeModulus, DegreeAboveOne,
-                     HenselConditionFails, InsufficientXPrecision, IoError,
+                     HenselConditionFails, InsufficientXPrecision,
+                     InvariantViolation, IoError,
                      NoUnitCoefficient, NonBinaryCoefficient, NonPrimeBase,
                      NonzeroConstantInner, NotAUnit, NotAUnitSeries,
                      PointNotSmall, PrecisionTooLow, PrepkitError,

@@ -103,6 +103,12 @@ class NonPrimeBase(PrepkitError):
     """Encoder base coefficient must be prime."""
 
 
+class InvariantViolation(PrepkitError):
+    """A computed result failed the identity that certifies it, such as
+    the division identity or a factorization roundtrip; names the check
+    and, where there is one, the first failing index."""
+
+
 class UsageError(PrepkitError):
     """Command-line usage error, naming the offending flag."""
 

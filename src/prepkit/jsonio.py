@@ -10,7 +10,7 @@ input schemas fix as ints (precision, window, budget) stay ints.
 import json
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import BadPrecision, UsageError
 from .h10 import FPOracle, make_dio, parse_dio_inline, parse_dio_text
 from .padic_analysis import GapSpec, build_gap_series
 from .resultant import Poly, make_poly
@@ -101,8 +101,15 @@ def series_from_json(d):
     if not isinstance(coeffs, list):
         raise UsageError("series needs a coeffs array")
     vals = [elem_from_json(ring, c) for c in coeffs]
-    x_prec = int(d["x_prec"]) if "x_prec" in d else len(vals)
+    x_prec = _x_prec(int(d["x_prec"]) if "x_prec" in d else len(vals))
     return make_series(ring, vals, x_prec), None
+
+
+def _x_prec(x_prec):
+    if x_prec < 1:
+        raise BadPrecision("series needs x_prec >= 1, got %d" % x_prec,
+                           x_prec=x_prec)
+    return x_prec
 
 
 def _series_from_oracle(d):
@@ -110,7 +117,7 @@ def _series_from_oracle(d):
     kind = spec.get("kind")
     if "x_prec" not in d:
         raise UsageError("oracle series needs an explicit x_prec")
-    x_prec = int(d["x_prec"])
+    x_prec = _x_prec(int(d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
         vals = [elem_from_json(ring, c) for c in spec.get("coeffs", [])]

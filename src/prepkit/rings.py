@@ -279,6 +279,9 @@ class IntModRing(Ring):
     def add(self, a, b):
         return (a + b) % self.mod
 
+    def sub(self, a, b):
+        return (a - b) % self.mod
+
     def mul(self, a, b):
         return a * b % self.mod
 
@@ -306,6 +309,31 @@ class IntModRing(Ring):
     def pow(self, a, e):
         return pow(a, e, self.mod)
 
+    # The pi-adic digit split behind Weierstrass lifting and strong
+    # factorization: every element is lo + p^s * hi, lo < p^s.
+
+    def at_prec(self, k):
+        """The same ring at precision k."""
+        return self if k == self.prec else type(self)(self.p, k)
+
+    def reduce(self, xs, k):
+        """xs mod p^k, over at_prec(k)."""
+        mod = self.p ** k
+        return [x % mod for x in xs]
+
+    def split(self, xs, s):
+        """(lo, hi) with x = lo + p^s * hi, over at_prec(s) and
+        at_prec(prec - s)."""
+        ps = self.p ** s
+        return [x % ps for x in xs], [x // ps for x in xs]
+
+    def join(self, lo, hi, s):
+        """lo + p^s * hi over this ring; hi None lifts lo unchanged."""
+        if hi is None:
+            return list(lo)
+        ps = self.p ** s
+        return [a + ps * b for a, b in zip(lo, hi)]
+
     def convolve(self, a, b, out_len):
         if not a or not b:
             return [0] * out_len
@@ -314,7 +342,7 @@ class IntModRing(Ring):
         if bound < 2 ** 62:
             arr = np.convolve(np.array(a, dtype=np.int64),
                               np.array(b, dtype=np.int64))
-            return _pad([int(x) % self.mod for x in arr], out_len)
+            return _pad((arr % self.mod).tolist(), out_len)
         return _pad(_kron_unsigned(a, b, self.mod), out_len)
 
     def elem_to_json(self, r):
@@ -355,6 +383,10 @@ class FpTRing(Ring):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
+    def sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
     def mul(self, a, b):
         K = self.prec
         arr = np.convolve(np.array(a, dtype=np.int64),
@@ -387,6 +419,28 @@ class FpTRing(Ring):
             out[k] = -inv0 * s % p
         return tuple(out)
 
+    # Digit slicing at t^s: every element is lo + t^s * hi.
+
+    def at_prec(self, k):
+        """The same ring at precision k."""
+        return self if k == self.prec else FpTRing(self.p, k)
+
+    def reduce(self, xs, k):
+        """xs mod t^k, over at_prec(k)."""
+        return [x[:k] for x in xs]
+
+    def split(self, xs, s):
+        """(lo, hi) with x = lo + t^s * hi, over at_prec(s) and
+        at_prec(prec - s)."""
+        return [x[:s] for x in xs], [x[s:] for x in xs]
+
+    def join(self, lo, hi, s):
+        """lo + t^s * hi over this ring; hi None lifts lo unchanged."""
+        if hi is None:
+            pad = (0,) * (self.prec - s)
+            return [a + pad for a in lo]
+        return [a + b for a, b in zip(lo, hi)]
+
     def convolve(self, a, b, out_len):
         p, K = self.p, self.prec
         if not a or not b:
@@ -398,6 +452,9 @@ class FpTRing(Ring):
         elif bound < 2 ** 32:
             dt = "<u4"
             w = 4
+        elif bound < 2 ** 64:
+            dt = "<u8"
+            w = 8
         else:
             return self.convolve_ref(a, b, out_len)
         la, lb = len(a), len(b)
@@ -411,8 +468,8 @@ class FpTRing(Ring):
         rows = la + lb - 1
         buf = cint.to_bytes(rows * 2 * K * w, "little")
         C = np.frombuffer(buf, dtype=dt).reshape(rows, 2 * K)
-        body = (C[:min(rows, out_len), :K].astype(np.int64) % p)
-        out = [tuple(int(x) for x in row) for row in body]
+        body = (C[:min(rows, out_len), :K] % p).tolist()
+        out = [tuple(row) for row in body]
         return out + [self.zero()] * (out_len - len(out))
 
     def elem_to_json(self, r):

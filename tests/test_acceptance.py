@@ -97,10 +97,11 @@ def test_criterion_1_weierstrass_roundtrip():
             wf = prepare(f, schedule="direct")
             assert wf.n <= 5
             assert wf.verify(f)
-            other = prepare(f, schedule="warmstart")
-            assert other.P == wf.P
-            assert other.U.coeffs == wf.U.coeffs
-            assert (other.v, other.n) == (wf.v, wf.n)
+            for schedule in ("warmstart", "lifting"):
+                other = prepare(f, schedule=schedule)
+                assert other.P == wf.P
+                assert other.U.coeffs == wf.U.coeffs
+                assert (other.v, other.n) == (wf.v, wf.n)
     R = make_ring("zp", 5, 3)
     g = prepare(make_series(R, [5, 1, 1], 3))
     assert g.P == (30, 1)
@@ -126,6 +127,9 @@ def test_criterion_2_strong_factorization():
         wf = strong_factor(g)
         assert wf.v == v
         assert wf.verify(g)
+        ref = strong_factor(g, schedule="direct")
+        assert (ref.v, ref.n, ref.P) == (wf.v, wf.n, wf.P)
+        assert ref.U.coeffs == wf.U.coeffs
 
 
 def test_criterion_3_compositional_inverse():
@@ -237,7 +241,8 @@ def test_criterion_6_gap_bound_chain(ref600):
     wf = ref600["factorizations"][0]
     assert wf.verify(ref600["f"])
     assert wf.P == (ring.canon(-lam), 1)
-    # schedule uniqueness on the short window, all three routes agree
+    # schedule uniqueness on the short window: every schedule and the
+    # n = 1 special path agree
     ring40 = make_ring("zp", 2, 40)
     dense40 = [ring40.zero()] * 40
     for e, c in sparse_terms_upto(spec, 39):
@@ -245,8 +250,9 @@ def test_criterion_6_gap_bound_chain(ref600):
     f40 = make_series(ring40, dense40, 40)
     wfd = prepare(f40, schedule="direct")
     wfw = prepare(f40, schedule="warmstart")
-    assert wfd.P == wfw.P == gap_linear_factor(spec, 40).P
-    assert wfd.U.coeffs == wfw.U.coeffs
+    wfl = prepare(f40, schedule="lifting")
+    assert wfd.P == wfw.P == wfl.P == gap_linear_factor(spec, 40).P
+    assert wfd.U.coeffs == wfw.U.coeffs == wfl.U.coeffs
     assert ref600["build_s"] + (time.time() - t0) < 5.0
 
 
@@ -333,7 +339,11 @@ def test_criterion_8_h10_encoder():
 def test_criterion_9_root_transfer(ref600):
     lam, ring, f600 = ref600["lam"], ref600["ring"], ref600["f"]
     assert ref600["factorizations"]
-    for wf in ref600["factorizations"]:
+    # general preparation at K = 600 agrees with the n = 1 special path
+    general = prepare(f600)
+    assert general.P == gap_linear_factor(ref600["spec"], 600).P
+    assert general.verify(f600)
+    for wf in ref600["factorizations"] + [general]:
         assert wf.v == 0 and wf.n == 1
         # unit cofactor contributes valuation zero, so the root carries
         # the full 600 bits through P

@@ -376,3 +376,22 @@ def test_series_json_oracle_kinds(tmp_path):
     with pytest.raises(UsageError):
         jsonio.series_from_json({"ring": {"kind": "z"}, "x_prec": 4,
                                  "oracle": {"kind": "wat"}})
+
+
+@pytest.mark.parametrize("payload", [
+    {"ring": {"kind": "zp", "p": 7, "prec": 1}, "coeffs": [], "x_prec": 0},
+    {"ring": {"kind": "zp", "p": 7, "prec": 1}, "coeffs": []},
+    {"ring": {"kind": "zp", "p": 7, "prec": 1}, "coeffs": ["1"],
+     "x_prec": -2},
+    {"ring": {"kind": "z"}, "x_prec": 0,
+     "oracle": {"kind": "periodic", "prefix": [], "cycle": ["1"]}},
+])
+def test_empty_window_is_json_error(tmp_path, payload):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    for verb in (["series", "rationality"], ["prepare"]):
+        res = run_cli(*verb, "--in", str(path))
+        assert res.returncode == 1 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "BadPrecision"

@@ -164,6 +164,12 @@ def test_convolve_matches_reference(xs, ys):
         b = [R.from_int(y) for y in ys]
         n = len(xs) + len(ys)
         assert R.convolve(a, b, n) == R.convolve_ref(a, b, n)
+    # digit products past 2^32: the 64-bit packing lane
+    for R in (make_ring("fpt", 65537, 3), make_ring("fpt", 1000003, 4)):
+        a = [R.from_digits((x, -x, x * x)) for x in xs]
+        b = [R.from_digits((-y, y, 1, y)) for y in ys]
+        n = len(xs) + len(ys)
+        assert R.convolve(a, b, n) == R.convolve_ref(a, b, n)
 
 
 @given(SMALL, SMALL)

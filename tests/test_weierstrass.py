@@ -1,14 +1,20 @@
 """Weierstrass division, preparation, and strong factorization over
 finite-precision local rings."""
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
-from prepkit import (NoUnitCoefficient, RingMismatch, ZeroAtPrecision,
-                     make_ring, make_series, prepare, reduction_index,
-                     series_mul, strong_factor, weierstrass_divide)
+from prepkit import (InvariantViolation, NoUnitCoefficient, RingMismatch,
+                     ZeroAtPrecision, cli, make_ring, make_series, prepare,
+                     reduction_index, series_mul, strong_factor,
+                     weierstrass_divide)
+from prepkit import weierstrass
+from prepkit.rings import IntModRing
 from prepkit.weierstrass import SCHEDULES
 
 Z5K4 = make_ring("zp", 5, 4)
@@ -69,10 +75,11 @@ def test_prepare_distinguished_invariants():
 
 def test_schedules_bit_identical():
     f = make_series(Z5K4, [10, 25, 2, 3, 1, 7], 6)
-    a = prepare(f, schedule=SCHEDULES[0])
-    b = prepare(f, schedule=SCHEDULES[1])
-    assert a.P == b.P
-    assert a.U.coeffs == b.U.coeffs
+    ref = prepare(f, schedule="direct")
+    for schedule in SCHEDULES:
+        wf = prepare(f, schedule=schedule)
+        assert (wf.v, wf.n, wf.P) == (ref.v, ref.n, ref.P)
+        assert wf.U.coeffs == ref.U.coeffs
     with pytest.raises(ValueError):
         prepare(f, schedule="nope")
 
@@ -142,8 +149,10 @@ def test_prepare_roundtrip_random():
             wf = prepare(f)
             assert wf.n <= 5
             assert wf.verify(f)
-            alt = prepare(f, schedule="warmstart")
-            assert alt.P == wf.P and alt.U.coeffs == wf.U.coeffs
+            for schedule in ("direct", "warmstart"):
+                alt = prepare(f, schedule=schedule)
+                assert (alt.v, alt.n, alt.P) == (wf.v, wf.n, wf.P)
+                assert alt.U.coeffs == wf.U.coeffs
 
 
 def test_strong_factor_roundtrip_random():
@@ -159,3 +168,96 @@ def test_strong_factor_roundtrip_random():
         wf = strong_factor(f)
         assert wf.v < k
         assert wf.verify(f)
+
+
+def test_lifting_matches_direct_general_g():
+    # random g, not only x^n, with the edge shapes K=1, n=0 and m=1
+    rng = random.Random(4404)
+    for kind, p in (("zp", 2), ("zp", 5), ("zmodpk", 3), ("fpt", 2),
+                    ("fpt", 3), ("zp", 1000003), ("fpt", 65537)):
+        for i in range(40):
+            K = 1 if i < 6 else rng.randrange(2, 13)
+            m = 1 if i % 6 == 1 else rng.randrange(2, 24)
+            ring = make_ring(kind, p, K)
+            f = _random_series(rng, ring, m, 0 if i % 6 == 2 else min(5, m - 1))
+            g = make_series(ring, [ring.from_int(rng.randrange(-10 ** 6, 10 ** 6))
+                                   for _ in range(m)], m)
+            q, r = weierstrass_divide(g, f)
+            assert (q, r) == weierstrass_divide(g, f, schedule="direct")
+
+
+def test_strong_factor_one_level_left():
+    # K - v = 1: preparation runs at precision 1, where lifting is c itself
+    rng = random.Random(4405)
+    for kind, p in (("zmodpk", 2), ("zp", 3), ("fpt", 5)):
+        for K in (2, 3, 5):
+            ring = make_ring(kind, p, K)
+            piv = ring.pow(ring.uniformizer(), K - 1)
+            base = _random_series(rng, ring, 10, 3)
+            f = make_series(ring, [ring.mul(piv, c) for c in base.coeffs], 10)
+            wf = strong_factor(f)
+            ref = strong_factor(f, schedule="direct")
+            assert wf.v == K - 1 and wf.verify(f)
+            assert (wf.n, wf.P, wf.U.coeffs) == (ref.n, ref.P, ref.U.coeffs)
+
+
+def test_lifting_runs_few_full_precision_convolutions(monkeypatch):
+    ring = make_ring("zp", 2, 128)
+    f = _random_series(random.Random(4406), ring, 128, 5)
+    xn = make_series(ring, [0, 0, 0, 1], 128)
+    calls = []
+    real = IntModRing.convolve
+
+    def counted(self, a, b, out_len):
+        calls.append(self.prec)
+        return real(self, a, b, out_len)
+
+    monkeypatch.setattr(IntModRing, "convolve", counted)
+    out = {}
+    for schedule in ("lifting", "direct"):
+        del calls[:]
+        out[schedule] = weierstrass_divide(xn, f, schedule=schedule)
+        out[schedule + "_full"] = calls.count(128)
+    assert out["lifting"] == out["direct"]
+    assert out["lifting_full"] <= 24
+    assert out["direct_full"] >= 2 * 130
+
+
+def test_wrong_solver_output_is_invariant_violation(monkeypatch, tmp_path,
+                                                    capsys):
+    real = weierstrass._lift_solve
+
+    def perturbed(ring, c, alpha, binv, n, m):
+        q = real(ring, c, alpha, binv, n, m)
+        return [ring.add(q[0], ring.one())] + q[1:]
+
+    monkeypatch.setattr(weierstrass, "_lift_solve", perturbed)
+    f = make_series(Z5K4, [10, 25, 2, 3, 1, 7], 6)
+    with pytest.raises(InvariantViolation):
+        prepare(f)
+    assert prepare(f, schedule="direct").verify(f)
+
+    path = tmp_path / "f.json"
+    path.write_text("[10,25,2,3,1,7]")
+    assert cli.main(["prepare", "--ring", "zp:5:4", "--in", str(path)]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    lines = got.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InvariantViolation"
+
+
+def test_invariant_checks_survive_optimize_flag():
+    code = (
+        "from prepkit import InvariantViolation, make_ring, make_series, prepare\n"
+        "from prepkit import weierstrass as w\n"
+        "real = w._lift_solve\n"
+        "w._lift_solve = lambda R, c, *a: [R.one()] + real(R, c, *a)[1:]\n"
+        "f = make_series(make_ring('zp', 5, 4), [10, 25, 2, 3, 1, 7], 6)\n"
+        "try:\n"
+        "    prepare(f)\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "raised\n"), res.stderr
