@@ -4,11 +4,8 @@ Every successful run prints one canonical JSON report (sorted keys, no
 floating point, unbounded numbers as decimal strings) that embeds the
 resolved configuration, so identical commands give byte-identical
 output. Exit codes: 0 for success or a certified/conclusive verdict,
-2 for inconclusive-at-budget verdicts, 1 for every error.
-
-The --jobs flag only parallelizes internal work; it is deliberately
-absent from the embedded configuration so reports stay byte-identical
-across job counts.
+2 for inconclusive-at-budget verdicts, 1 for every error, which is
+reported as one JSON line on stderr.
 """
 
 import argparse
@@ -307,8 +304,7 @@ def _run_gap(args):
         H = args.height_cap if args.height_cap is not None else 5
         ring = _gap_work_ring(spec, args.K)
         lam = small_root_of_gap(spec, args.K)
-        summary = certify_family(spec, lam, D, H, args.N, ring,
-                                 jobs=max(args.jobs or 1, 1))
+        summary = certify_family(spec, lam, D, H, args.N, ring)
         rep = jsonio.family_summary_to_json(spec, summary)
         rep["config"] = _config("gap", "sweep", args, spec)
         return rep, 0 if summary.n_inconclusive == 0 else 2
@@ -411,7 +407,6 @@ def build_parser():
     p.add_argument("--budget", type=int)
     p.add_argument("--degree-cap", dest="degree_cap", type=int)
     p.add_argument("--height-cap", dest="height_cap", type=int)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("h10")
     p.add_argument("op", choices=["theta", "bp", "encode", "probe"])
@@ -466,7 +461,7 @@ def main(argv=None):
         report, code = run(args)
         _emit(jsonio.dumps(report), getattr(args, "out", None))
         return code
-    except (PrepkitError, ValueError) as e:
+    except Exception as e:  # every failure leaves as one JSON line
         err = {"error": {"type": type(e).__name__, "message": str(e)}}
         sys.stderr.write(jsonio.dumps(err))
         return 1

@@ -16,7 +16,6 @@ floating point.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,21 +24,12 @@ from .errors import (
     CompositeModulus,
     DegreeAboveOne,
     HenselConditionFails,
+    InvariantViolation,
     PointNotSmall,
     PrecisionTooLow,
     SpecViolation,
 )
-from .rings import (
-    FpTRing,
-    IntModRing,
-    b2_mul,
-    b2_pow_mod,
-    digits_from_mask,
-    is_prime,
-    make_ring,
-    mask_from_digits,
-    val_unit_decompose,
-)
+from .rings import IntModRing, is_prime, make_ring, val_unit_decompose
 from .resultant import Poly, make_poly, resultant
 from .series import OracleSeries, Series, evaluate
 from .weierstrass import WFactorization
@@ -435,7 +425,6 @@ class BoundCheck:
 def _phi_val_at(view, lam, N, ring):
     """Valuation of Phi_N(lam), with the precision soundness gate:
     K must exceed b(N+1) * val(lam) + val(a_(N+1))."""
-    spec = view.spec
     vlam = ring.val(lam)
     if vlam is None or vlam < 1:
         raise PointNotSmall("the root must have positive valuation")
@@ -448,16 +437,7 @@ def _phi_val_at(view, lam, N, ring):
         raise PrecisionTooLow(
             "need precision %d for a sound comparison, have %d"
             % (required, ring.prec), required=required, have=ring.prec)
-    if isinstance(ring, FpTRing) and spec.p == 2:
-        mod = 1 << ring.prec
-        acc = 0
-        lmask = mask_from_digits(lam)
-        for e, c in view.sparse_terms_upto(view.b(N)):
-            cm = mask_from_digits(c)
-            acc ^= b2_mul(cm, b2_pow_mod(lmask, e, mod)) & (mod - 1)
-        phi = digits_from_mask(acc, ring.prec)
-    else:
-        phi = _sparse_eval(view, ring, view.sparse_terms_upto(view.b(N)), lam)
+    phi = _sparse_eval(view, ring, view.sparse_terms_upto(view.b(N)), lam)
     pv = ring.val(phi)
     if pv is None:
         raise PrecisionTooLow(
@@ -524,58 +504,41 @@ class CertificateReport:
 
 
 def _closed_form_B(view, P, N):
-    """Resultant of a candidate of degree <= 2 against Phi_N without
-    building the Sylvester matrix; falls back to the matrix route for
-    higher degree or odd characteristic."""
-    spec = view.spec
-    terms = view.sparse_terms_upto(view.b(N))
-    deg = view.b(N)
-    cs = P.coeffs
-    if spec.characteristic == "zero" and len(cs) == 2:
-        c0, c1 = cs
-        acc = 0
-        for k, a in terms:
-            acc += a * (-c0) ** k * c1 ** (deg - k)
-        return acc
-    if spec.characteristic == "zero" and len(cs) == 3:
-        return _res_quad_char0(cs[0], cs[1], cs[2], terms, deg)
-    if spec.characteristic == "p" and spec.p == 2 and len(cs) in (2, 3):
-        masks = [mask_from_digits(c) for c in cs]
-        tmask = [(k, mask_from_digits(a)) for k, a in terms]
-        if len(cs) == 2:
-            acc = 0
-            for k, a in tmask:
-                acc ^= b2_mul(a, b2_mul(_b2pow(masks[0], k),
-                                        _b2pow(masks[1], deg - k)))
-            return digits_from_mask(acc)
-        return digits_from_mask(
-            _res_quad_char2(masks[0], masks[1], masks[2], tmask, deg))
-    return None
+    """Res(P, Phi_N) for a candidate of degree <= 2 without building the
+    Sylvester matrix, in any characteristic; None for higher degree,
+    which takes the matrix route."""
+    if P.degree > 2:
+        return None
+    R = view.exact_ring()
+    terms = [(k, R.canon(a)) for k, a in view.sparse_terms_upto(view.b(N))]
+    deg = terms[-1][0]
+    if P.degree == 1:
+        # c1^deg * Phi(-c0 / c1)
+        c0, c1 = P.coeffs
+        m0 = R.neg(c0)
+        return R.sum(R.mul(a, R.mul(R.pow(m0, k), R.pow(c1, deg - k)))
+                     for k, a in terms)
+    return _res_quad(R, P.coeffs, terms, deg)
 
 
-def _b2pow(a, e):
-    acc = 1
-    while e:
-        if e & 1:
-            acc = b2_mul(acc, a)
-        a = b2_mul(a, a)
-        e >>= 1
-    return acc
-
-
-def _res_quad_char0(c0, c1, c2, terms, deg):
-    # track x^k mod (c2 x^2 + c1 x + c0) as (U x + V) / c2^e
-    al, be, ga = c2, c1, c0
+def _res_quad(R, cs, terms, deg):
+    """Res(c2 x^2 + c1 x + c0, Phi) over the exact ring R. Each x^k is
+    tracked mod the candidate as (U x + V) / c2^e, so Phi = (A x + B) /
+    c2^emax there, and the resultant is c2^(deg - 2 emax - 1) times
+    A^2 c0 - A B c1 + c2 B^2."""
+    ga, be, al = cs
 
     def qmul(a, b):
         U, V, e = a
         U2, V2, e2 = b
-        return ((U * V2 + U2 * V) * al - U * U2 * be,
-                V * V2 * al - U * U2 * ga,
+        UU2 = R.mul(U, U2)
+        cross = R.add(R.mul(U, V2), R.mul(U2, V))
+        return (R.sub(R.mul(cross, al), R.mul(UU2, be)),
+                R.sub(R.mul(R.mul(V, V2), al), R.mul(UU2, ga)),
                 e + e2 + 1)
 
     def qpow(E):
-        acc, base = (0, 1, 0), (1, 0, 0)
+        acc, base = (R.zero(), R.one(), 0), (R.one(), R.zero(), 0)
         while E:
             if E & 1:
                 acc = qmul(acc, base)
@@ -585,54 +548,14 @@ def _res_quad_char0(c0, c1, c2, terms, deg):
 
     reps = [(a, qpow(k)) for k, a in terms]
     emax = max(e for _, (_, _, e) in reps)
-    A = sum(a * U * al ** (emax - e) for a, (U, _, e) in reps)
-    B = sum(a * V * al ** (emax - e) for a, (_, V, e) in reps)
-    num = A * A * ga - A * B * be + al * B * B
+    A = R.sum(R.mul(a, R.mul(U, R.pow(al, emax - e))) for a, (U, _, e) in reps)
+    B = R.sum(R.mul(a, R.mul(V, R.pow(al, emax - e))) for a, (_, V, e) in reps)
+    num = R.add(R.sub(R.mul(R.mul(A, A), ga), R.mul(R.mul(A, B), be)),
+                R.mul(al, R.mul(B, B)))
     diff = deg - (2 * emax + 1)
     if diff >= 0:
-        return num * al ** diff
-    den = al ** (-diff)
-    assert num % den == 0
-    return num // den
-
-
-def _res_quad_char2(c0, c1, c2, terms, deg):
-    al, be, ga = c2, c1, c0
-
-    def qmul(a, b):
-        U, V, e = a
-        U2, V2, e2 = b
-        cross = b2_mul(U, V2) ^ b2_mul(U2, V)
-        return (b2_mul(cross, al) ^ b2_mul(b2_mul(U, U2), be),
-                b2_mul(b2_mul(V, V2), al) ^ b2_mul(b2_mul(U, U2), ga),
-                e + e2 + 1)
-
-    def qpow(E):
-        acc, base = (0, 1, 0), (1, 0, 0)
-        while E:
-            if E & 1:
-                acc = qmul(acc, base)
-            base = qmul(base, base)
-            E >>= 1
-        return acc
-
-    reps = [(a, qpow(k)) for k, a in terms]
-    emax = max(e for _, (_, _, e) in reps)
-    A = 0
-    B = 0
-    for a, (U, V, e) in reps:
-        scale = _b2pow(al, emax - e)
-        A ^= b2_mul(a, b2_mul(U, scale))
-        B ^= b2_mul(a, b2_mul(V, scale))
-    num = (b2_mul(b2_mul(A, A), ga) ^ b2_mul(b2_mul(A, B), be)
-           ^ b2_mul(al, b2_mul(B, B)))
-    diff = deg - (2 * emax + 1)
-    if diff >= 0:
-        return b2_mul(num, _b2pow(al, diff))
-    from .rings import b2_divmod
-    q, rem = b2_divmod(num, _b2pow(al, -diff))
-    assert rem == 0
-    return q
+        return R.mul(num, R.pow(al, diff))
+    return R.exact_div(num, R.pow(al, -diff))
 
 
 def _candidate_L(spec, P):
@@ -651,22 +574,8 @@ def _candidate_margin(view, P, N, lam_val):
                          P.degree)
 
 
-def _p_at_lam_val(view, P, lam, ring):
-    spec = view.spec
-    if isinstance(ring, FpTRing) and spec.p == 2:
-        mod = 1 << ring.prec
-        acc = 0
-        lmask = mask_from_digits(lam)
-        for c in reversed(P.coeffs):
-            acc = (b2_mul(acc, lmask) ^ mask_from_digits(c)) & (mod - 1)
-        if acc == 0:
-            return None
-        v = 0
-        while not (acc >> v) & 1:
-            v += 1
-        return v
-    val = P.eval(lam, ring)
-    return ring.val(val)
+def _p_at_lam_val(P, lam, ring):
+    return ring.val(P.eval(lam, ring))
 
 
 def certify_not_root(spec, lam, P, N, ring):
@@ -703,7 +612,7 @@ def certify_not_root(spec, lam, P, N, ring):
         return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B,
                                  None, None, VERDICT_SHARED, margin)
     B_val = view._val(B)
-    pl_val = _p_at_lam_val(view, P, lam, ring)
+    pl_val = _p_at_lam_val(P, lam, ring)
     if B_val < phi_val:
         verdict = VERDICT_CERTIFIED
         assert pl_val is not None, "certified candidate vanishes at precision"
@@ -731,19 +640,24 @@ def enumerate_family(spec, D, H):
     lexicographic on the ascending coefficient tuple. Leading
     coefficients are sign-normalized positive in characteristic zero
     and nonzero in characteristic p."""
-    exact_kind = spec.characteristic
+    if spec.characteristic == "zero":
+        lows, leads = range(-H, H + 1), range(1, H + 1)
+    else:
+        # the coefficient with index m has the base-p digits of m
+        lows = [_base_digits(m, spec.p) for m in range(spec.p ** (H + 1))]
+        leads = lows[1:]
     out = []
     for deg in range(1, D + 1):
-        if exact_kind == "zero":
-            lows = [range(-H, H + 1)] * deg
-            for tup in itertools.product(*lows, range(1, H + 1)):
-                out.append(tuple(tup))
-        else:
-            width = 1 << (H + 1)
-            lows = [range(width)] * deg
-            for tup in itertools.product(*lows, range(1, width)):
-                out.append(tuple(digits_from_mask(m) for m in tup))
+        out.extend(itertools.product(*[lows] * deg, leads))
     return out
+
+
+def _base_digits(m, p):
+    out = []
+    while m:
+        m, d = divmod(m, p)
+        out.append(d)
+    return tuple(out)
 
 
 def _structural_charp_certificate(view, N):
@@ -751,25 +665,18 @@ def _structural_charp_certificate(view, N):
     F_2[t]: Phi = A0(x) + t * A1(x) with every coefficient t-linear
     and gcd(A0, A1) = 1 makes Phi irreducible, so no candidate of
     smaller degree can share a factor."""
-    spec = view.spec
-    if spec.characteristic != "p" or spec.p != 2:
-        return None
+    if view.spec.p != 2:
+        return False
     terms = view.sparse_terms_upto(view.b(N))
     if any(len(c) > 2 for _, c in terms):
-        return None
-    a0mask = 0
-    a1mask = 0
+        return False
+    R = view.exact_ring()
+    A0 = [0] * (view.b(N) + 1)
+    A1 = [0] * (view.b(N) + 1)
     for e, c in terms:
-        if len(c) >= 1 and c[0]:
-            a0mask |= 1 << e
-        if len(c) == 2 and c[1]:
-            a1mask |= 1 << e
-    if a1mask == 0:
-        return None
-    from .rings import b2_gcd
-    if b2_gcd(a0mask, a1mask) != 1:
-        return None
-    return {"A0": a0mask, "A1": a1mask, "deg": view.b(N)}
+        for A, d in zip((A0, A1), c):
+            A[e] = d
+    return R.gcd(R.canon(A0), R.canon(A1)) == R.one()
 
 
 @dataclass(frozen=True)
@@ -786,10 +693,10 @@ class FamilySummary:
     margin: MarginReport
 
 
-def certify_family(spec, lam, D, H, N, ring, jobs=1):
+def certify_family(spec, lam, D, H, N, ring):
     """Sweep every candidate of degree <= D and height <= H. Counts,
     sample reports (a deterministic stride), and crossvalidation stats
-    are independent of the job count."""
+    follow the candidate order."""
     view = _GapView(spec)
     view.validate_core()
     cands = enumerate_family(spec, D, H)
@@ -803,68 +710,39 @@ def certify_family(spec, lam, D, H, N, ring, jobs=1):
     polys = [make_poly(exact, list(c)) for c in cands]
     stride = max(total // 16, 1)
     sample_idx = set(range(0, total, stride))
-
-    structural = None
-    if spec.characteristic == "p":
-        structural = _structural_charp_certificate(view, N)
-
-    if structural is not None:
+    if (spec.characteristic == "p"
+            and _structural_charp_certificate(view, N)):
         return _family_structural(spec, view, lam, polys, N, ring,
-                                  sample_idx, fam_margin, jobs)
-    return _family_percandidate(spec, view, lam, polys, N, ring,
-                                sample_idx, fam_margin, jobs)
+                                  sample_idx, fam_margin)
+    return _family_percandidate(spec, lam, polys, N, ring, sample_idx,
+                                fam_margin)
 
 
-def _family_percandidate(spec, view, lam, polys, N, ring, sample_idx,
-                         fam_margin, jobs):
-    def work(chunk):
-        counts = [0, 0, 0]
-        pls = []
-        bvs = []
-        samples = []
-        for idx, P in chunk:
-            rep = certify_not_root(spec, lam, P, N, ring)
-            if rep.verdict == VERDICT_CERTIFIED:
-                counts[0] += 1
-            elif rep.verdict == VERDICT_SHARED:
-                counts[1] += 1
-            else:
-                counts[2] += 1
-            if rep.p_at_lam_val is not None:
-                pls.append(rep.p_at_lam_val)
-            if rep.B_val is not None:
-                bvs.append(rep.B_val)
-            if idx in sample_idx:
-                samples.append((idx, rep))
-        return counts, pls, bvs, samples
-
-    indexed = list(enumerate(polys))
-    chunks = [indexed[i::jobs] for i in range(jobs)] if jobs > 1 else [indexed]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(work, chunks))
-    else:
-        results = [work(chunks[0])]
-    counts = [0, 0, 0]
+def _family_percandidate(spec, lam, polys, N, ring, sample_idx, fam_margin):
+    counts = {VERDICT_CERTIFIED: 0, VERDICT_SHARED: 0,
+              VERDICT_INCONCLUSIVE: 0}
     pls = []
     bvs = []
     samples = []
-    for c, p, b, s in results:
-        for i in range(3):
-            counts[i] += c[i]
-        pls.extend(p)
-        bvs.extend(b)
-        samples.extend(s)
-    samples.sort(key=lambda t: t[0])
-    return FamilySummary(len(polys), counts[0], counts[1], counts[2],
+    for idx, P in enumerate(polys):
+        rep = certify_not_root(spec, lam, P, N, ring)
+        counts[rep.verdict] += 1
+        if rep.p_at_lam_val is not None:
+            pls.append(rep.p_at_lam_val)
+        if rep.B_val is not None:
+            bvs.append(rep.B_val)
+        if idx in sample_idx:
+            samples.append(rep)
+    return FamilySummary(len(polys), counts[VERDICT_CERTIFIED],
+                         counts[VERDICT_SHARED], counts[VERDICT_INCONCLUSIVE],
                          "per_candidate", len(pls),
                          max(pls) if pls else None,
                          max(bvs) if bvs else None,
-                         tuple(rep for _, rep in samples), fam_margin)
+                         tuple(samples), fam_margin)
 
 
 def _family_structural(spec, view, lam, polys, N, ring, sample_idx,
-                       fam_margin, jobs):
+                       fam_margin):
     """Characteristic-p fast route: one irreducibility certificate
     covers nonvanishing of every B; per-candidate work reduces to the
     valuation of P(lambda), plus exact resultants on the sample."""
@@ -876,52 +754,34 @@ def _family_structural(spec, view, lam, polys, N, ring, sample_idx,
     h_cap = max(max(len(c) - 1 for c in p.coeffs if c) for p in polys)
     tdeg_bound = h_cap * bN + aPhi * deg_cap
     if not (bN1 * vlam > tdeg_bound and deg_cap < bN):
-        return _family_percandidate(spec, view, lam, polys, N, ring,
-                                    sample_idx, fam_margin, jobs)
+        return _family_percandidate(spec, lam, polys, N, ring, sample_idx,
+                                    fam_margin)
     # v(B) <= deg_t(B) <= tdeg_bound < v(Phi_N(lam)): certified across
     # the family once each B is nonzero, which irreducibility grants.
-    width = tdeg_bound + 2
-    mod = 1 << width
-    lmask = mask_from_digits(lam) & (mod - 1)
-
-    def work(chunk):
-        pls = []
-        samples = []
-        for idx, P in chunk:
-            acc = 0
-            for c in reversed(P.coeffs):
-                acc = (b2_mul(acc, lmask) ^ mask_from_digits(c)) & (mod - 1)
-            assert acc != 0, "P(lam) vanished below the certified bound"
-            v = 0
-            while not (acc >> v) & 1:
-                v += 1
-            assert v <= tdeg_bound
-            pls.append(v)
-            if idx in sample_idx:
-                rep = certify_not_root(spec, lam, P, N, ring)
-                assert rep.verdict == VERDICT_CERTIFIED
-                assert rep.B_val <= tdeg_bound
-                samples.append((idx, rep))
-        return pls, samples
-
-    indexed = list(enumerate(polys))
-    chunks = [indexed[i::jobs] for i in range(jobs)] if jobs > 1 else [indexed]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(work, chunks))
-    else:
-        results = [work(chunks[0])]
+    # The soundness gate on K keeps tdeg_bound + 2 <= K.
+    wring = ring.at_prec(tdeg_bound + 2)
+    wlam = wring.canon(lam)
     pls = []
     samples = []
-    for p, s in results:
-        pls.extend(p)
-        samples.extend(s)
-    samples.sort(key=lambda t: t[0])
-    bvs = [rep.B_val for _, rep in samples]
+    for idx, P in enumerate(polys):
+        v = _p_at_lam_val(P, wlam, wring)
+        if v is None or v > tdeg_bound:
+            raise InvariantViolation(
+                "P(lam) has valuation above the certified bound %d"
+                % tdeg_bound, index=idx)
+        pls.append(v)
+        if idx in sample_idx:
+            rep = certify_not_root(spec, lam, P, N, ring)
+            if rep.verdict != VERDICT_CERTIFIED or rep.B_val > tdeg_bound:
+                raise InvariantViolation(
+                    "sampled candidate %d escapes the structural "
+                    "certificate" % idx, index=idx)
+            samples.append(rep)
+    bvs = [rep.B_val for rep in samples]
     return FamilySummary(len(polys), len(polys), 0, 0, "structural",
                          len(pls), max(pls) if pls else None,
                          max(bvs) if bvs else None,
-                         tuple(rep for _, rep in samples), fam_margin)
+                         tuple(samples), fam_margin)
 
 
 def gap_linear_factor(spec, K):

@@ -17,14 +17,18 @@ Convolution of coefficient lists is the single multiplication engine
 shared by all series operations. Each ring picks a fast kernel (numpy
 convolution while products fit in int64, Kronecker substitution through
 big-int multiplication otherwise) and keeps a quadratic reference
-implementation for cross-checks.
+implementation for cross-checks. Both t-adic kinds multiply their
+elements through one F_p[t] product, which picks its own lane.
 """
+
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import (
     BadPrecision,
     CompositeModulus,
+    InvariantViolation,
     NotAUnit,
     ZeroAtPrecision,
     ZeroInput,
@@ -58,8 +62,9 @@ def is_prime(n):
     return True
 
 
-# F_2[t] polynomials as bitmasks, bit i = coefficient of t^i. Used as a
-# fast internal lane by the resultant and certificate layers.
+# F_2[t] polynomials as bitmasks, bit i = coefficient of t^i: the p = 2
+# lane of the F_p[t] product below and the resultant's carry-less
+# Bareiss elimination.
 
 def b2_deg(a):
     return a.bit_length() - 1
@@ -92,40 +97,22 @@ def b2_divmod(a, b):
     return q, a
 
 
-def b2_mod(a, b):
-    return b2_divmod(a, b)[1]
-
-
-def b2_pow_mod(a, e, m):
-    r = 1
-    a = b2_mod(a, m)
-    while e:
-        if e & 1:
-            r = b2_mod(b2_mul(r, a), m)
-        a = b2_mod(b2_mul(a, a), m)
-        e >>= 1
-    return r
-
-
-def b2_gcd(a, b):
-    while b:
-        a, b = b, b2_mod(a, b)
-    return a
+_DIGIT_BITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def mask_from_digits(digits):
-    m = 0
-    for i, d in enumerate(digits):
-        if d:
-            m |= 1 << i
-    return m
+    """Bit i set where digit i is nonzero; digits are below 256."""
+    return int(bytes(digits[::-1]).translate(_DIGIT_BITS) or b"0", 2)
 
 
 def digits_from_mask(m, width=None):
-    n = max(m.bit_length(), 0)
+    """The low width bits of m as 0/1 digits, ascending; width defaults
+    to m's bit length."""
+    bits = format(m, "b").encode()[::-1].translate(_BIT_DIGITS) if m else b""
     if width is None:
-        width = n
-    return tuple((m >> i) & 1 for i in range(width))
+        width = len(bits)
+    return tuple(bits[:width]) + (0,) * (width - len(bits))
 
 
 # Kronecker substitution kernels. Coefficients are packed into fixed
@@ -182,6 +169,44 @@ def _pad(coeffs, out_len):
     if len(coeffs) < out_len:
         coeffs = coeffs + [0] * (out_len - len(coeffs))
     return coeffs[:out_len]
+
+
+def _trim(digits):
+    n = len(digits)
+    while n and digits[n - 1] == 0:
+        n -= 1
+    return tuple(digits[:n])
+
+
+# Up to this many digits in the shorter operand, the schoolbook loop
+# costs less than converting both operands for numpy or for packing.
+_SCHOOLBOOK_DIGITS = 8
+
+
+def _fp_poly_mul(a, b, p):
+    """All len(a) + len(b) - 1 digits of a * b in F_p[t], for nonempty
+    digit sequences in [0, p). The lane follows the operands: schoolbook
+    for a short operand, bitmasks for p = 2, numpy while every digit
+    sum fits in int64, Kronecker packing past that."""
+    short = min(len(a), len(b))
+    n = len(a) + len(b) - 1
+    if short <= _SCHOOLBOOK_DIGITS:
+        if len(a) > len(b):
+            a, b = b, a
+        out = [0] * n
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return [c % p for c in out]
+    if p == 2:
+        m = b2_mul(mask_from_digits(a), mask_from_digits(b))
+        return list(digits_from_mask(m, n))
+    if (p - 1) ** 2 * short < 2 ** 63:
+        arr = np.convolve(np.array(a, dtype=np.int64),
+                          np.array(b, dtype=np.int64))
+        return (arr % p).tolist()
+    return _kron_unsigned(a, b, p)
 
 
 class Ring:
@@ -389,9 +414,7 @@ class FpTRing(Ring):
 
     def mul(self, a, b):
         K = self.prec
-        arr = np.convolve(np.array(a, dtype=np.int64),
-                          np.array(b, dtype=np.int64))[:K]
-        out = [int(x) % self.p for x in arr]
+        out = _fp_poly_mul(a, b, self.p)[:K]
         return tuple(out) + (0,) * (K - len(out))
 
     def neg(self, a):
@@ -545,7 +568,9 @@ class ExactZRing(Ring):
         raise NotAUnit("%d is not an integer unit" % r, element=r)
 
     def exact_div(self, a, b):
-        assert b != 0 and a % b == 0
+        if b == 0 or a % b:
+            raise InvariantViolation("exact division by %d leaves a remainder"
+                                     % b)
         return a // b
 
     def pow(self, a, e):
@@ -591,33 +616,23 @@ class ExactFpTRing(Ring):
         return (n,) if n else ()
 
     def from_digits(self, digits):
-        out = [d % self.p for d in digits]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return _trim([d % self.p for d in digits])
 
     def canon(self, r):
         return self.from_digits(tuple(r))
 
     def add(self, a, b):
         p = self.p
-        n = max(len(a), len(b))
-        out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-               for i in range(n)]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+    def sub(self, a, b):
+        p = self.p
+        return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
     def mul(self, a, b):
         if not a or not b:
             return ()
-        p = self.p
-        if p == 2:
-            m = b2_mul(mask_from_digits(a), mask_from_digits(b))
-            return digits_from_mask(m)
-        arr = np.convolve(np.array(a, dtype=np.int64),
-                          np.array(b, dtype=np.int64))
-        return self.from_digits([int(x) for x in arr])
+        return _trim(_fp_poly_mul(a, b, self.p))
 
     def neg(self, a):
         p = self.p
@@ -642,7 +657,8 @@ class ExactFpTRing(Ring):
                        element=list(r))
 
     def divmod(self, a, b):
-        assert b
+        if not b:
+            raise ZeroInput("division by the zero polynomial")
         p = self.p
         a = list(a)
         inv = pow(b[-1], -1, p)
@@ -653,12 +669,27 @@ class ExactFpTRing(Ring):
                 q[sh] = c
                 for j, y in enumerate(b):
                     a[sh + j] = (a[sh + j] - c * y) % p
-        return self.from_digits(q), self.from_digits(a)
+        return _trim(q), _trim(a)
 
     def exact_div(self, a, b):
         q, rem = self.divmod(a, b)
-        assert not rem
+        if rem:
+            raise InvariantViolation("exact division in F_%d[t] leaves a "
+                                     "remainder" % self.p)
         return q
+
+    def monic(self, a):
+        """a scaled to leading digit 1; zero stays zero."""
+        if not a or a[-1] == 1:
+            return a
+        inv = pow(a[-1], -1, self.p)
+        return tuple(x * inv % self.p for x in a)
+
+    def gcd(self, a, b):
+        """The monic greatest common divisor; zero when both are zero."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
 
     def elem_to_json(self, r):
         return [int(d) for d in r]

@@ -330,73 +330,27 @@ class _FractionField:
         return Fraction(c)
 
 
-def _ptrim(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _pdivmod(a, b, p):
-    assert b
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for sh in range(len(a) - len(b), -1, -1):
-        c = a[sh + len(b) - 1] * inv % p
-        if c:
-            q[sh] = c
-            for j, y in enumerate(b):
-                a[sh + j] = (a[sh + j] - c * y) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(x * inv % p for x in a)
-    return a
-
-
 class _RatFuncField:
     """Rational functions over F_p; elements are (num, den) pairs of
-    trimmed digit tuples with monic denominator."""
+    F_p[t] elements in lowest terms with monic denominator."""
 
     def __init__(self, p):
-        self.p = p
+        self.R = ExactFpTRing(p)
 
     def _norm(self, num, den):
         assert den
+        R = self.R
         if not num:
             return ((), (1,))
-        g = _pgcd(num, den, self.p)
-        if len(g) > 1 or g[0] != 1:
-            num = _pdivmod(num, g, self.p)[0]
-            den = _pdivmod(den, g, self.p)[0]
-        inv = pow(den[-1], -1, self.p)
-        if inv != 1:
-            num = tuple(x * inv % self.p for x in num)
-            den = tuple(x * inv % self.p for x in den)
+        g = R.gcd(num, den)
+        if g != (1,):
+            num = R.divmod(num, g)[0]
+            den = R.divmod(den, g)[0]
+        if den[-1] != 1:
+            p = R.p
+            inv = pow(den[-1], -1, p)
+            num = tuple(x * inv % p for x in num)
+            den = tuple(x * inv % p for x in den)
         return (num, den)
 
     def zero(self):
@@ -406,24 +360,25 @@ class _RatFuncField:
         return not a[0]
 
     def mul(self, a, b):
-        return self._norm(_pmul(a[0], b[0], self.p), _pmul(a[1], b[1], self.p))
-
-    def sub(self, a, b):
-        num = _psub(_pmul(a[0], b[1], self.p), _pmul(b[0], a[1], self.p), self.p)
-        return self._norm(num, _pmul(a[1], b[1], self.p))
+        R = self.R
+        return self._norm(R.mul(a[0], b[0]), R.mul(a[1], b[1]))
 
     def add(self, a, b):
-        return self.sub(a, self.neg(b))
+        R = self.R
+        num = R.add(R.mul(a[0], b[1]), R.mul(b[0], a[1]))
+        return self._norm(num, R.mul(a[1], b[1]))
 
-    def neg(self, a):
-        return (tuple(-x % self.p for x in a[0]), a[1])
+    def sub(self, a, b):
+        R = self.R
+        num = R.sub(R.mul(a[0], b[1]), R.mul(b[0], a[1]))
+        return self._norm(num, R.mul(a[1], b[1]))
 
     def inv(self, a):
         assert a[0]
         return self._norm(a[1], a[0])
 
     def lift(self, ring, c):
-        return (_ptrim(c), (1,))
+        return (self.R.canon(c), (1,))
 
 
 def _recurrence_field(ring):

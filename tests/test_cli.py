@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import oracles
 from prepkit import cli, jsonio, make_ring, make_series
 from prepkit.errors import UsageError
 
@@ -102,16 +103,21 @@ def test_reports_byte_stable(tmp_path):
 
 
 def test_sweep_byte_stable_across_jobs():
+    # the sweep runs in one thread; --jobs is gone from the grammar
     args = ("gap", "sweep", "--spec", "zero", "--N", "1", "--K", "64",
             "--degree-cap", "1", "--height-cap", "3")
     a = run_cli(*args)
-    b = run_cli(*args, "--jobs", "4")
+    b = run_cli(*args)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     rep = report_of(a)
     assert rep["total"] == "21"
     assert rep["inconclusive"] == "0"
-    assert "jobs" not in rep["config"]
+    c = run_cli(*args, "--jobs", "4")
+    assert (c.returncode, c.stdout) == (1, "")
+    lines = c.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "UsageError"
 
 
 def test_series_roundtrip_through_files(tmp_path):
@@ -242,6 +248,61 @@ def test_resultant_verbs(tmp_path):
     res2 = run_cli("resultant", "hadamard", "--in", str(pair))
     rep2 = report_of(res2)
     assert (rep2["lhs"], rep2["rhs"], rep2["bound_ok"]) == ("4", "8", True)
+
+
+BIG_P = 4294967311  # (p - 1)^2 is past 2^63
+
+
+def test_fpt_products_past_int64(tmp_path):
+    q = BIG_P - 1
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"f": [[q, q], [1, 0]], "g": [[q, q], [1, 0]]}))
+    res = run_cli("series", "mul", "--ring", "fpt:%d:2" % BIG_P,
+                  "--in", str(pair))
+    assert (res.returncode, res.stderr) == (0, "")
+    # (-1 - t)^2 = 1 + 2t + t^2 and 2 * (-1 - t) = -2 - 2t, mod t^2
+    assert res.stdout == (
+        '{"coeffs":[[1,2],[4294967309,4294967309]],"config":'
+        '{"flag_grammar":"kind:p:prec","in":%s,"op":"mul",'
+        '"ring":"fpt:4294967311:2","verb":"series"},"ring":'
+        '{"kind":"fpt","p":4294967311,"prec":2},"x_prec":2}\n'
+        % json.dumps(str(pair)))
+
+    # a size-5 Sylvester matrix takes the generic F_p[t] Bareiss lane
+    f = [[q, q], [1], [q, 1]]
+    g = [[1, q], [q], [0, q], [q, q]]
+    pair.write_text(json.dumps({"f": f, "g": g}))
+    res = run_cli("resultant", "compute", "--ring", "fpt_exact:%d" % BIG_P,
+                  "--in", str(pair))
+    assert (res.returncode, res.stderr) == (0, "")
+    B = report_of(res)["B"]
+    assert res.stdout == (
+        '{"B":%s,"config":{"flag_grammar":"kind:p:prec","in":%s,'
+        '"op":"compute","ring":"fpt_exact:4294967311","verb":"resultant"},'
+        '"ring":{"kind":"fpt_exact","p":4294967311}}\n'
+        % (json.dumps(B, separators=(",", ":")), json.dumps(str(pair))))
+
+    # B(s) is the integer resultant of f and g at t = s, mod p
+    def at(poly, s):
+        return [sum(d * s ** i for i, d in enumerate(c)) for c in poly]
+
+    for s in range(2, 8):
+        want = oracles.res_int(at(f, s), at(g, s)) % BIG_P
+        assert sum(d * s ** i for i, d in enumerate(B)) % BIG_P == want
+
+
+def test_unexpected_exception_is_one_json_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_h10", broken)
+    assert cli.main(["h10", "theta", "--N", "3"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    lines = got.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": {"type": "RuntimeError", "message": "boom"}}
 
 
 def test_hensel_verb(tmp_path):

@@ -23,6 +23,8 @@ from prepkit.rings import mask_from_digits
 
 REF0 = reference_spec("zero")
 REFP = reference_spec("p")
+C3 = GapSpec("p", 3, {"kind": "const_after", "a0": (0, 2), "rest": (1, 1)},
+             {"kind": "pow2_nsq"}, Fraction(2), Fraction(2))
 Z2 = make_ring("z", 2)
 
 
@@ -216,6 +218,16 @@ def test_bound_check_char_p():
     assert b1.phi_val == 16 and b1.equality
 
 
+def test_phi_val_matches_oracles():
+    lam0 = small_root_of_gap(REF0, 600)
+    lamp = small_root_of_gap(REFP, 600)
+    for N in (0, 1, 2):
+        b0 = bound_check_prime(REF0, lam0, N, make_ring("zp", 2, 600))
+        assert b0.phi_val == oracles.phi_val_2adic(lam0, N, 600)
+        bp = bound_check_prime(REFP, lamp, N, make_ring("fpt", 2, 600))
+        assert bp.phi_val == oracles.phi_val_t(mask_from_digits(lamp), N, 600)
+
+
 def test_bound_check_precision_guard():
     ring = make_ring("zp", 2, 10)
     lam = small_root_of_gap(REF0, 10)
@@ -266,6 +278,7 @@ def test_closed_forms_match_generic_resultant():
     lam0 = small_root_of_gap(REF0, 600)
     for N in (1, 2):
         phi = phi_truncation(REF0, N)
+        terms = sparse_terms_upto(REF0, phi.degree)
         for _ in range(8):
             deg = rng.choice([1, 2])
             co = [rng.randrange(-9, 10) for _ in range(deg)] + [
@@ -273,22 +286,35 @@ def test_closed_forms_match_generic_resultant():
             P = make_poly(Z2, co)
             rep = certify_not_root(REF0, lam0, P, N, ring0)
             assert int(rep.B) == resultant(P, phi)
+            oracle = (oracles.res_deg1_char0 if deg == 1
+                      else oracles.res_deg2_char0)
+            assert int(rep.B) == oracle(*co, terms, phi.degree)
 
-    ringp = make_ring("fpt", 2, 600)
-    lamp = small_root_of_gap(REFP, 600)
-    E2 = make_ring("fpt_exact", 2)
-    for N in (1, 2):
-        phip = phi_truncation(REFP, N)
-        for _ in range(8):
-            deg = rng.choice([1, 2])
-            co = [tuple(rng.randrange(2) for _ in range(3))
-                  for _ in range(deg)]
-            lead = tuple(rng.randrange(2) for _ in range(3))
-            while not any(lead):
-                lead = tuple(rng.randrange(2) for _ in range(3))
-            P = make_poly(E2, co + [lead])
-            rep = certify_not_root(REFP, lamp, P, N, ringp)
-            assert E2.canon(rep.B) == E2.canon(resultant(P, phip))
+    for spec, K in ((REFP, 600), (C3, 600)):
+        p = spec.p
+        ringp = make_ring("fpt", p, K)
+        lamp = small_root_of_gap(spec, K)
+        E = make_ring("fpt_exact", p)
+        for N in (1, 2):
+            phip = phi_truncation(spec, N)
+            mterms = [(k, mask_from_digits(a))
+                      for k, a in sparse_terms_upto(spec, phip.degree)]
+            for _ in range(8):
+                deg = rng.choice([1, 2])
+                co = [tuple(rng.randrange(p) for _ in range(3))
+                      for _ in range(deg)]
+                lead = tuple(rng.randrange(p) for _ in range(3))
+                while not any(lead):
+                    lead = tuple(rng.randrange(p) for _ in range(3))
+                P = make_poly(E, co + [lead])
+                rep = certify_not_root(spec, lamp, P, N, ringp)
+                assert E.canon(rep.B) == E.canon(resultant(P, phip))
+                if p == 2:
+                    oracle = (oracles.res_deg1_char2 if deg == 1
+                              else oracles.res_deg2_char2)
+                    masks = [mask_from_digits(c) for c in P.coeffs]
+                    assert mask_from_digits(rep.B) == oracle(
+                        *masks, mterms, phip.degree)
 
 
 def test_certify_rejects_constant_candidates():
@@ -332,6 +358,9 @@ def test_enumerate_family_sizes():
     assert len(enumerate_family(REF0, 2, 5)) == 660
     assert len(enumerate_family(REFP, 2, 5)) == 262080
     assert enumerate_family(REF0, 0, 5) == []
+    # c0 in F_3, c1 in F_3^*; then digits of t-degree <= 1
+    assert len(enumerate_family(C3, 1, 0)) == 6
+    assert len(enumerate_family(C3, 1, 1)) == 72
 
 
 def test_enumerate_family_order_is_deterministic():
@@ -353,8 +382,6 @@ def test_certify_family_char0_small():
     assert s.route == "per_candidate"
     assert s.pl_checked == 21
     assert s.max_pl_val <= s.max_B_val
-    s3 = certify_family(REF0, lam, 1, 3, 1, ring, jobs=3)
-    assert s3 == s
 
 
 def test_certify_family_charp_structural():
@@ -368,8 +395,6 @@ def test_certify_family_charp_structural():
     assert len(s.samples) == 16
     for rep in s.samples:
         assert rep.verdict == VERDICT_CERTIFIED
-    s2 = certify_family(REFP, lam, 2, 3, 2, ring, jobs=4)
-    assert s2 == s
 
 
 def test_certify_family_charp_fallback_route():

@@ -1,5 +1,10 @@
 """Coefficient-ring kinds: construction, canonical forms, valuations,
-unit inversion, and the packed GF(2)[t] kernels."""
+unit inversion, the F_p[t] product lanes, and the packed GF(2)[t]
+kernels."""
+
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from prepkit import (BadPrecision, CompositeModulus, NotAUnit, make_ring,
                      val_unit_decompose)
-from prepkit.rings import (b2_deg, b2_divmod, b2_gcd, b2_mod, b2_mul,
-                           b2_pow_mod, digits_from_mask, is_prime,
-                           mask_from_digits)
+from prepkit.rings import (b2_deg, b2_divmod, b2_mul, digits_from_mask,
+                           is_prime, mask_from_digits)
 
 SMALL = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 
@@ -93,8 +97,6 @@ def test_b2_kernels_golden():
     q, r = b2_divmod(0b1011, 0b11)
     assert b2_mul(q, 0b11) ^ r == 0b1011
     assert b2_deg(r) < b2_deg(0b11)
-    assert b2_gcd(0b110, 0b10) == 0b10
-    assert b2_gcd(0b111, 0b11) == 1
 
 
 @given(st.integers(min_value=1, max_value=2 ** 24 - 1),
@@ -103,16 +105,7 @@ def test_b2_kernels_golden():
 def test_b2_divmod_identity(a, b):
     q, r = b2_divmod(a, b)
     assert b2_mul(q, b) ^ r == a
-    assert r == b2_mod(a, b)
     assert b2_deg(r) < b2_deg(b)
-
-
-@given(st.integers(min_value=0, max_value=2 ** 16 - 1),
-       st.integers(min_value=0, max_value=64),
-       st.integers(min_value=2, max_value=2 ** 10 - 1))
-@settings(derandomize=True, deadline=None, max_examples=60)
-def test_b2_pow_mod_matches_oracle(a, e, m):
-    assert b2_pow_mod(a, e, m) == oracles.b2pow_mod(a, e, m)
 
 
 def test_mask_digit_roundtrip():
@@ -153,6 +146,78 @@ def test_exact_fpt_divmod():
     assert E.add(E.mul(q, b), r) == a
     assert r == E.zero() or E.deg(r) < E.deg(b)
     assert E.exact_div(E.mul(a, b), b) == a
+
+
+def schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 4294967311])
+def test_fpt_mul_matches_schoolbook(p):
+    # lengths on both sides of the 8-digit short-operand cut; past
+    # (p-1)^2 * len = 2^63 an int64 product would wrap
+    rng = random.Random(p)
+    E = make_ring("fpt_exact", p)
+
+    def digits(n):
+        d = [rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(n)]
+        d[-1] = p - 1
+        return d
+
+    for la, lb in [(1, 1), (1, 12), (8, 8), (8, 30), (9, 9), (9, 40),
+                   (24, 17)]:
+        a, b = digits(la), digits(lb)
+        want = schoolbook(a, b, p)
+        assert list(E.mul(tuple(a), tuple(b))) == want
+        assert E.mul(tuple(b), tuple(a)) == E.mul(tuple(a), tuple(b))
+        for K in (la, lb, la + lb):
+            T = make_ring("fpt", p, K)
+            got = T.mul(T.from_digits(a), T.from_digits(b))
+            assert list(got) == (want + [0] * K)[:K]
+
+
+def test_exact_fpt_sub_monic_gcd():
+    rng = random.Random(5)
+    for p in (2, 3, 7):
+        E = make_ring("fpt_exact", p)
+        for _ in range(30):
+            a, b, c = (E.from_digits([rng.randrange(p) for _ in range(n)])
+                       for n in (rng.randint(0, 9), rng.randint(0, 9),
+                                 rng.randint(1, 6)))
+            assert E.add(E.sub(a, b), b) == a
+            assert E.sub(a, a) == E.zero()
+            if not c:
+                continue
+            g = E.gcd(E.mul(a, c), E.mul(b, c))
+            if not a and not b:
+                assert g == E.zero()
+                continue
+            assert g[-1] == 1
+            assert E.divmod(E.mul(a, c), g)[1] == E.zero()
+            assert E.divmod(E.mul(b, c), g)[1] == E.zero()
+            assert E.divmod(g, E.monic(c))[1] == E.zero()
+    E3 = make_ring("fpt_exact", 3)
+    assert E3.monic((1, 2)) == (2, 1)
+    assert E3.monic(()) == ()
+    assert E3.gcd((), ()) == ()
+
+
+def test_exact_div_remainder_survives_optimize_flag():
+    code = (
+        "from prepkit import InvariantViolation, make_ring\n"
+        "for R, a, b in ((make_ring('z'), 7, 2),\n"
+        "                (make_ring('fpt_exact', 3), (1, 1), (0, 1))):\n"
+        "    try:\n"
+        "        R.exact_div(a, b)\n"
+        "    except InvariantViolation:\n"
+        "        print('raised')\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "raised\nraised\n"), res.stderr
 
 
 @given(st.lists(SMALL, min_size=1, max_size=8),
