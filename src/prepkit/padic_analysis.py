@@ -430,7 +430,10 @@ def _phi_val_at(view, lam, N, ring):
         raise PointNotSmall("the root must have positive valuation")
     bN1 = view.b(N + 1)
     va = view._val(view.a(N + 1))
-    assert va is not None, "vanishing tail head; bound needs a_(N+1) != 0"
+    if va is None:
+        raise SpecViolation("the tail head a_%d vanishes; the bound needs "
+                            "it nonzero" % (N + 1), condition="tail",
+                            index=N + 1)
     lower = bN1 * vlam + va
     required = lower + 1
     if ring.prec < required:
@@ -443,10 +446,12 @@ def _phi_val_at(view, lam, N, ring):
         raise PrecisionTooLow(
             "Phi_%d(lam) vanishes at precision %d; no finite valuation"
             % (N, ring.prec), required=ring.prec + 1, have=ring.prec)
-    assert pv >= lower, "tail valuation bound fails"
-    equality = (va == 0 and vlam == 1)
-    if equality:
-        assert pv == lower, "unit tail head forces equality"
+    if pv < lower:
+        raise InvariantViolation("tail valuation bound fails: %d < %d"
+                                 % (pv, lower), index=N + 1)
+    if va == 0 and vlam == 1 and pv != lower:
+        raise InvariantViolation("a unit tail head forces equality: %d != %d"
+                                 % (pv, lower), index=N + 1)
     return pv, lower, required, vlam
 
 
@@ -503,61 +508,6 @@ class CertificateReport:
     margin: MarginReport
 
 
-def _closed_form_B(view, P, N):
-    """Res(P, Phi_N) for a candidate of degree <= 2 without building the
-    Sylvester matrix, in any characteristic; None for higher degree,
-    which takes the matrix route."""
-    if P.degree > 2:
-        return None
-    R = view.exact_ring()
-    terms = [(k, R.canon(a)) for k, a in view.sparse_terms_upto(view.b(N))]
-    deg = terms[-1][0]
-    if P.degree == 1:
-        # c1^deg * Phi(-c0 / c1)
-        c0, c1 = P.coeffs
-        m0 = R.neg(c0)
-        return R.sum(R.mul(a, R.mul(R.pow(m0, k), R.pow(c1, deg - k)))
-                     for k, a in terms)
-    return _res_quad(R, P.coeffs, terms, deg)
-
-
-def _res_quad(R, cs, terms, deg):
-    """Res(c2 x^2 + c1 x + c0, Phi) over the exact ring R. Each x^k is
-    tracked mod the candidate as (U x + V) / c2^e, so Phi = (A x + B) /
-    c2^emax there, and the resultant is c2^(deg - 2 emax - 1) times
-    A^2 c0 - A B c1 + c2 B^2."""
-    ga, be, al = cs
-
-    def qmul(a, b):
-        U, V, e = a
-        U2, V2, e2 = b
-        UU2 = R.mul(U, U2)
-        cross = R.add(R.mul(U, V2), R.mul(U2, V))
-        return (R.sub(R.mul(cross, al), R.mul(UU2, be)),
-                R.sub(R.mul(R.mul(V, V2), al), R.mul(UU2, ga)),
-                e + e2 + 1)
-
-    def qpow(E):
-        acc, base = (R.zero(), R.one(), 0), (R.one(), R.zero(), 0)
-        while E:
-            if E & 1:
-                acc = qmul(acc, base)
-            base = qmul(base, base)
-            E >>= 1
-        return acc
-
-    reps = [(a, qpow(k)) for k, a in terms]
-    emax = max(e for _, (_, _, e) in reps)
-    A = R.sum(R.mul(a, R.mul(U, R.pow(al, emax - e))) for a, (U, _, e) in reps)
-    B = R.sum(R.mul(a, R.mul(V, R.pow(al, emax - e))) for a, (_, V, e) in reps)
-    num = R.add(R.sub(R.mul(R.mul(A, A), ga), R.mul(R.mul(A, B), be)),
-                R.mul(al, R.mul(B, B)))
-    diff = deg - (2 * emax + 1)
-    if diff >= 0:
-        return R.mul(num, R.pow(al, diff))
-    return R.exact_div(num, R.pow(al, -diff))
-
-
 def _candidate_L(spec, P):
     if spec.characteristic == "zero":
         return (P.degree + 1) * max(abs(c) for c in P.coeffs) ** 2
@@ -578,6 +528,14 @@ def _p_at_lam_val(P, lam, ring):
     return ring.val(P.eval(lam, ring))
 
 
+def _truncation_data(view, lam, N, ring):
+    """What every candidate's certificate shares: Phi_N (BudgetExceeded
+    past the budget), the valuation of Phi_N(lambda) and val(lambda)."""
+    phi = phi_truncation(view.spec, N)
+    phi_val, _, _, vlam = _phi_val_at(view, lam, N, ring)
+    return phi, phi_val, vlam
+
+
 def certify_not_root(spec, lam, P, N, ring):
     """Certificate that P(lambda) != 0 from the truncation Phi_N:
     compares the exact valuation of B = Res(P, Phi_N) with the
@@ -592,31 +550,26 @@ def certify_not_root(spec, lam, P, N, ring):
             raise ValueError("candidate ring %r does not match the series"
                              % (P.ring.desc(),))
         P = make_poly(exact, list(P.coeffs))
-    view.b(N)  # budget gate mirrors phi_truncation
-    cap = spec.budget
-    if view.b(N) > cap:
-        raise BudgetExceeded("Phi_%d needs degree %d, budget is %d"
-                             % (N, view.b(N), cap), needed=view.b(N),
-                             budget=cap)
-    phi_val, _, _, vlam = _phi_val_at(view, lam, N, ring)
-    B = _closed_form_B(view, P, N)
-    if B is None:
-        B = resultant(P, phi_truncation(spec, N))
-    if spec.characteristic == "p":
-        B = view.exact_ring().canon(B)
-        B_zero = view._is_zero(B)
-    else:
-        B_zero = B == 0
+    return _certify(view, lam, P, N, ring, _truncation_data(view, lam, N, ring))
+
+
+def _certify(view, lam, P, N, ring, truncation):
+    phi, phi_val, vlam = truncation
+    B = resultant(P, phi)
     margin = _candidate_margin(view, P, N, vlam)
-    if B_zero:
+    if view._is_zero(B):
         return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B,
                                  None, None, VERDICT_SHARED, margin)
     B_val = view._val(B)
     pl_val = _p_at_lam_val(P, lam, ring)
     if B_val < phi_val:
         verdict = VERDICT_CERTIFIED
-        assert pl_val is not None, "certified candidate vanishes at precision"
-        assert pl_val <= B_val, "root valuation exceeds the resultant's"
+        if pl_val is None:
+            raise InvariantViolation("a certified candidate vanishes at "
+                                     "precision %d" % ring.prec)
+        if pl_val > B_val:
+            raise InvariantViolation("v(P(lam)) = %d exceeds v(B) = %d"
+                                     % (pl_val, B_val))
     else:
         verdict = VERDICT_INCONCLUSIVE
     return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B, B_val,
@@ -710,22 +663,24 @@ def certify_family(spec, lam, D, H, N, ring):
     polys = [make_poly(exact, list(c)) for c in cands]
     stride = max(total // 16, 1)
     sample_idx = set(range(0, total, stride))
+    truncation = _truncation_data(view, lam, N, ring)
     if (spec.characteristic == "p"
             and _structural_charp_certificate(view, N)):
-        return _family_structural(spec, view, lam, polys, N, ring,
+        return _family_structural(view, lam, polys, N, ring, truncation,
                                   sample_idx, fam_margin)
-    return _family_percandidate(spec, lam, polys, N, ring, sample_idx,
-                                fam_margin)
+    return _family_percandidate(view, lam, polys, N, ring, truncation,
+                                sample_idx, fam_margin)
 
 
-def _family_percandidate(spec, lam, polys, N, ring, sample_idx, fam_margin):
+def _family_percandidate(view, lam, polys, N, ring, truncation, sample_idx,
+                         fam_margin):
     counts = {VERDICT_CERTIFIED: 0, VERDICT_SHARED: 0,
               VERDICT_INCONCLUSIVE: 0}
     pls = []
     bvs = []
     samples = []
     for idx, P in enumerate(polys):
-        rep = certify_not_root(spec, lam, P, N, ring)
+        rep = _certify(view, lam, P, N, ring, truncation)
         counts[rep.verdict] += 1
         if rep.p_at_lam_val is not None:
             pls.append(rep.p_at_lam_val)
@@ -741,7 +696,7 @@ def _family_percandidate(spec, lam, polys, N, ring, sample_idx, fam_margin):
                          tuple(samples), fam_margin)
 
 
-def _family_structural(spec, view, lam, polys, N, ring, sample_idx,
+def _family_structural(view, lam, polys, N, ring, truncation, sample_idx,
                        fam_margin):
     """Characteristic-p fast route: one irreducibility certificate
     covers nonvanishing of every B; per-candidate work reduces to the
@@ -754,8 +709,8 @@ def _family_structural(spec, view, lam, polys, N, ring, sample_idx,
     h_cap = max(max(len(c) - 1 for c in p.coeffs if c) for p in polys)
     tdeg_bound = h_cap * bN + aPhi * deg_cap
     if not (bN1 * vlam > tdeg_bound and deg_cap < bN):
-        return _family_percandidate(spec, lam, polys, N, ring, sample_idx,
-                                    fam_margin)
+        return _family_percandidate(view, lam, polys, N, ring, truncation,
+                                    sample_idx, fam_margin)
     # v(B) <= deg_t(B) <= tdeg_bound < v(Phi_N(lam)): certified across
     # the family once each B is nonzero, which irreducibility grants.
     # The soundness gate on K keeps tdeg_bound + 2 <= K.
@@ -771,7 +726,7 @@ def _family_structural(spec, view, lam, polys, N, ring, sample_idx,
                 % tdeg_bound, index=idx)
         pls.append(v)
         if idx in sample_idx:
-            rep = certify_not_root(spec, lam, P, N, ring)
+            rep = _certify(view, lam, P, N, ring, truncation)
             if rep.verdict != VERDICT_CERTIFIED or rep.B_val > tdeg_bound:
                 raise InvariantViolation(
                     "sampled candidate %d escapes the structural "

@@ -1,28 +1,22 @@
-"""Sylvester resultants over exact coefficient rings, with size bounds.
+"""Resultants over exact coefficient rings, with size bounds.
 
-Orientation: with f of degree m and g of degree n, the matrix stacks n
-rows of f's descending coefficients over m rows of g's, so that
-det = lc(f)^n * product of g over the roots of f.
+Orientation: with f of degree m and g of degree n, the Sylvester matrix
+stacks n rows of f's descending coefficients over m rows of g's, so
+that det = lc(f)^n * product of g over the roots of f. Zero and
+constants occupy one cell: Res(f, 0) = 0, Res(f, c) = c^m, and two
+constants raise BothConstant.
 
-The resultant dispatches to a fast lane per domain (native integer
-Bareiss, carry-less bitmask Bareiss in characteristic 2, an integer lift
-when every coefficient is constant in t) with a ring-generic Bareiss
-kept as the reference route; tests hold the lanes equal on exhaustive
-small-field sweeps.
+`resultant` computes that determinant by the subresultant polynomial
+remainder sequence, which needs only the ring's mul, sub and exact_div
+and so serves the integers and F_p[t] alike. `resultant_generic`
+eliminates the Sylvester matrix fraction-free (Bareiss); it is the
+reference route the tests hold `resultant` equal to.
 """
 
 from dataclasses import dataclass
 
 from .errors import BothConstant, RingMismatch
-from .rings import (
-    ExactFpTRing,
-    ExactZRing,
-    Ring,
-    b2_divmod,
-    b2_mul,
-    digits_from_mask,
-    mask_from_digits,
-)
+from .rings import ExactFpTRing, ExactZRing, Ring
 
 
 @dataclass(frozen=True)
@@ -64,15 +58,20 @@ def _sdeg(p):
     return max(p.degree, 0)
 
 
-def sylvester_matrix(f, g):
-    """Sylvester matrix as a list of rows of ring elements."""
+def _sylvester_dims(f, g):
     if f.ring != g.ring:
         raise RingMismatch("polynomial rings differ: %r vs %r"
                            % (f.ring, g.ring))
-    ring = f.ring
     m, n = _sdeg(f), _sdeg(g)
     if m == 0 and n == 0:
         raise BothConstant("both polynomials are constant")
+    return m, n
+
+
+def sylvester_matrix(f, g):
+    """Sylvester matrix as a list of rows of ring elements."""
+    ring = f.ring
+    m, n = _sylvester_dims(f, g)
     fd = [f.coeff(m - i) for i in range(m + 1)]
     gd = [g.coeff(n - i) for i in range(n + 1)]
     size = m + n
@@ -83,20 +82,6 @@ def sylvester_matrix(f, g):
     for i in range(m):
         rows.append([z] * i + gd + [z] * (size - i - n - 1))
     return rows
-
-
-def _det_cofactor(ring, mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        if ring.is_zero(mat[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = ring.mul(mat[0][j], _det_cofactor(ring, minor))
-        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
-    return acc
 
 
 def _bareiss_ring(ring, mat):
@@ -123,69 +108,66 @@ def _bareiss_ring(ring, mat):
     return ring.neg(out) if neg else out
 
 
-def _bareiss_masks(mat):
-    # characteristic 2: signs vanish, products are carry-less
-    m = [row[:] for row in mat]
-    size = len(m)
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = b2_mul(m[i][j], m[k][k]) ^ b2_mul(m[i][k], m[k][j])
-                q, rem = b2_divmod(num, prev)
-                assert rem == 0
-                m[i][j] = q
-            m[i][k] = 0
-        prev = m[k][k]
-    return m[size - 1][size - 1]
-
-
-def _bareiss_int(mat):
-    m = [row[:] for row in mat]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
-
-
 def resultant_generic(f, g):
-    """Reference route: ring-generic fraction-free elimination."""
+    """Reference route: fraction-free elimination of the Sylvester
+    matrix."""
     return _bareiss_ring(f.ring, sylvester_matrix(f, g))
 
 
+def _prem(ring, A, B):
+    """The deg B ascending coefficients of lc(B)^(deg A - deg B + 1) * A
+    mod B. Only a window of deg B coefficients below the current top is
+    live; a coefficient of A is scaled by the power of lc(B) it needs
+    when it enters that window, so the cost is (deg A - deg B + 1)
+    * deg B products however long A is."""
+    b, low = B[-1], B[:-1]
+    delta = len(A) - len(B)
+    top, win = A[-1], A[delta:-1]
+    scale = ring.one()
+    for j in range(delta, -1, -1):
+        # eliminate degree j + deg B; win becomes degrees j .. j + deg B - 1
+        win = [ring.sub(ring.mul(b, w), ring.mul(top, c))
+               for w, c in zip(win, low)]
+        if j == 0:
+            return win
+        scale = ring.mul(scale, b)
+        top = win[-1]
+        win = [ring.mul(scale, A[j - 1])] + win[:-1]
+
+
 def resultant(f, g):
-    """Resultant with per-domain fast lanes; equal to the generic
-    route everywhere."""
-    mat = sylvester_matrix(f, g)
+    """Res(f, g), equal to the Sylvester determinant above, by the
+    subresultant polynomial remainder sequence (Collins 1967; Brown and
+    Traub 1971): each pseudo-remainder is divided exactly by the factor
+    its leading coefficients predict, so coefficients stay the size of
+    subresultants."""
+    m, n = _sylvester_dims(f, g)
     ring = f.ring
-    if len(mat) <= 4:
-        return _det_cofactor(ring, mat)
-    if isinstance(ring, ExactZRing):
-        return _bareiss_int(mat)
-    if ring.p == 2:
-        masks = [[mask_from_digits(c) for c in row] for row in mat]
-        return digits_from_mask(_bareiss_masks(masks))
-    if all(len(c) <= 1 for row in mat for c in row):
-        ints = [[(c[0] if c else 0) for c in row] for row in mat]
-        return ring.from_int(_bareiss_int(ints))
-    return _bareiss_ring(ring, mat)
+    if not f.coeffs or not g.coeffs:
+        return ring.zero()
+    A, B = list(f.coeffs), list(g.coeffs)
+    neg = False
+    if len(A) < len(B):
+        A, B = B, A
+        neg = m * n % 2 == 1
+    lead = h = ring.one()
+    while len(B) > 1:
+        d = len(A) - len(B)
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            neg = not neg
+        R = _prem(ring, A, B)
+        while R and ring.is_zero(R[-1]):
+            R.pop()
+        if not R:
+            return ring.zero()
+        den = ring.mul(lead, ring.pow(h, d))
+        A, B = B, [ring.exact_div(c, den) for c in R]
+        lead = A[-1]
+        if d:
+            h = ring.exact_div(ring.pow(lead, d), ring.pow(h, d - 1))
+    e = len(A) - 1
+    out = ring.exact_div(ring.pow(B[0], e), ring.pow(h, e - 1))
+    return ring.neg(out) if neg else out
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,8 @@ def is_prime(n):
 
 
 # F_2[t] polynomials as bitmasks, bit i = coefficient of t^i: the p = 2
-# lane of the F_p[t] product below and the resultant's carry-less
-# Bareiss elimination.
+# lane of the F_p[t] product and of ExactFpTRing.divmod, where a shifted
+# big-integer xor replaces a Python loop over digits.
 
 def b2_deg(a):
     return a.bit_length() - 1
@@ -73,21 +73,17 @@ def b2_deg(a):
 def b2_mul(a, b):
     if a == 0 or b == 0:
         return 0
-    # walk the sparser operand
+    # one shifted xor per set bit of the sparser operand
     if a.bit_count() > b.bit_count():
         a, b = b, a
     out = 0
-    sh = 0
-    while a:
-        if a & 1:
+    for sh, bit in enumerate(format(a, "b")[::-1]):
+        if bit == "1":
             out ^= b << sh
-        a >>= 1
-        sh += 1
     return out
 
 
 def b2_divmod(a, b):
-    assert b != 0
     db = b2_deg(b)
     q = 0
     while a.bit_length() - 1 >= db and a:
@@ -179,7 +175,8 @@ def _trim(digits):
 
 
 # Up to this many digits in the shorter operand, the schoolbook loop
-# costs less than converting both operands for numpy or for packing.
+# costs less than converting both operands for numpy or for packing;
+# F_2[t] division takes the mask lane past this many dividend digits.
 _SCHOOLBOOK_DIGITS = 8
 
 
@@ -660,6 +657,9 @@ class ExactFpTRing(Ring):
         if not b:
             raise ZeroInput("division by the zero polynomial")
         p = self.p
+        if p == 2 and len(a) > _SCHOOLBOOK_DIGITS:
+            q, r = b2_divmod(mask_from_digits(a), mask_from_digits(b))
+            return digits_from_mask(q), digits_from_mask(r)
         a = list(a)
         inv = pow(b[-1], -1, p)
         q = [0] * max(len(a) - len(b) + 1, 0)

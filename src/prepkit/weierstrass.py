@@ -160,6 +160,13 @@ def weierstrass_divide(g, f, schedule="lifting"):
 
 def prepare(f, schedule="lifting"):
     """Weierstrass preparation f = P * U from dividing x^n by f."""
+    wf = _prepare_unverified(f, schedule)
+    if not wf.verify(f):
+        raise InvariantViolation("preparation roundtrip fails")
+    return wf
+
+
+def _prepare_unverified(f, schedule):
     ring = f.ring
     _require_finite(ring)
     m = f.x_prec
@@ -172,11 +179,7 @@ def prepare(f, schedule="lifting"):
         if ring.val(c) == 0:
             raise InvariantViolation(
                 "distinguished coefficient %d is a unit" % i, index=i)
-    U = series_invert(q)
-    wf = WFactorization(0, n, P, U, ring, m)
-    if not wf.verify(f):
-        raise InvariantViolation("preparation roundtrip fails")
-    return wf
+    return WFactorization(0, n, P, series_invert(q), ring, m)
 
 
 def strong_factor(f, schedule="lifting"):
@@ -198,7 +201,8 @@ def strong_factor(f, schedule="lifting"):
 
     s = ring.prec - v
     hi = ring.split(f.coeffs, v)[1]
-    wf = prepare(Series(ring.at_prec(s), m, tuple(hi)), schedule)
+    # the roundtrip check at precision K below implies the one at K - v
+    wf = _prepare_unverified(Series(ring.at_prec(s), m, tuple(hi)), schedule)
     P = tuple(ring.join(wf.P, None, s))
     U = Series(ring, m, tuple(ring.join(wf.U.coeffs, None, s)))
     out = WFactorization(v, wf.n, P, U, ring, m)

@@ -2,7 +2,10 @@
 non-root certificates with margins, family sweeps, Hensel lifting, and
 the one-sweep linear factorization."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +17,8 @@ from prepkit import (BudgetExceeded, CompositeModulus, DegreeAboveOne,
                      build_gap_series, certify_family, certify_not_root,
                      enumerate_family, evaluate, family_margin,
                      gap_linear_factor, hensel_lift, make_poly, make_ring,
-                     make_series, phi_truncation, prepare, resultant,
-                     small_root_of_gap)
+                     make_series, phi_truncation, prepare,
+                     resultant_generic, small_root_of_gap)
 from prepkit.padic_analysis import (VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
                                     VERDICT_SHARED, reference_spec,
                                     sparse_terms_upto)
@@ -280,15 +283,16 @@ def test_closed_forms_match_generic_resultant():
         phi = phi_truncation(REF0, N)
         terms = sparse_terms_upto(REF0, phi.degree)
         for _ in range(8):
-            deg = rng.choice([1, 2])
+            deg = rng.choice([1, 2, 3])
             co = [rng.randrange(-9, 10) for _ in range(deg)] + [
                 rng.randrange(1, 10)]
             P = make_poly(Z2, co)
             rep = certify_not_root(REF0, lam0, P, N, ring0)
-            assert int(rep.B) == resultant(P, phi)
-            oracle = (oracles.res_deg1_char0 if deg == 1
-                      else oracles.res_deg2_char0)
-            assert int(rep.B) == oracle(*co, terms, phi.degree)
+            assert int(rep.B) == resultant_generic(P, phi)
+            if deg < 3:
+                oracle = (oracles.res_deg1_char0 if deg == 1
+                          else oracles.res_deg2_char0)
+                assert int(rep.B) == oracle(*co, terms, phi.degree)
 
     for spec, K in ((REFP, 600), (C3, 600)):
         p = spec.p
@@ -300,7 +304,7 @@ def test_closed_forms_match_generic_resultant():
             mterms = [(k, mask_from_digits(a))
                       for k, a in sparse_terms_upto(spec, phip.degree)]
             for _ in range(8):
-                deg = rng.choice([1, 2])
+                deg = rng.choice([1, 2, 3])
                 co = [tuple(rng.randrange(p) for _ in range(3))
                       for _ in range(deg)]
                 lead = tuple(rng.randrange(p) for _ in range(3))
@@ -308,13 +312,72 @@ def test_closed_forms_match_generic_resultant():
                     lead = tuple(rng.randrange(p) for _ in range(3))
                 P = make_poly(E, co + [lead])
                 rep = certify_not_root(spec, lamp, P, N, ringp)
-                assert E.canon(rep.B) == E.canon(resultant(P, phip))
-                if p == 2:
+                assert rep.B == resultant_generic(P, phip)
+                if p == 2 and deg < 3:
                     oracle = (oracles.res_deg1_char2 if deg == 1
                               else oracles.res_deg2_char2)
                     masks = [mask_from_digits(c) for c in P.coeffs]
                     assert mask_from_digits(rep.B) == oracle(
                         *masks, mterms, phip.degree)
+
+
+def test_vanishing_tail_head_is_spec_violation(tmp_path):
+    # a_2 = 0: the bound at N = 1 needs a nonzero tail head
+    spec = GapSpec("zero", 2, {"kind": "explicit", "values": ["2", "1", "0"],
+                               "rest": "1"},
+                   {"kind": "pow2_nsq"}, Fraction(2), Fraction(2))
+    lam = small_root_of_gap(spec, 40)
+    with pytest.raises(SpecViolation) as ei:
+        bound_check_prime(spec, lam, 1, make_ring("zp", 2, 40))
+    assert ei.value.data == {"condition": "tail", "index": 2}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"char": "zero", "p": 2, "b": {"kind": "pow2_nsq"},
+         "a": {"kind": "explicit", "values": ["2", "1", "0"], "rest": "1"}}))
+    res = subprocess.run([sys.executable, "-O", "-m", "prepkit", "gap",
+                          "bound", "--spec", str(path), "--N", "1",
+                          "--K", "40"], capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "SpecViolation"
+
+
+_GUARD_CODE = """
+from prepkit import InvariantViolation, make_poly, make_ring
+from prepkit import padic_analysis as pa
+ring = make_ring("zp", 2, 64)
+spec = pa.reference_spec("zero")
+lam = pa.small_root_of_gap(spec, 64)
+x = make_poly(make_ring("z", 2), [0, 1])
+%s
+try:
+    %s
+except InvariantViolation:
+    print("raised")
+"""
+
+
+@pytest.mark.parametrize("patch, call", [
+    # v(Phi_1(lam)) below the tail bound 16, then above it although the
+    # unit tail head forces equality
+    ("pa._sparse_eval = lambda view, R, terms, x: R.one()",
+     "pa.bound_check_prime(spec, lam, 1, ring)"),
+    ("pa._sparse_eval = lambda view, R, terms, x: R.from_int(2 ** 17)",
+     "pa.bound_check_prime(spec, lam, 1, ring)"),
+    # a certified candidate (v(B) = 1 < 16) whose P(lam) vanishes, then
+    # one whose P(lam) has valuation above v(B)
+    ("pa._p_at_lam_val = lambda P, x, R: None",
+     "pa.certify_not_root(spec, lam, x, 1, ring)"),
+    ("pa._p_at_lam_val = lambda P, x, R: 10 ** 6",
+     "pa.certify_not_root(spec, lam, x, 1, ring)"),
+], ids=["tail_below_bound", "tail_above_equality", "certified_vanishes",
+        "root_above_resultant"])
+def test_certificate_guards_survive_optimize_flag(patch, call):
+    res = subprocess.run([sys.executable, "-O", "-c",
+                          _GUARD_CODE % (patch, call)],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "raised\n"), res.stderr
 
 
 def test_certify_rejects_constant_candidates():

@@ -57,6 +57,47 @@ def test_fast_lanes_match_generic():
         g = make_poly(T3, [tuple(rng.randrange(3) for _ in range(3))
                            for _ in range(rng.randrange(1, 4))] + [(1,)])
         assert resultant(f, g) == resultant_generic(f, g)
+    # every degree pair 0-6 plus the zero polynomial, over Z and F_p[t]
+    # for small, 17-bit and 33-bit p
+    for R in (Z, T2, T3, make_ring("fpt_exact", 65537),
+              make_ring("fpt_exact", 4294967311)):
+        p = R.p
+
+        def coeff():
+            if p is None:
+                return rng.choice([0, 1, -1, rng.randrange(-99, 100)])
+            return R.from_digits([rng.choice([0, 1, p - 1, rng.randrange(p)])
+                                  for _ in range(rng.randrange(4))])
+
+        def poly(deg):
+            lead = coeff()
+            while R.is_zero(lead):
+                lead = coeff()
+            return make_poly(R, [coeff() for _ in range(deg)] + [lead])
+
+        for df in range(-1, 7):
+            for dg in range(-1, 7):
+                f = poly(df) if df >= 0 else make_poly(R, [])
+                g = poly(dg) if dg >= 0 else make_poly(R, [])
+                if df <= 0 and dg <= 0:
+                    with pytest.raises(BothConstant):
+                        resultant(f, g)
+                    continue
+                assert resultant(f, g) == resultant_generic(f, g), (f, g)
+
+
+def test_resultant_sign_and_constant_goldens():
+    # Res(x + 2, x^3 + 1) = (-2)^3 + 1; swapping odd-degree operands
+    # flips the sign
+    f, g = make_poly(Z, [2, 1]), make_poly(Z, [1, 0, 0, 1])
+    assert (resultant(f, g), resultant(g, f)) == (-7, 7)
+    # Res(f, c) = Res(c, f) = c^deg f, and a zero operand gives 0
+    assert resultant(g, make_poly(Z, [-2])) == -8
+    assert resultant(make_poly(Z, [-2]), g) == -8
+    assert resultant(make_poly(Z, []), g) == 0
+    assert resultant(f, make_poly(Z, [])) == 0
+    with pytest.raises(BothConstant):
+        resultant(make_poly(Z, []), make_poly(Z, [5]))
 
 
 def test_multiplicativity_in_g():

@@ -148,6 +148,35 @@ def test_exact_fpt_divmod():
     assert E.exact_div(E.mul(a, b), b) == a
 
 
+def long_division(a, b, p):
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    for sh in range(len(q) - 1, -1, -1):
+        c = a[sh + len(b) - 1] * inv % p
+        q[sh] = c
+        for j, y in enumerate(b):
+            a[sh + j] = (a[sh + j] - c * y) % p
+    for d in (q, a):
+        while d and d[-1] == 0:
+            d.pop()
+    return tuple(q), tuple(a)
+
+
+def test_exact_fpt2_divmod_matches_digit_loop():
+    # dividends past 8 digits take the bitmask lane
+    rng = random.Random(2)
+    E = make_ring("fpt_exact", 2)
+    for la in (1, 2, 7, 8, 9, 10, 17, 64, 200):
+        for lb in (1, 2, 5, 8, 9, 12, 65):
+            a = tuple(rng.randrange(2) for _ in range(la - 1)) + (1,)
+            b = tuple(rng.randrange(2) for _ in range(lb - 1)) + (1,)
+            q, r = E.divmod(a, b)
+            assert (q, r) == long_division(a, b, 2), (la, lb)
+            assert E.add(E.mul(q, b), r) == a
+            assert E.exact_div(E.mul(a, b), b) == a
+
+
 def schoolbook(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

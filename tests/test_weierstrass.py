@@ -91,10 +91,16 @@ def test_prepare_needs_finite_ring():
         prepare(f)
 
 
-def test_strong_factor_golden_z8():
+def test_strong_factor_golden_z8(monkeypatch):
     R = make_ring("zmodpk", 2, 3)
     f = make_series(R, [4, 2, 0, 0, 0], 5)
+    checked = []
+    verify = weierstrass.WFactorization.verify
+    monkeypatch.setattr(weierstrass.WFactorization, "verify",
+                        lambda wf, g: checked.append(g) or verify(wf, g))
     wf = strong_factor(f)
+    # one roundtrip check at precision K; it implies the one at K - v
+    assert checked == [f]
     assert (wf.v, wf.n) == (1, 1)
     assert [int(c) for c in wf.P] == [2, 1]
     assert [int(c) for c in wf.U.coeffs] == [1, 0, 0, 0, 0]
