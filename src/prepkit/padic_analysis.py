@@ -135,18 +135,7 @@ class _GapView:
         return a == 0 if self.spec.characteristic == "zero" else not any(a)
 
     def _val(self, a):
-        if self.spec.characteristic == "zero":
-            if a == 0:
-                return None
-            v = 0
-            while a % self.spec.p == 0:
-                a //= self.spec.p
-                v += 1
-            return v
-        for i, d in enumerate(a):
-            if d:
-                return i
-        return None
+        return self.exact_ring().val(a)
 
     def a(self, n):
         v = self._raw_a(n)
@@ -268,17 +257,31 @@ def _to_work(view, ring, c):
 
 
 def _sparse_eval(view, ring, terms, lam):
+    """The sum of c * lam^e over terms ascending in e. Each power comes
+    from the previous one, lam^e = (lam^e0)^(e // e0) * lam^(e % e0), so
+    exponents that divide each other share one squaring chain."""
     acc = ring.zero()
+    e0 = 0
     for e, c in terms:
-        acc = ring.add(acc, ring.mul(_to_work(view, ring, c),
-                                     ring.pow(lam, e)))
+        term = _to_work(view, ring, c)
+        if e:
+            if e0 == 0:
+                power = ring.pow(lam, e)
+            else:
+                q, r = divmod(e, e0)
+                power = ring.pow(power, q)
+                if r:
+                    power = ring.mul(power, ring.pow(lam, r))
+            e0 = e
+            term = ring.mul(term, power)
+        acc = ring.add(acc, term)
     return acc
 
 
 def small_root_of_gap(spec, K):
     """The unique root of valuation >= 1 at precision K, by sparse
-    Newton iteration. Requires reduction index 1: the coefficient at
-    x must be a unit (DegreeAboveOne otherwise)."""
+    Newton lifting with doubling precision. Requires reduction index 1:
+    the coefficient at x must be a unit (DegreeAboveOne otherwise)."""
     if K < 1:
         raise ValueError("precision must be positive")
     view = _GapView(spec)
@@ -291,7 +294,7 @@ def small_root_of_gap(spec, K):
             "the coefficient at x is not a unit; reduction index is %s" % n,
             reduction_index=n)
     ring = view.work_ring(K)
-    terms = [(e, c) for e, c in view.sparse_terms_upto(max(K - 1, 1))]
+    terms = view.sparse_terms_upto(max(K - 1, 1))
     dterms = []
     for e, c in terms:
         if e == 0:
@@ -302,17 +305,34 @@ def small_root_of_gap(spec, K):
             dc = tuple(d * (e % spec.p) % spec.p for d in c)
         if not view._is_zero(dc):
             dterms.append((e - 1, dc))
-    lam = ring.zero()
-    for _ in range(K.bit_length() + 6):
-        fv = _sparse_eval(view, ring, terms, lam)
-        if ring.is_zero(fv):
-            break
-        dv = _sparse_eval(view, ring, dterms, lam)
-        assert ring.val(dv) == 0, "derivative must stay a unit"
-        lam = ring.sub(lam, ring.mul(fv, ring.invert_unit(dv)))
-    assert ring.is_zero(_sparse_eval(view, ring, terms, lam))
-    v = ring.val(lam)
-    assert v is not None and v >= 1
+
+    def lift(k):
+        # lam mod pi^k by one Newton step from lo = lam mod pi^k1,
+        # k1 = ceil(k/2) (lo = 0 mod pi^0 when k = 1): f(lam) = pi^k1 * h,
+        # so lam = lo - pi^k1 * h / f'(lam), with h and f'(lam) needed
+        # mod pi^(k - k1) only. Terms of exponent >= k vanish mod pi^k.
+        if k == 0:
+            return ring.at_prec(0).zero()
+        k1 = (k + 1) // 2 if k > 1 else 0
+        lo = lift(k1)
+        R, D = ring.at_prec(k), ring.at_prec(k - k1)
+        lam = R.join([lo], None, k1)[0]
+        fv = _sparse_eval(view, R, [t for t in terms if t[0] < k], lam)
+        h = R.split([fv], k1)[1][0]
+        dv = _sparse_eval(view, D, [t for t in dterms if t[0] < k - k1],
+                          R.reduce([lam], k - k1)[0])
+        if D.val(dv) != 0:
+            raise InvariantViolation("the derivative at the root is not a "
+                                     "unit at precision %d" % k)
+        step = D.mul(h, D.invert_unit(dv))
+        return R.join([lo], [D.neg(step)], k1)[0]
+
+    lam = lift(K)
+    if not ring.is_zero(_sparse_eval(view, ring, terms, lam)):
+        raise InvariantViolation("the root lift did not converge at "
+                                 "precision %d" % K)
+    if ring.val(lam) == 0:
+        raise InvariantViolation("the root lift reached a unit root")
     return lam
 
 

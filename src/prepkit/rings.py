@@ -18,12 +18,17 @@ shared by all series operations. Each ring picks a fast kernel (numpy
 convolution while products fit in int64, Kronecker substitution through
 big-int multiplication otherwise) and keeps a quadratic reference
 implementation for cross-checks. Both t-adic kinds multiply their
-elements through one F_p[t] product, which picks its own lane.
+elements through one F_p[t] product, which picks its own lane:
+schoolbook for small operands, bitmasks for p = 2, Kronecker packing
+with stdlib arrays while every output digit fits 4 bytes, numpy up to
+int64, and Kronecker with wide limbs past that. numpy is imported
+inside the lanes that use it, so it loads on first use: the gap and
+rationality paths never load it.
 """
 
+import sys
+from array import array
 from itertools import zip_longest
-
-import numpy as np
 
 from .errors import (
     BadPrecision,
@@ -114,15 +119,25 @@ def digits_from_mask(m, width=None):
 # Kronecker substitution kernels. Coefficients are packed into fixed
 # width limbs of one big integer so CPython's integer multiplication
 # (Karatsuba) does the convolution; limb width is chosen so that no
-# output coefficient can overflow into its neighbor.
+# output coefficient can overflow into its neighbor. Limbs of up to 8
+# bytes are packed and unpacked as native-order stdlib arrays.
+
+_LIMB_TYPES = tuple((array(code).itemsize, code) for code in "BHIQ")
+
 
 def _kron_unsigned(a, b, mod):
     bound = (mod - 1) ** 2 * min(len(a), len(b))
-    w = bound.bit_length() // 8 + 1
+    w = (bound.bit_length() + 7) // 8
+    n = len(a) + len(b) - 1
+    for size, code in _LIMB_TYPES:
+        if size >= w:
+            cint = (int.from_bytes(array(code, a), sys.byteorder)
+                    * int.from_bytes(array(code, b), sys.byteorder))
+            return [x % mod for x in
+                    array(code, cint.to_bytes(n * size, sys.byteorder))]
     aint = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in a), "little")
     bint = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in b), "little")
     cint = aint * bint
-    n = len(a) + len(b) - 1
     buf = cint.to_bytes(n * w, "little")
     return [int.from_bytes(buf[i * w:(i + 1) * w], "little") % mod for i in range(n)]
 
@@ -174,20 +189,24 @@ def _trim(digits):
     return tuple(digits[:n])
 
 
-# Up to this many digits in the shorter operand, the schoolbook loop
-# costs less than converting both operands for numpy or for packing;
 # F_2[t] division takes the mask lane past this many dividend digits.
 _SCHOOLBOOK_DIGITS = 8
+
+# Up to this many digit products, len(a) * len(b), the schoolbook loop
+# costs less than packing both operands (timeit, p in {2, 3, 65537}:
+# the lanes cross between 16 and 64 for dense operands).
+_SCHOOLBOOK_WORK = 32
 
 
 def _fp_poly_mul(a, b, p):
     """All len(a) + len(b) - 1 digits of a * b in F_p[t], for nonempty
-    digit sequences in [0, p). The lane follows the operands: schoolbook
-    for a short operand, bitmasks for p = 2, numpy while every digit
-    sum fits in int64, Kronecker packing past that."""
-    short = min(len(a), len(b))
+    digit sequences in [0, p). The lane follows both lengths and p:
+    schoolbook for few digit products, bitmasks for p = 2, Kronecker
+    packing with array limbs while every digit sum (p - 1)^2 * min(len)
+    fits 4 bytes, numpy while it fits int64, wide Kronecker limbs past
+    that. numpy is imported by its lane only."""
     n = len(a) + len(b) - 1
-    if short <= _SCHOOLBOOK_DIGITS:
+    if len(a) * len(b) <= _SCHOOLBOOK_WORK:
         if len(a) > len(b):
             a, b = b, a
         out = [0] * n
@@ -199,11 +218,32 @@ def _fp_poly_mul(a, b, p):
     if p == 2:
         m = b2_mul(mask_from_digits(a), mask_from_digits(b))
         return list(digits_from_mask(m, n))
-    if (p - 1) ** 2 * short < 2 ** 63:
+    bound = (p - 1) ** 2 * min(len(a), len(b))
+    if 2 ** 32 <= bound < 2 ** 63:
+        import numpy as np
         arr = np.convolve(np.array(a, dtype=np.int64),
                           np.array(b, dtype=np.int64))
         return (arr % p).tolist()
     return _kron_unsigned(a, b, p)
+
+
+def _int_val(r, p):
+    """v_p(r) for a nonzero integer r: the lowest set bit for p = 2;
+    otherwise, after each division by p, divisions by p^2, p^4, ...
+    while they go through, so the cost grows with log(v)^2, not v."""
+    if p == 2:
+        return (r & -r).bit_length() - 1
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+        q, k = p * p, 2
+        while r % q == 0:
+            r //= q
+            v += k
+            q *= q
+            k *= 2
+    return v
 
 
 class Ring:
@@ -241,14 +281,18 @@ class Ring:
         return self.from_int(self.p)
 
     def pow(self, a, e):
-        assert e >= 0
-        r = self.one()
-        while e:
+        """a^e by squaring, with no product by one and no squaring after
+        the top bit of e."""
+        if e < 0:
+            raise ValueError("negative exponent %d" % e)
+        r = None
+        while True:
             if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = a if r is None else self.mul(r, a)
             e >>= 1
-        return r
+            if not e:
+                return self.one() if r is None else r
+            a = self.mul(a, a)
 
     def sum(self, items):
         acc = self.zero()
@@ -314,13 +358,7 @@ class IntModRing(Ring):
         return a == 0
 
     def val(self, r):
-        if r == 0:
-            return None
-        v = 0
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
+        return None if r == 0 else _int_val(r, self.p)
 
     def invert_unit(self, r):
         if r % self.p == 0:
@@ -362,6 +400,7 @@ class IntModRing(Ring):
         n = len(a) + len(b) - 1
         bound = (self.mod - 1) ** 2 * min(len(a), len(b))
         if bound < 2 ** 62:
+            import numpy as np
             arr = np.convolve(np.array(a, dtype=np.int64),
                               np.array(b, dtype=np.int64))
             return _pad((arr % self.mod).tolist(), out_len)
@@ -428,16 +467,24 @@ class FpTRing(Ring):
         return None
 
     def invert_unit(self, r):
-        p, K = self.p, self.prec
+        p = self.p
         if r[0] % p == 0:
             raise NotAUnit("constant digit is divisible by %d" % p,
                            element=list(r), p=p)
-        inv0 = pow(r[0], -1, p)
-        out = [inv0] + [0] * (K - 1)
-        for k in range(1, K):
-            s = sum(r[j] * out[k - j] for j in range(1, k + 1))
-            out[k] = -inv0 * s % p
-        return tuple(out)
+        # Newton doubling: from g = r^-1 mod t^k, r * g = 1 + t^k * e
+        # gives r^-1 = g - t^k * g * e mod t^(2k); precisions ceil(K/2^i)
+        levels = []
+        k = self.prec
+        while k > 1:
+            levels.append(k)
+            k = (k + 1) // 2
+        g = [pow(r[0], -1, p)]
+        for k2 in reversed(levels):
+            k = len(g)
+            e = _fp_poly_mul(r[:k2], g, p)[k:k2]
+            ge = _fp_poly_mul(g[:k2 - k], e, p)
+            g += [-x % p for x in ge[:k2 - k]]
+        return tuple(g)
 
     # Digit slicing at t^s: every element is lo + t^s * hi.
 
@@ -477,6 +524,7 @@ class FpTRing(Ring):
             w = 8
         else:
             return self.convolve_ref(a, b, out_len)
+        import numpy as np
         la, lb = len(a), len(b)
         A = np.zeros((la, 2 * K), dtype=dt)
         A[:, :K] = np.asarray(a, dtype=dt)
@@ -552,11 +600,7 @@ class ExactZRing(Ring):
             return None
         if self.p is None:
             raise ValueError("valuation needs a prime; this ring has none")
-        v = 0
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
+        return _int_val(r, self.p)
 
     def invert_unit(self, r):
         # the only integer units
@@ -579,6 +623,7 @@ class ExactZRing(Ring):
         ma = max(abs(x) for x in a)
         mb = max(abs(x) for x in b)
         if ma and mb and ma * mb * min(len(a), len(b)) < 2 ** 62:
+            import numpy as np
             arr = np.convolve(np.array(a, dtype=np.int64),
                               np.array(b, dtype=np.int64))
             return _pad([int(x) for x in arr], out_len)

@@ -606,7 +606,7 @@ GAP_EXPS = [0, 1, 2, 16, 512]  # exponents of the reference series below x^600
 
 def gap_eval_2adic(lam, K):
     mod = 1 << K
-    acc = 2
+    acc = 2 % mod
     for e in GAP_EXPS[1:]:
         if e < K:  # v(lam) >= 1 so higher terms vanish mod 2^K
             acc = (acc + pow(lam, e, mod)) % mod

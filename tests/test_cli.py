@@ -4,6 +4,7 @@ documented exit codes (0 conclusive, 2 inconclusive at budget,
 1 errors)."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -456,3 +457,49 @@ def test_empty_window_is_json_error(tmp_path, payload):
         lines = res.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "BadPrecision"
+
+
+_NUMPY_FREE_CODE = """
+import contextlib, io, json, sys
+from prepkit import cli
+seen = ["numpy" in sys.modules]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+seen.append("numpy" in sys.modules)
+print(json.dumps([codes, seen]))
+"""
+
+
+def test_gap_and_rationality_never_load_numpy(tmp_path):
+    # numpy is imported by the product lanes that use it, and none of
+    # them lies on the gap or F_p[t] rationality paths
+    c3 = tmp_path / "c3.json"
+    c3.write_text(json.dumps(
+        {"char": "p", "p": 3, "b": {"kind": "pow2_nsq"}, "C": "2",
+         "kappa": "2",
+         "a": {"kind": "const_after", "a0": [0, 2], "rest": [1, 1]}}))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"coeffs": [[1, 1], [0, 2], [2, 1]]}))
+    window = tmp_path / "window.json"
+    rng = random.Random(3)
+    window.write_text(json.dumps(
+        {"ring": {"kind": "fpt_exact", "p": 3},
+         "coeffs": [[rng.randrange(3) for _ in range(3)]
+                    for _ in range(24)]}))
+    argvs = []
+    for spec in ("p", str(c3)):
+        argvs += [["gap", "root", "--spec", spec, "--K", "600"],
+                  ["gap", "bound", "--spec", spec, "--N", "2", "--K", "560"],
+                  ["gap", "certify", "--spec", spec, "--N", "1", "--K", "60",
+                   "--in", str(cand)],
+                  ["gap", "sweep", "--spec", spec, "--N", "1", "--K", "40",
+                   "--degree-cap", "1", "--height-cap", "1"]]
+    argvs.append(["series", "rationality", "--in", str(window)])
+    res = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CODE,
+                          json.dumps(argvs)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    codes, seen = json.loads(res.stdout)
+    assert all(c in (0, 2) for c in codes), codes
+    assert seen == [False, False]

@@ -140,6 +140,14 @@ def test_small_root_goldens():
     assert mask_from_digits(lt) == oracles.gap_root_t(64)
 
 
+@pytest.mark.parametrize("K", [1, 2, 600, 4000])
+def test_small_root_matches_oracles(K):
+    # at K = 1 the root is 0 mod pi: no valuation is visible yet
+    assert small_root_of_gap(REF0, K) == oracles.gap_root_2adic(K)
+    assert mask_from_digits(small_root_of_gap(REFP, K)) == \
+        oracles.gap_root_t(K)
+
+
 def test_small_root_needs_unit_slope():
     spec = GapSpec("zero", 2,
                    {"kind": "explicit", "values": [2, 2], "rest": 1},
@@ -371,8 +379,18 @@ except InvariantViolation:
      "pa.certify_not_root(spec, lam, x, 1, ring)"),
     ("pa._p_at_lam_val = lambda P, x, R: 10 ** 6",
      "pa.certify_not_root(spec, lam, x, 1, ring)"),
+    # the root lift: a derivative of valuation >= 1, an evaluation that
+    # never vanishes, and f(x) = x - 1, whose lift converges to a unit
+    ("pa._sparse_eval = lambda view, R, terms, x: R.from_int(2)",
+     "pa.small_root_of_gap(spec, 64)"),
+    ("pa._sparse_eval = lambda view, R, terms, x: R.one()",
+     "pa.small_root_of_gap(spec, 64)"),
+    ("pa._sparse_eval = lambda view, R, terms, x: "
+     "R.sub(x, R.one()) if terms[0][1] == 2 else R.one()",
+     "pa.small_root_of_gap(spec, 64)"),
 ], ids=["tail_below_bound", "tail_above_equality", "certified_vanishes",
-        "root_above_resultant"])
+        "root_above_resultant", "root_derivative_not_unit",
+        "root_lift_diverges", "root_is_a_unit"])
 def test_certificate_guards_survive_optimize_flag(patch, call):
     res = subprocess.run([sys.executable, "-O", "-c",
                           _GUARD_CODE % (patch, call)],

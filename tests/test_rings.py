@@ -187,8 +187,9 @@ def schoolbook(a, b, p):
 
 @pytest.mark.parametrize("p", [2, 3, 65537, 4294967311])
 def test_fpt_mul_matches_schoolbook(p):
-    # lengths on both sides of the 8-digit short-operand cut; past
-    # (p-1)^2 * len = 2^63 an int64 product would wrap
+    # lengths on both sides of the schoolbook cut at 32 digit products,
+    # including long-by-short products; past (p-1)^2 * len = 2^63 an
+    # int64 product would wrap
     rng = random.Random(p)
     E = make_ring("fpt_exact", p)
 
@@ -197,8 +198,9 @@ def test_fpt_mul_matches_schoolbook(p):
         d[-1] = p - 1
         return d
 
-    for la, lb in [(1, 1), (1, 12), (8, 8), (8, 30), (9, 9), (9, 40),
-                   (24, 17)]:
+    for la, lb in [(1, 1), (1, 12), (1, 32), (1, 33), (4, 8), (4, 9),
+                   (8, 8), (8, 30), (9, 9), (9, 40), (24, 17), (1001, 4),
+                   (3, 1001)]:
         a, b = digits(la), digits(lb)
         want = schoolbook(a, b, p)
         assert list(E.mul(tuple(a), tuple(b))) == want
@@ -207,6 +209,70 @@ def test_fpt_mul_matches_schoolbook(p):
             T = make_ring("fpt", p, K)
             got = T.mul(T.from_digits(a), T.from_digits(b))
             assert list(got) == (want + [0] * K)[:K]
+
+
+@pytest.mark.parametrize("p, n", [(3, 63), (3, 64), (17, 255), (17, 256),
+                                  (4099, 255), (4099, 256)])
+def test_fp_mul_limb_widths_at_capacity(p, n):
+    # all-(p-1) operands put (p-1)^2 * n in the middle digit sum: the
+    # largest size the 1-, 2- and 4-byte Kronecker limbs admit, and one
+    # digit past each, where the next lane takes over
+    E = make_ring("fpt_exact", p)
+    a = (p - 1,) * n
+    assert list(E.mul(a, a)) == schoolbook(a, a, p)
+    b = tuple(random.Random(n).randrange(p) for _ in range(n - 1)) + (1,)
+    assert list(E.mul(a, b)) == schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 4294967311])
+def test_fpt_invert_unit_matches_quadratic_reference(p):
+    rng = random.Random(p)
+    for K in (1, 2, 3, 63, 64, 65, 4000):
+        R = make_ring("fpt", p, K)
+        r = R.from_digits([rng.randrange(1, p)]
+                          + [rng.randrange(p) for _ in range(K - 1)])
+        assert list(R.invert_unit(r)) == oracles.pinv_series(list(r), K, p)
+    with pytest.raises(NotAUnit):
+        make_ring("fpt", p, 5).invert_unit((0, 1, 0, 0, 0))
+
+
+def test_pow_skips_products_after_the_top_bit():
+    # square-and-multiply from the low bit: no product by one and no
+    # squaring after the last bit, so x^(2^k) costs k products
+    for R in (make_ring("fpt", 3, 40), make_ring("fpt_exact", 3)):
+        calls = []
+        mul = R.mul
+        R.mul = lambda a, b: calls.append(1) or mul(a, b)
+        x = R.from_digits([1, 2, 0, 1])
+        for e, products in [(0, 0), (1, 0), (2, 1), (5, 3), (6, 3),
+                            (2 ** 7, 7)]:
+            calls.clear()
+            got = R.pow(x, e)
+            assert len(calls) == products, e
+            want = R.one()
+            for _ in range(e):
+                want = mul(want, x)
+            assert got == want
+        with pytest.raises(ValueError):
+            R.pow(x, -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def test_val_matches_division_loop(p):
+    rng = random.Random(p)
+    prec = 70
+    rings = (make_ring("zp", p, prec), make_ring("zmodpk", p, prec),
+             make_ring("z", p))
+    for v in [0, 1, prec - 1] + [rng.randrange(prec) for _ in range(40)]:
+        u = rng.randrange(1, p ** 3)
+        while u % p == 0:
+            u = rng.randrange(1, p ** 3)
+        for R in rings:
+            for r in (R.from_int(u * p ** v), R.from_int(-u * p ** v)):
+                assert R.val(r) == oracles.v_p(r, p)
+        assert make_ring("z", p).val(u * p ** (v + 500)) == v + 500
+    for R in rings:
+        assert R.val(R.zero()) is None
 
 
 def test_exact_fpt_sub_monic_gcd():
