@@ -70,13 +70,18 @@ def elem_to_json(ring, x):
 
 
 def elem_from_json(ring, v):
+    return ring.canon(_elem_value(ring, v))
+
+
+def _elem_value(ring, v):
+    """The element v decodes to, before ring.canon."""
     if _is_tuple_kind(ring):
         if not isinstance(v, (list, tuple)):
             raise UsageError("element of %s must be a digit array" % ring.kind)
-        return ring.canon(tuple(int(d) for d in v))
+        return tuple(map(int, v))
     if isinstance(v, bool) or isinstance(v, float):
         raise UsageError("element must be an integer or decimal string")
-    return ring.canon(int(v))
+    return int(v)
 
 
 # ---------------------------------------------------------------- series
@@ -100,7 +105,8 @@ def series_from_json(d):
     coeffs = d.get("coeffs")
     if not isinstance(coeffs, list):
         raise UsageError("series needs a coeffs array")
-    vals = [elem_from_json(ring, c) for c in coeffs]
+    # make_series canonicalizes each value
+    vals = [_elem_value(ring, c) for c in coeffs]
     x_prec = _x_prec(int(d["x_prec"]) if "x_prec" in d else len(vals))
     return make_series(ring, vals, x_prec), None
 
@@ -120,7 +126,7 @@ def _series_from_oracle(d):
     x_prec = _x_prec(int(d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
-        vals = [elem_from_json(ring, c) for c in spec.get("coeffs", [])]
+        vals = [_elem_value(ring, c) for c in spec.get("coeffs", [])]
         return make_series(ring, vals, x_prec), None
     if kind == "periodic":
         ring = ring_from_json(d.get("ring", {}))

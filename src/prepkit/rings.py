@@ -14,21 +14,25 @@ z           rational integers         int
 fpt_exact   polynomial ring F_p[t]    trimmed digit tuple, () is zero
 
 Convolution of coefficient lists is the single multiplication engine
-shared by all series operations. Each ring picks a fast kernel (numpy
-convolution while products fit in int64, Kronecker substitution through
-big-int multiplication otherwise) and keeps a quadratic reference
-implementation for cross-checks. Both t-adic kinds multiply their
+shared by all series operations, with a quadratic reference
+implementation for cross-checks. Large products take a float FFT
+while its proved rounding bound admits the sizes (_fft_convolve). Below
+its work threshold, or past the bound or the transform cap, zp, zmodpk
+and z take numpy's direct convolution while sums fit in int64 and
+Kronecker substitution through big-int multiplication otherwise; fpt
+packs its digit rows with Kronecker substitution, into 2-, 4- or 8-byte
+slots or, past 2^64, wide limbs. Both t-adic kinds multiply their
 elements through one F_p[t] product, which picks its own lane:
 schoolbook for small operands, bitmasks for p = 2, Kronecker packing
 with stdlib arrays while every output digit fits 4 bytes, numpy up to
-int64, and Kronecker with wide limbs past that. numpy is imported
-inside the lanes that use it, so it loads on first use: the gap and
-rationality paths never load it.
+int64, and Kronecker with wide limbs past that. numpy, and numpy.fft
+with it, is imported inside the lanes that use it, so it loads on
+first use: the gap and rationality paths never load it.
 """
 
 import sys
 from array import array
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .errors import (
     BadPrecision,
@@ -174,8 +178,104 @@ def _kron_signed(a, b):
             limb -= full
         out.append(limb)
         cur = (cur - limb) >> w
-    assert cur == 0
+    if cur:
+        raise InvariantViolation("signed Kronecker product overflows its "
+                                 "%d limbs of %d bits" % (n, w))
     return out
+
+
+# Float-FFT convolution of integer sequences, rounded to the nearest
+# integer. Percival's bound (Math. Comp. 72 (2003), Thm. 5.1; Brent and
+# Zimmermann, Modern Computer Arithmetic, Thm. 3.3.2): a convolution
+# through complex FFTs of length N = 2^n in floats of unit roundoff
+# eps, with twiddle factors good to mu, errs by less than
+#     ||x|| * ||y|| * ((1+eps)^(3n) (1+eps*sqrt5)^(3n+1) (1+mu)^(3n) - 1)
+# in every coordinate (Euclidean norms on the right). With eps = 2^-53,
+# mu <= eps and |x_i| <= xmax over X entries, the first-order term is
+# below sqrt(X*Y) * xmax * ymax * eps * (13n + 3), and the higher
+# orders add a relative 10^-12 at most. The lane is taken only while
+# that stays below 1/4, so rounding is exact with a factor 2 to spare
+# for numpy's real-input transform, and the exact sum check catches a
+# single output rounded the wrong way. Transforms are powers of two up
+# to _FFT_MAX_SIZE, which bounds the temporaries: about four float
+# arrays of the transform length, 512 KiB at 2^14, and nothing is kept
+# between calls. On the series-wide benchmark (seed 5, 2 cores,
+# numpy 2.4) a cap of 2^15 raised peak RSS 0.9 MiB above a cap of
+# 2^14, for 1.5% more jobs per second.
+
+_FFT_MAX_SIZE = 1 << 14
+
+# Where the FFT lane starts to pay (timeit, 2 cores, numpy 2.4): for
+# integer kinds once len(a) * len(b) reaches 2^17, where np.convolve's
+# direct loop and the transforms cost about the same (0.1 ms at 256^2);
+# for F_p[[t]] once the product of the two Kronecker packs' byte sizes
+# reaches 2^21, near where the lanes tie (fpt:2:8 at 32^2, fpt:3:4 at
+# 64^2, fpt:65537:1 at 64^2).
+_FFT_INT_WORK = 1 << 17
+_FFT_KRON_WORK = 1 << 21
+
+
+def _fft_convolve(a, b, amax, bmax, k=None):
+    """The full convolution of integer sequences a and b (|a_i| <= amax,
+    |b_j| <= bmax) as a flat int64 array, or None when the rounding
+    bound or the size cap refuses it. With k, a and b hold rows of k
+    digits, laid out with stride 2k - 1 so that no row product spills
+    into the next: row r of the result is out[r*(2k-1):(r+1)*(2k-1)].
+    Raises InvariantViolation when the output sum is not sum(a)*sum(b)."""
+    d = k or 1
+    s = 2 * d - 1
+    la, lb = len(a), len(b)
+    n = (la + lb - 1) * s
+    size = 1 << (n - 1).bit_length()
+    lg = size.bit_length() - 1
+    if (size > _FFT_MAX_SIZE or la * lb * d * d * (amax * bmax) ** 2
+            * (13 * lg + 3) ** 2 >= 1 << 102):
+        return None
+    import numpy as np
+
+    x = np.zeros(size)
+
+    def transform(v, m):
+        # an exact int64 copy of v gives the float input and its sum
+        if k:
+            v = np.fromiter(chain.from_iterable(v), np.int64, m * k)
+        else:
+            v = np.array(v, dtype=np.int64)
+        x[:] = 0
+        if k:
+            x[:m * s].reshape(m, s)[:, :k] = v.reshape(m, k)
+        else:
+            x[:m] = v
+        return np.fft.rfft(x), int(v.sum())
+
+    fa, sa = transform(a, la)
+    fb, sb = transform(b, lb)
+    fa *= fb
+    del x, fb
+    c = np.fft.irfft(fa, size)[:n]
+    del fa
+    out = np.rint(c, out=c).astype(np.int64)
+    # exact modulo 2^64, as int64 sums wrap
+    if (sa * sb - int(out.sum())) % (1 << 64):
+        raise InvariantViolation("FFT convolution of %d by %d terms fails "
+                                 "its sum check" % (la, lb))
+    return out
+
+
+def _int64_convolve(a, b, amax, bmax):
+    """The full convolution of nonempty integer sequences with
+    |a_i| <= amax and |b_j| <= bmax as an int64 array: the FFT lane
+    past _FFT_INT_WORK products, numpy's direct loop while every sum
+    fits int64; None when neither admits the sizes."""
+    if len(a) * len(b) >= _FFT_INT_WORK:
+        out = _fft_convolve(a, b, amax, bmax)
+        if out is not None:
+            return out
+    if amax * bmax * min(len(a), len(b)) < 2 ** 62:
+        import numpy as np
+        return np.convolve(np.array(a, dtype=np.int64),
+                           np.array(b, dtype=np.int64))
+    return None
 
 
 def _pad(coeffs, out_len):
@@ -392,12 +492,8 @@ class IntModRing(Ring):
     def convolve(self, a, b, out_len):
         if not a or not b:
             return [0] * out_len
-        n = len(a) + len(b) - 1
-        bound = (self.mod - 1) ** 2 * min(len(a), len(b))
-        if bound < 2 ** 62:
-            import numpy as np
-            arr = np.convolve(np.array(a, dtype=np.int64),
-                              np.array(b, dtype=np.int64))
+        arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1)
+        if arr is not None:
             return _pad((arr % self.mod).tolist(), out_len)
         return _pad(_kron_unsigned(a, b, self.mod), out_len)
 
@@ -429,7 +525,7 @@ class FpTRing(Ring):
         return (n % self.p,) + (0,) * (self.prec - 1)
 
     def from_digits(self, digits):
-        digits = tuple(d % self.p for d in digits[:self.prec])
+        digits = tuple([d % self.p for d in digits[:self.prec]])
         return digits + (0,) * (self.prec - len(digits))
 
     def canon(self, r):
@@ -437,11 +533,11 @@ class FpTRing(Ring):
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def mul(self, a, b):
         K = self.prec
@@ -450,7 +546,7 @@ class FpTRing(Ring):
 
     def neg(self, a):
         p = self.p
-        return tuple(-x % p for x in a)
+        return tuple([-x % p for x in a])
 
     def is_zero(self, a):
         return not any(a)
@@ -504,36 +600,44 @@ class FpTRing(Ring):
         return [a + b for a, b in zip(lo, hi)]
 
     def convolve(self, a, b, out_len):
+        """Rows of K digits multiply as polynomials over Z[t], packed
+        with a stride that no row product overflows: the FFT lane past
+        _FFT_KRON_WORK, Kronecker packing into 2-, 4- or 8-byte digit
+        slots below it, and wide Kronecker limbs once a digit sum
+        reaches 2^64."""
         p, K = self.p, self.prec
         if not a or not b:
             return [self.zero()] * out_len
-        bound = min(len(a), len(b)) * K * (p - 1) ** 2
-        if bound < 2 ** 16:
-            dt = "<u2"
-            w = 2
-        elif bound < 2 ** 32:
-            dt = "<u4"
-            w = 4
-        elif bound < 2 ** 64:
-            dt = "<u8"
-            w = 8
-        else:
-            return self.convolve_ref(a, b, out_len)
-        import numpy as np
         la, lb = len(a), len(b)
-        A = np.zeros((la, 2 * K), dtype=dt)
-        A[:, :K] = np.asarray(a, dtype=dt)
-        B = np.zeros((lb, 2 * K), dtype=dt)
-        B[:, :K] = np.asarray(b, dtype=dt)
-        aint = int.from_bytes(A.tobytes(), "little")
-        bint = int.from_bytes(B.tobytes(), "little")
-        cint = aint * bint
-        rows = la + lb - 1
-        buf = cint.to_bytes(rows * 2 * K * w, "little")
-        C = np.frombuffer(buf, dtype=dt).reshape(rows, 2 * K)
-        body = (C[:min(rows, out_len), :K] % p).tolist()
-        out = [tuple(row) for row in body]
-        return out + [self.zero()] * (out_len - len(out))
+        rows = min(la + lb - 1, out_len)
+        bound = min(la, lb) * K * (p - 1) ** 2
+        w = (2 if bound < 1 << 16 else 4 if bound < 1 << 32
+             else 8 if bound < 1 << 64 else None)
+        if w is None:
+            s = 2 * K - 1
+            pad = (0,) * (K - 1)
+            flat = _kron_unsigned([d for r in a for d in r + pad],
+                                  [d for r in b for d in r + pad], p)
+            out = [tuple(flat[r * s:r * s + K]) for r in range(rows)]
+            return out + [self.zero()] * (out_len - rows)
+        C = None
+        if la * lb * (2 * K * w) ** 2 >= _FFT_KRON_WORK:
+            C = _fft_convolve(a, b, p - 1, p - 1, K)
+        if C is not None:
+            C = C.reshape(la + lb - 1, 2 * K - 1)
+        else:
+            import numpy as np
+            dt = "<u%d" % w
+            A = np.zeros((la, 2 * K), dtype=dt)
+            A[:, :K] = np.asarray(a, dtype=dt)
+            B = np.zeros((lb, 2 * K), dtype=dt)
+            B[:, :K] = np.asarray(b, dtype=dt)
+            cint = (int.from_bytes(A.tobytes(), "little")
+                    * int.from_bytes(B.tobytes(), "little"))
+            buf = cint.to_bytes((la + lb - 1) * 2 * K * w, "little")
+            C = np.frombuffer(buf, dtype=dt).reshape(la + lb - 1, 2 * K)
+        out = [tuple(row) for row in (C[:rows, :K] % p).tolist()]
+        return out + [self.zero()] * (out_len - rows)
 
     def elem_to_json(self, r):
         return [int(d) for d in r]
@@ -613,15 +717,11 @@ class ExactZRing(Ring):
         return a ** e
 
     def convolve(self, a, b, out_len):
-        if not a or not b:
+        if not any(a) or not any(b):
             return [0] * out_len
-        ma = max(abs(x) for x in a)
-        mb = max(abs(x) for x in b)
-        if ma and mb and ma * mb * min(len(a), len(b)) < 2 ** 62:
-            import numpy as np
-            arr = np.convolve(np.array(a, dtype=np.int64),
-                              np.array(b, dtype=np.int64))
-            return _pad([int(x) for x in arr], out_len)
+        arr = _int64_convolve(a, b, max(map(abs, a)), max(map(abs, b)))
+        if arr is not None:
+            return _pad(arr.tolist(), out_len)
         return _pad(_kron_signed(a, b), out_len)
 
     def elem_to_json(self, r):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from prepkit import (BadPrecision, CompositeModulus, NotAUnit, make_ring,
-                     val_unit_decompose)
+                     rings, val_unit_decompose)
 from prepkit.rings import (b2_deg, b2_divmod, b2_mul, digits_from_mask,
                            is_prime, mask_from_digits)
 
@@ -324,12 +324,151 @@ def test_convolve_matches_reference(xs, ys):
         b = [R.from_int(y) for y in ys]
         n = len(xs) + len(ys)
         assert R.convolve(a, b, n) == R.convolve_ref(a, b, n)
-    # digit products past 2^32: the 64-bit packing lane
-    for R in (make_ring("fpt", 65537, 3), make_ring("fpt", 1000003, 4)):
+    # digit sums past 2^32: the 64-bit packing lane; past 2^64: wide
+    # Kronecker limbs over the flattened rows
+    for R in (make_ring("fpt", 65537, 3), make_ring("fpt", 1000003, 4),
+              make_ring("fpt", 4294967311, 3)):
         a = [R.from_digits((x, -x, x * x)) for x in xs]
         b = [R.from_digits((-y, y, 1, y)) for y in ys]
         n = len(xs) + len(ys)
         assert R.convolve(a, b, n) == R.convolve_ref(a, b, n)
+
+
+def _operands(R, n, rng, top=False):
+    if R.kind == "fpt":
+        return [tuple(R.p - 1 if top else rng.randrange(R.p)
+                      for _ in range(R.prec)) for _ in range(n)]
+    if R.kind == "z":
+        return [-(2 ** 20) if top else rng.randrange(-1000, 1000)
+                for _ in range(n)]
+    return [R.mod - 1 if top else rng.randrange(R.mod) for _ in range(n)]
+
+
+def _spy_fft(monkeypatch):
+    taken = []
+    fft = rings._fft_convolve
+
+    def spy(*args, **kw):
+        out = fft(*args, **kw)
+        taken.append(out is not None)
+        return out
+    monkeypatch.setattr(rings, "_fft_convolve", spy)
+    return taken
+
+
+# sizes past each kind's FFT work threshold, balanced and not
+FFT_CASES = [("fpt", 2, 8, [(48, 48), (200, 12), (7, 300)]),
+             ("fpt", 3, 4, [(96, 96), (300, 40)]),
+             ("fpt", 65537, 3, [(32, 32), (90, 12)]),
+             ("zp", 2, 8, [(400, 400), (2000, 70)]),
+             ("zmodpk", 3, 5, [(400, 400), (66, 2000)]),
+             ("z", None, None, [(400, 400), (2000, 70)])]
+
+
+@pytest.mark.parametrize("kind, p, K, sizes", FFT_CASES,
+                         ids=[c[0] + (":%s" % c[1] if c[1] else "")
+                              for c in FFT_CASES])
+def test_fft_lane_matches_reference(monkeypatch, kind, p, K, sizes):
+    R = make_ring(kind, p, K)
+    rng = random.Random(str(R))
+    taken = _spy_fft(monkeypatch)
+    for la, lb in sizes:
+        a, b = _operands(R, la, rng), _operands(R, lb, rng)
+        n = la + lb - 1
+        want = R.convolve_ref(a, b, n + 5)
+        for out_len in (1, min(la, lb), n, n + 5):
+            taken.clear()
+            assert R.convolve(a, b, out_len) == want[:out_len]
+            assert taken == [True]
+
+
+def _largest_admitted(R, amax, k):
+    lo, hi = 1, 1 << 15  # admitted at lo, refused at hi
+    top = _operands(R, hi, None, top=True)
+    assert rings._fft_convolve(top, top, amax, amax, k) is None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ok = rings._fft_convolve(top[:mid], top[:mid], amax, amax, k)
+        lo, hi = (mid, hi) if ok is not None else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("kind, p, K", [
+    ("fpt", 2, 8), ("fpt", 3, 4), ("fpt", 65537, 1), ("fpt", 65537, 20),
+    ("zmodpk", 3, 5), ("zp", 5, 8), ("z", None, None)])
+def test_fft_bound_holds_at_its_largest_admitted_size(kind, p, K):
+    # every entry at its largest magnitude makes ||a|| * ||b|| as large
+    # as the admission bound allows; check the unreduced output exactly
+    # there, and that one more term is refused and takes the old lane
+    R = make_ring(kind, p, K)
+    k = K if kind == "fpt" else None
+    amax = 2 ** 20 if kind == "z" else (p - 1 if kind == "fpt" else R.mod - 1)
+    L = _largest_admitted(R, amax, k)
+    top = _operands(R, L + 1, None, top=True)
+    got = rings._fft_convolve(top[:L], top[:L], amax, amax, k)
+    d = k or 1
+    s = 2 * d - 1
+    ones = [1 if i % s < d else 0 for i in range((L - 1) * s + d)]
+    assert got.tolist() == [amax * amax * c for c in self_convolution(ones)]
+    assert rings._fft_convolve(top, top, amax, amax, k) is None
+    if L < 200:
+        # the refused size still multiplies right through the next lane
+        b = _operands(R, L + 1, random.Random(L))
+        assert R.convolve(top, b, 2 * L + 1) == R.convolve_ref(top, b, 2 * L + 1)
+
+
+def self_convolution(ones):
+    """Exact self-convolution of a 0/1 list: np.convolve's direct int64
+    loop, whose sums stay far below 2^63 here."""
+    import numpy as np
+    v = np.array(ones, dtype=np.int64)
+    return np.convolve(v, v).tolist()
+
+
+_FFT_GUARD_CODE = (
+    "import numpy as np\n"
+    "from prepkit import InvariantViolation, make_ring\n"
+    "irfft = np.fft.irfft\n"
+    "def off_by_one(*args, **kw):\n"
+    "    out = irfft(*args, **kw)\n"
+    "    out[%d] += 0.75\n"
+    "    return out\n"
+    "np.fft.irfft = off_by_one\n"
+    "for R, a in ((make_ring('zp', 2, 8), [255] * 400),\n"
+    "             (make_ring('z'), [-7] * 400),\n"
+    "             (make_ring('fpt', 3, 4), [(2, 1, 0, 2)] * 200)):\n"
+    "    try:\n"
+    "        R.convolve(a, a, 400)\n"
+    "    except InvariantViolation:\n"
+    "        print('raised')\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("index", [0, 399])
+def test_fft_sum_check_catches_a_misrounded_output(flags, index):
+    res = subprocess.run([sys.executable, *flags, "-c",
+                          _FFT_GUARD_CODE % index],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "raised\n" * 3), res.stderr
+
+
+def test_kron_signed_overflow_check_survives_optimize_flag():
+    # an operand whose abs() understates it gets limbs too narrow for
+    # its products; the leftover high part must raise, not be dropped
+    code = (
+        "from prepkit import InvariantViolation\n"
+        "from prepkit.rings import _kron_signed\n"
+        "class Understated(int):\n"
+        "    def __abs__(self):\n"
+        "        return 1\n"
+        "a = [Understated(10 ** 6)] * 3\n"
+        "try:\n"
+        "    _kron_signed(a, a)\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "raised\n"), res.stderr
 
 
 @given(SMALL, SMALL)
