@@ -246,11 +246,6 @@ def _run_hensel(args):
     return rep, 0
 
 
-def _gap_work_ring(spec, K):
-    kind = "zp" if spec.characteristic == "zero" else "fpt"
-    return make_ring(kind, spec.p, K)
-
-
 def _run_gap(args):
     spec = _load_spec(args.spec) if args.op != "probe" else None
     if args.op == "probe":
@@ -258,7 +253,7 @@ def _run_gap(args):
     if args.op == "root":
         if args.K is None:
             raise UsageError("gap root needs --K")
-        ring = _gap_work_ring(spec, args.K)
+        ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         rep = {"ring": jsonio.ring_to_json(ring),
                "lam": jsonio.elem_to_json(ring, lam),
@@ -274,7 +269,7 @@ def _run_gap(args):
     if args.op == "bound":
         if args.N is None or args.K is None:
             raise UsageError("gap bound needs --N and --K")
-        ring = _gap_work_ring(spec, args.K)
+        ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         bc = bound_check_prime(spec, lam, args.N, ring)
         rep = jsonio.bound_check_to_json(bc)
@@ -286,12 +281,10 @@ def _run_gap(args):
             raise UsageError("gap certify needs --N and --K")
         if not args.infile:
             raise UsageError("gap certify needs --in with a candidate")
-        exact = make_ring("z" if spec.characteristic == "zero"
-                          else "fpt_exact", spec.p)
         payload = _read_json(args.infile)
         has_ring = isinstance(payload, dict) and "ring" in payload
-        P = _load_poly(payload, None if has_ring else exact)
-        ring = _gap_work_ring(spec, args.K)
+        P = _load_poly(payload, None if has_ring else spec.exact_ring())
+        ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         rep_obj = certify_not_root(spec, lam, P, args.N, ring)
         rep = jsonio.cert_report_to_json(spec, rep_obj)
@@ -302,7 +295,7 @@ def _run_gap(args):
             raise UsageError("gap sweep needs --N and --K")
         D = args.degree_cap if args.degree_cap is not None else 2
         H = args.height_cap if args.height_cap is not None else 5
-        ring = _gap_work_ring(spec, args.K)
+        ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         summary = certify_family(spec, lam, D, H, args.N, ring)
         rep = jsonio.family_summary_to_json(spec, summary)

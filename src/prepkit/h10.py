@@ -14,7 +14,7 @@ import re
 import threading
 from dataclasses import dataclass
 
-from .errors import NonPrimeBase
+from .errors import InvariantViolation, NonPrimeBase
 from .rings import is_prime, make_ring
 from .series import OracleSeries
 
@@ -333,8 +333,10 @@ class FPOracle:
                 if self.underdetermined_beyond is None:
                     self.underdetermined_beyond = UnderdeterminedBeyond(
                         v.n, floor)
-                assert n.bit_length() <= floor, \
-                    "query beyond the sound-zero floor"
+                if n.bit_length() > floor:
+                    raise InvariantViolation(
+                        "index of %d bits is beyond the sound-zero floor of "
+                        "%d bits" % (n.bit_length(), floor))
                 return 0
             if v == n:
                 return 1

@@ -13,9 +13,9 @@ from fractions import Fraction
 from .errors import BadPrecision, UsageError
 from .h10 import FPOracle, make_dio, parse_dio_inline, parse_dio_text
 from .padic_analysis import GapSpec, build_gap_series
-from .resultant import Poly, make_poly
-from .rings import FpTRing, IntModRing, make_ring
-from .series import OracleSeries, Series, make_series
+from .resultant import make_poly
+from .rings import make_ring
+from .series import OracleSeries, make_series
 
 
 def dumps(obj):
@@ -172,12 +172,6 @@ def poly_from_json(d):
 
 # -------------------------------------------------------------- gap specs
 
-def _gap_coeff_to_json(spec, v):
-    if spec.characteristic == "zero":
-        return str(v)
-    return [int(x) for x in v]
-
-
 def _gap_coeff_from_json(char, v):
     if char == "zero":
         return int(v)
@@ -185,15 +179,16 @@ def _gap_coeff_from_json(char, v):
 
 
 def gapspec_to_json(spec):
+    # coefficients echo as given, padding digits included
+    ring = spec.exact_ring()
     a = {"kind": spec.a_rule["kind"]}
     if a["kind"] == "const_after":
-        a["a0"] = _gap_coeff_to_json(spec, spec.a_rule["a0"])
-        a["rest"] = _gap_coeff_to_json(spec, spec.a_rule["rest"])
+        a["a0"] = elem_to_json(ring, spec.a_rule["a0"])
+        a["rest"] = elem_to_json(ring, spec.a_rule["rest"])
     else:
-        a["values"] = [_gap_coeff_to_json(spec, v)
-                       for v in spec.a_rule["values"]]
+        a["values"] = [elem_to_json(ring, v) for v in spec.a_rule["values"]]
         if "rest" in spec.a_rule:
-            a["rest"] = _gap_coeff_to_json(spec, spec.a_rule["rest"])
+            a["rest"] = elem_to_json(ring, spec.a_rule["rest"])
     b = {"kind": spec.b_rule["kind"]}
     if b["kind"] == "explicit":
         b["values"] = [int(v) for v in spec.b_rule["values"]]
@@ -288,19 +283,12 @@ def bound_check_to_json(bc):
             "lam_val": str(bc.lam_val), "equality": bc.equality}
 
 
-def _gap_elem_json(spec, v):
-    if v is None:
-        return None
-    if spec.characteristic == "zero":
-        return str(v)
-    return [int(x) for x in v]
-
-
 def cert_report_to_json(spec, rep):
-    return {"candidate": [_gap_elem_json(spec, c) for c in rep.candidate],
+    ring = spec.exact_ring()
+    return {"candidate": [elem_to_json(ring, c) for c in rep.candidate],
             "N": str(rep.N), "b_next": str(rep.b_next),
             "phi_val": str(rep.phi_val),
-            "B": _gap_elem_json(spec, rep.B),
+            "B": elem_to_json(ring, rep.B),
             "B_val": None if rep.B_val is None else str(rep.B_val),
             "p_at_lam_val": (None if rep.p_at_lam_val is None
                              else str(rep.p_at_lam_val)),

@@ -29,7 +29,7 @@ from .errors import (
     PrecisionTooLow,
     SpecViolation,
 )
-from .rings import IntModRing, is_prime, make_ring, val_unit_decompose
+from .rings import is_prime, make_ring, val_unit_decompose
 from .resultant import Poly, make_poly, resultant
 from .series import OracleSeries, Series, evaluate
 from .weierstrass import WFactorization
@@ -65,6 +65,17 @@ class GapSpec:
         if self.characteristic == "p" and not self.C > 0:
             raise ValueError("growth constant must be positive")
 
+    def exact_ring(self):
+        """Where the coefficients live: Z in characteristic zero, F_p[t]
+        in characteristic p."""
+        kind = "z" if self.characteristic == "zero" else "fpt_exact"
+        return make_ring(kind, self.p)
+
+    def work_ring(self, K):
+        """The completion at precision K: Z_p or F_p[[t]]."""
+        kind = "zp" if self.characteristic == "zero" else "fpt"
+        return make_ring(kind, self.p, K)
+
 
 def reference_spec(characteristic="zero"):
     """The running example: p = 2, a_0 the uniformizer, unit higher
@@ -86,6 +97,7 @@ class _GapView:
 
     def __init__(self, spec):
         self.spec = spec
+        self.exact = spec.exact_ring()
         self._bs = []
         self._checked_a = set()
 
@@ -127,38 +139,34 @@ class _GapView:
                 raise ValueError("explicit coefficient rule exhausted at %d" % n)
         else:
             raise ValueError("unknown coefficient rule %r" % rule["kind"])
+        # library callers may give decimal strings
         if self.spec.characteristic == "zero":
             return int(v)
-        return tuple(int(d) % self.spec.p for d in v)
-
-    def _is_zero(self, a):
-        return a == 0 if self.spec.characteristic == "zero" else not any(a)
-
-    def _val(self, a):
-        return self.exact_ring().val(a)
+        return self.exact.canon([int(d) for d in v])
 
     def a(self, n):
         v = self._raw_a(n)
         if n in self._checked_a:
             return v
         spec = self.spec
+        val = self.exact.val(v)
         if n == 0:
-            if self._is_zero(v) or self._val(v) < 1:
+            if val is None or val < 1:
                 raise SpecViolation(
                     "a_0 must be nonzero with positive valuation",
                     condition=1, index=0)
         elif n == spec.witness:
-            if self._is_zero(v) or self._val(v) != 0:
+            if val != 0:
                 raise SpecViolation(
                     "the witness coefficient a_%d must be a unit" % n,
                     condition=2, index=n)
-        if n >= 1 and not self._is_zero(v):
+        if n >= 1 and val is not None:
             bn = self.b(n)
             if spec.characteristic == "zero":
                 lhs = abs(v) * spec.kappa.denominator * spec.C.denominator ** bn
                 rhs = spec.kappa.numerator * spec.C.numerator ** bn
             else:
-                lhs = (len(v) - 1) * spec.C.denominator
+                lhs = self.exact.deg(v) * spec.C.denominator
                 rhs = spec.C.numerator * bn
             if lhs > rhs:
                 raise SpecViolation(
@@ -178,12 +186,13 @@ class _GapView:
         as well as at its own exponent."""
         self.validate_core()
         out = []
+        is_zero = self.exact.is_zero
         a0 = self.a(0)
-        if not self._is_zero(a0):
+        if not is_zero(a0):
             out.append((0, a0))
         if emax >= 1:
             a1 = self.a(1)
-            if not self._is_zero(a1):
+            if not is_zero(a1):
                 out.append((1, a1))
         m = 1
         while True:
@@ -191,18 +200,10 @@ class _GapView:
             if bm > emax:
                 break
             am = self.a(m)
-            if not self._is_zero(am):
+            if not is_zero(am):
                 out.append((bm, am))
             m += 1
         return out
-
-    def exact_ring(self):
-        kind = "z" if self.spec.characteristic == "zero" else "fpt_exact"
-        return make_ring(kind, self.spec.p)
-
-    def work_ring(self, K):
-        kind = "zp" if self.spec.characteristic == "zero" else "fpt"
-        return make_ring(kind, self.spec.p, K)
 
 
 def build_gap_series(spec):
@@ -210,7 +211,7 @@ def build_gap_series(spec):
     the configured budget."""
     view = _GapView(spec)
     view.validate_core()
-    ring = view.exact_ring()
+    ring = view.exact
 
     def coeff(e):
         if e == 0:
@@ -243,17 +244,11 @@ def phi_truncation(spec, N, budget=None):
     if bN > cap:
         raise BudgetExceeded("Phi_%d needs degree %d, budget is %d"
                              % (N, bN, cap), needed=bN, budget=cap)
-    ring = view.exact_ring()
+    ring = view.exact
     dense = [ring.zero()] * (bN + 1)
     for e, c in view.sparse_terms_upto(bN):
         dense[e] = ring.add(dense[e], ring.canon(c))
     return make_poly(ring, dense)
-
-
-def _to_work(view, ring, c):
-    if view.spec.characteristic == "zero":
-        return ring.from_int(c)
-    return ring.from_digits(c)
 
 
 def _sparse_eval(view, ring, terms, lam):
@@ -263,7 +258,7 @@ def _sparse_eval(view, ring, terms, lam):
     acc = ring.zero()
     e0 = 0
     for e, c in terms:
-        term = _to_work(view, ring, c)
+        term = ring.canon(c)
         if e:
             if e0 == 0:
                 power = ring.pow(lam, e)
@@ -286,24 +281,21 @@ def small_root_of_gap(spec, K):
         raise ValueError("precision must be positive")
     view = _GapView(spec)
     view.validate_core()
-    a1 = view.a(1)
-    if view._is_zero(a1) or view._val(a1) != 0:
+    exact = view.exact
+    if exact.val(view.a(1)) != 0:
         terms = view.sparse_terms_upto(view.b(max(spec.witness, 1)))
-        n = next((e for e, c in terms if view._val(c) == 0), None)
+        n = next((e for e, c in terms if exact.val(c) == 0), None)
         raise DegreeAboveOne(
             "the coefficient at x is not a unit; reduction index is %s" % n,
             reduction_index=n)
-    ring = view.work_ring(K)
+    ring = spec.work_ring(K)
     terms = view.sparse_terms_upto(max(K - 1, 1))
     dterms = []
     for e, c in terms:
         if e == 0:
             continue
-        if spec.characteristic == "zero":
-            dc = e * c
-        else:
-            dc = tuple(d * (e % spec.p) % spec.p for d in c)
-        if not view._is_zero(dc):
+        dc = exact.mul(exact.from_int(e), c)
+        if not exact.is_zero(dc):
             dterms.append((e - 1, dc))
 
     def lift(k):
@@ -366,18 +358,12 @@ class _SeriesFunc:
         self.deriv = Series(ring, max(m - 1, 1),
                             tuple(dc) if dc else (ring.zero(),))
 
-    def _lift(self, ring, x):
-        sring = self.series.ring
-        if isinstance(sring, IntModRing):
-            return x % sring.mod
-        return tuple(x) + (0,) * (sring.prec - len(x))
-
     def eval(self, ring, x):
-        v = evaluate(self.series, self._lift(ring, x), ring.prec)
+        v = evaluate(self.series, self.series.ring.canon(x), ring.prec)
         return ring.canon(v)
 
     def deriv_eval(self, ring, x):
-        v = evaluate(self.deriv, self._lift(ring, x), ring.prec)
+        v = evaluate(self.deriv, self.series.ring.canon(x), ring.prec)
         return ring.canon(v)
 
 
@@ -412,23 +398,25 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
         for _ in range(2 * K + 8):
             dv = fn.deriv_eval(ring, lam)
             vd2, unit = val_unit_decompose(ring, dv)
-            step = ring.mul(fv, ring.invert_unit(unit))
-            if isinstance(ring, IntModRing):
-                pv = ring.p ** vd2
-                assert step % pv == 0
-                step //= pv
-            else:
-                assert not any(step[:vd2])
-                step = tuple(step[vd2:]) + (0,) * vd2
-            lam = ring.sub(lam, step)
+            # f(x) / f'(x) = (f(x) / unit) / pi^vd2, which needs vf >= vd2
+            if vf < vd2:
+                raise InvariantViolation(
+                    "the Newton step has valuation %d, below v(f'(x)) = %d"
+                    % (vf, vd2))
+            hi = ring.split([ring.mul(fv, ring.invert_unit(unit))], vd2)[1]
+            lam = ring.sub(lam, ring.join(hi, None, K - vd2)[0])
             trace.append(lam)
             fv = fn.eval(ring, lam)
             if ring.is_zero(fv):
                 break
             vf = ring.val(fv)
-            assert vf > prev_vf, "no valuation progress"
+            if vf <= prev_vf:
+                raise InvariantViolation("no valuation progress: v(f(x)) "
+                                         "went from %d to %d" % (prev_vf, vf))
             prev_vf = vf
-        assert ring.is_zero(fv), "lifting did not converge"
+        if not ring.is_zero(fv):
+            raise InvariantViolation("lifting did not converge at precision "
+                                     "%d" % K)
     return (lam, trace) if with_trace else lam
 
 
@@ -449,7 +437,7 @@ def _phi_val_at(view, lam, N, ring):
     if vlam is None or vlam < 1:
         raise PointNotSmall("the root must have positive valuation")
     bN1 = view.b(N + 1)
-    va = view._val(view.a(N + 1))
+    va = view.exact.val(view.a(N + 1))
     if va is None:
         raise SpecViolation("the tail head a_%d vanishes; the bound needs "
                             "it nonzero" % (N + 1), condition="tail",
@@ -531,15 +519,22 @@ class CertificateReport:
 def _candidate_L(spec, P):
     if spec.characteristic == "zero":
         return (P.degree + 1) * max(abs(c) for c in P.coeffs) ** 2
-    return max(len(c) - 1 for c in P.coeffs if c)
+    return max(map(P.ring.deg, P.coeffs))
 
 
-def _candidate_margin(view, P, N, lam_val):
+def _phi_tdegree(view, N):
+    """aPhi: the largest t-degree among Phi_N's coefficients."""
+    deg = view.exact.deg
+    return max((deg(c) for _, c in view.sparse_terms_upto(view.b(N))),
+               default=0)
+
+
+def _candidate_margin(view, P, N, truncation):
     spec = view.spec
+    _, _, lam_val, aPhi = truncation
     bN, bN1 = view.b(N), view.b(N + 1)
     if spec.characteristic == "zero":
         return _margin_char0(spec, lam_val, bN, bN1, _candidate_L(spec, P))
-    aPhi = max((len(c) - 1 for _, c in view.sparse_terms_upto(bN)), default=0)
     return _margin_charp(lam_val, bN, bN1, _candidate_L(spec, P), aPhi,
                          P.degree)
 
@@ -550,10 +545,12 @@ def _p_at_lam_val(P, lam, ring):
 
 def _truncation_data(view, lam, N, ring):
     """What every candidate's certificate shares: Phi_N (BudgetExceeded
-    past the budget), the valuation of Phi_N(lambda) and val(lambda)."""
+    past the budget), the valuation of Phi_N(lambda), val(lambda) and,
+    in characteristic p, aPhi."""
     phi = phi_truncation(view.spec, N)
     phi_val, _, _, vlam = _phi_val_at(view, lam, N, ring)
-    return phi, phi_val, vlam
+    aPhi = _phi_tdegree(view, N) if view.spec.characteristic == "p" else None
+    return phi, phi_val, vlam, aPhi
 
 
 def certify_not_root(spec, lam, P, N, ring):
@@ -564,7 +561,7 @@ def certify_not_root(spec, lam, P, N, ring):
         raise ValueError("candidates must be nonconstant")
     view = _GapView(spec)
     view.validate_core()
-    exact = view.exact_ring()
+    exact = view.exact
     if P.ring != exact:
         if P.ring.kind != exact.kind or P.ring.p not in (None, exact.p):
             raise ValueError("candidate ring %r does not match the series"
@@ -574,13 +571,13 @@ def certify_not_root(spec, lam, P, N, ring):
 
 
 def _certify(view, lam, P, N, ring, truncation):
-    phi, phi_val, vlam = truncation
+    phi, phi_val = truncation[:2]
     B = resultant(P, phi)
-    margin = _candidate_margin(view, P, N, vlam)
-    if view._is_zero(B):
+    margin = _candidate_margin(view, P, N, truncation)
+    B_val = view.exact.val(B)
+    if B_val is None:
         return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B,
                                  None, None, VERDICT_SHARED, margin)
-    B_val = view._val(B)
     pl_val = _p_at_lam_val(P, lam, ring)
     if B_val < phi_val:
         verdict = VERDICT_CERTIFIED
@@ -604,8 +601,7 @@ def family_margin(spec, D, H, N, lam_val=1):
     bN, bN1 = view.b(N), view.b(N + 1)
     if spec.characteristic == "zero":
         return _margin_char0(spec, lam_val, bN, bN1, (D + 1) * H * H)
-    aPhi = max((len(c) - 1 for _, c in view.sparse_terms_upto(bN)), default=0)
-    return _margin_charp(lam_val, bN, bN1, H, aPhi, D)
+    return _margin_charp(lam_val, bN, bN1, H, _phi_tdegree(view, N), D)
 
 
 def enumerate_family(spec, D, H):
@@ -640,10 +636,10 @@ def _structural_charp_certificate(view, N):
     smaller degree can share a factor."""
     if view.spec.p != 2:
         return False
+    R = view.exact
     terms = view.sparse_terms_upto(view.b(N))
-    if any(len(c) > 2 for _, c in terms):
+    if any(R.deg(c) > 1 for _, c in terms):
         return False
-    R = view.exact_ring()
     A0 = [0] * (view.b(N) + 1)
     A1 = [0] * (view.b(N) + 1)
     for e, c in terms:
@@ -679,8 +675,7 @@ def certify_family(spec, lam, D, H, N, ring):
     if total == 0:
         return FamilySummary(0, 0, 0, 0, "empty", 0, None, None, (),
                              fam_margin)
-    exact = view.exact_ring()
-    polys = [make_poly(exact, list(c)) for c in cands]
+    polys = [make_poly(view.exact, list(c)) for c in cands]
     stride = max(total // 16, 1)
     sample_idx = set(range(0, total, stride))
     truncation = _truncation_data(view, lam, N, ring)
@@ -722,11 +717,9 @@ def _family_structural(view, lam, polys, N, ring, truncation, sample_idx,
     covers nonvanishing of every B; per-candidate work reduces to the
     valuation of P(lambda), plus exact resultants on the sample."""
     bN, bN1 = view.b(N), view.b(N + 1)
-    vlam = ring.val(lam)
-    aPhi = max((len(c) - 1 for _, c in view.sparse_terms_upto(bN)),
-               default=0)
+    _, _, vlam, aPhi = truncation
     deg_cap = max(p.degree for p in polys)
-    h_cap = max(max(len(c) - 1 for c in p.coeffs if c) for p in polys)
+    h_cap = max(_candidate_L(view.spec, P) for P in polys)
     tdeg_bound = h_cap * bN + aPhi * deg_cap
     if not (bN1 * vlam > tdeg_bound and deg_cap < bN):
         return _family_percandidate(view, lam, polys, N, ring, truncation,
@@ -766,21 +759,23 @@ def gap_linear_factor(spec, K):
     built by one suffix sweep instead of the generic iteration."""
     view = _GapView(spec)
     lam = small_root_of_gap(spec, K)
-    ring = view.work_ring(K)
+    ring = spec.work_ring(K)
     dense = [ring.zero()] * K
     for e, c in view.sparse_terms_upto(K - 1):
-        dense[e] = ring.add(dense[e], _to_work(view, ring, c))
+        dense[e] = ring.add(dense[e], ring.canon(c))
     U = [ring.zero()] * K
     cur = ring.zero()
     for k in range(K - 1, -1, -1):
         nxt = dense[k + 1] if k + 1 < K else ring.zero()
         cur = ring.add(ring.mul(lam, cur), nxt)
         U[k] = cur
-    assert ring.val(U[0]) == 0, "cofactor must be a unit series"
+    if ring.val(U[0]) != 0:
+        raise InvariantViolation("the cofactor is not a unit series")
     # (x - lam) * U == f on the window
-    assert ring.mul(ring.neg(lam), U[0]) == dense[0]
-    for k in range(1, K):
-        got = ring.sub(U[k - 1], ring.mul(lam, U[k]))
-        assert got == dense[k], "cofactor identity fails at %d" % k
+    for k in range(K):
+        got = ring.sub(U[k - 1] if k else ring.zero(), ring.mul(lam, U[k]))
+        if got != dense[k]:
+            raise InvariantViolation("the cofactor identity fails at %d" % k,
+                                     index=k)
     P = (ring.neg(lam), ring.one())
     return WFactorization(0, 1, P, Series(ring, K, tuple(U)), ring, K)

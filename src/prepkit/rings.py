@@ -2,9 +2,9 @@
 
 Five kinds share one element protocol. Elements are plain canonical
 Python values (ints for p-adic and integer kinds, digit tuples for
-t-adic kinds), so the series and polynomial layers never inspect
-representations; rings own arithmetic, valuation, unit inversion, and
-bulk convolution.
+t-adic kinds), so the series, polynomial, gap and Hensel layers never
+inspect representations; rings own arithmetic, valuation, unit
+inversion, and bulk convolution.
 
 kind        ring                      element encoding
 zp          p-adic ints mod p^K       int in [0, p^K)
@@ -497,12 +497,6 @@ class IntModRing(Ring):
             return _pad((arr % self.mod).tolist(), out_len)
         return _pad(_kron_unsigned(a, b, self.mod), out_len)
 
-    def elem_to_json(self, r):
-        return str(r)
-
-    def elem_from_json(self, obj):
-        return int(obj) % self.mod
-
 
 class FpTRing(Ring):
     """Truncated power series F_p[[t]] mod t^K; elements are tuples of
@@ -639,12 +633,6 @@ class FpTRing(Ring):
         out = [tuple(row) for row in (C[:rows, :K] % p).tolist()]
         return out + [self.zero()] * (out_len - rows)
 
-    def elem_to_json(self, r):
-        return [int(d) for d in r]
-
-    def elem_from_json(self, obj):
-        return self.from_digits(tuple(int(d) for d in obj))
-
 
 class ZpRing(IntModRing):
     kind = "zp"
@@ -723,12 +711,6 @@ class ExactZRing(Ring):
         if arr is not None:
             return _pad(arr.tolist(), out_len)
         return _pad(_kron_signed(a, b), out_len)
-
-    def elem_to_json(self, r):
-        return str(r)
-
-    def elem_from_json(self, obj):
-        return int(obj)
 
 
 class ExactFpTRing(Ring):
@@ -830,12 +812,6 @@ class ExactFpTRing(Ring):
         while b:
             a, b = b, self.divmod(a, b)[1]
         return self.monic(a)
-
-    def elem_to_json(self, r):
-        return [int(d) for d in r]
-
-    def elem_from_json(self, obj):
-        return self.from_digits(tuple(int(d) for d in obj))
 
 
 _KINDS = ("zp", "fpt", "zmodpk", "z", "fpt_exact")

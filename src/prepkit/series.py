@@ -281,35 +281,14 @@ def detect_periodic_01(source, budget):
     return RationalityVerdict("irrational_at_budget", budget=budget)
 
 
-class _PrimeField:
-    def __init__(self, p):
-        self.p = p
-
-    def zero(self):
-        return 0
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def lift(self, ring, c):
-        return c % self.p
-
-
 class _FractionField:
+    """Q over Z; like _RatFuncField, it takes the Ring method names."""
+
     def zero(self):
         return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
 
     def is_zero(self, a):
         return a == 0
@@ -323,10 +302,10 @@ class _FractionField:
     def sub(self, a, b):
         return a - b
 
-    def inv(self, a):
+    def invert_unit(self, a):
         return 1 / a
 
-    def lift(self, ring, c):
+    def canon(self, c):
         return Fraction(c)
 
 
@@ -356,6 +335,9 @@ class _RatFuncField:
     def zero(self):
         return ((), (1,))
 
+    def one(self):
+        return ((1,), (1,))
+
     def is_zero(self, a):
         return not a[0]
 
@@ -373,17 +355,18 @@ class _RatFuncField:
         num = R.sub(R.mul(a[0], b[1]), R.mul(b[0], a[1]))
         return self._norm(num, R.mul(a[1], b[1]))
 
-    def inv(self, a):
+    def invert_unit(self, a):
         assert a[0]
         return self._norm(a[1], a[0])
 
-    def lift(self, ring, c):
+    def canon(self, c):
         return (self.R.canon(c), (1,))
 
 
 def _recurrence_field(ring):
+    # Z/p at precision 1 is the field itself
     if isinstance(ring, IntModRing) and ring.prec == 1:
-        return _PrimeField(ring.p)
+        return ring
     if isinstance(ring, ExactZRing):
         return _FractionField()
     if isinstance(ring, ExactFpTRing):
@@ -413,8 +396,8 @@ def detect_recurrence(f, max_order):
     if m < 2 * max_order + 2:
         raise WindowTooSmall("window %d is below 2*%d+2" % (m, max_order),
                              have=m, needed=2 * max_order + 2)
-    c = [F.lift(ring, x) for x in f.coeffs]
-    one = _field_one(F)
+    c = [F.canon(x) for x in f.coeffs]
+    one = F.one()
     # C is the current connection polynomial, B the one before the last
     # length change, b the discrepancy that forced that change and
     # shift the x-power between them; len(C) <= L + 1 throughout.
@@ -426,7 +409,7 @@ def detect_recurrence(f, max_order):
         if F.is_zero(delta):
             shift += 1
             continue
-        coef = F.mul(delta, F.inv(b))
+        coef = F.mul(delta, F.invert_unit(b))
         T = C
         C = C + [F.zero()] * (shift + len(B) - len(C))
         for i, y in enumerate(B):
@@ -440,11 +423,3 @@ def detect_recurrence(f, max_order):
     d = max(L, 1)
     q = tuple(C) + (F.zero(),) * (d + 1 - len(C))
     return RationalityVerdict("rational", d=d, s=0, q=q, budget=m)
-
-
-def _field_one(F):
-    if isinstance(F, _PrimeField):
-        return 1 % F.p
-    if isinstance(F, _FractionField):
-        return Fraction(1)
-    return ((1,), (1,))

@@ -4,6 +4,7 @@ documented exit codes (0 conclusive, 2 inconclusive at budget,
 1 errors)."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,8 +12,11 @@ import sys
 import pytest
 
 import oracles
+import prepkit
 from prepkit import cli, jsonio, make_ring, make_series
 from prepkit.errors import UsageError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args, env=None):
@@ -319,6 +323,86 @@ def test_hensel_verb(tmp_path):
     res2 = run_cli("hensel", "--ring", "zp:5:3", "--in", str(h2))
     assert res2.returncode == 1
     assert json.loads(res2.stderr)["error"]["type"] == "HenselConditionFails"
+
+
+@pytest.mark.parametrize("ring, payload, root, trace", [
+    # x^2 - 17 over Z_2: f'(1) = 2 has valuation 1, so each Newton step
+    # divides f(x) by 2 before the unit inverse
+    ("zp:2:12", {"poly": ["-17", "0", "1"], "x0": "1"}, "3817",
+     ["1", "2057", "233", "3817"]),
+    # x^2 + t x + t^3 over F_2[[t]]: f'(0) = t, again valuation 1
+    ("fpt:2:12", {"poly": [[0, 0, 0, 1], [0, 1], [1]], "x0": [0]},
+     [0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0],
+     [[0] * 12, [0, 0, 1] + [0] * 9, [0, 0, 1, 1] + [0] * 8,
+      [0, 0, 1, 1, 0, 1] + [0] * 6, [0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0]]),
+], ids=["zp", "fpt"])
+def test_hensel_golden_with_non_unit_derivative(tmp_path, ring, payload,
+                                                root, trace):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(payload))
+    res = run_cli("hensel", "--ring", ring, "--in", str(h))
+    assert res.returncode == 0, res.stderr
+    rep = report_of(res)
+    assert (rep["root"], rep["trace"]) == (root, trace)
+
+
+def test_gap_spec_digits_are_polynomials(tmp_path):
+    # [1, 0, 0, 0, 0, 0] is the same element of F_2[t] as [1]: padding
+    # digits count for neither the growth cap nor the root, and the
+    # config still echoes each spec as given
+    reports = {}
+    for rest in ([1], [1, 0, 0, 0, 0, 0]):
+        spec = {"char": "p", "p": 2, "b": {"kind": "pow2_nsq"}, "C": "2",
+                "kappa": "2",
+                "a": {"kind": "const_after", "a0": [0, 1], "rest": rest}}
+        path = tmp_path / ("spec%d.json" % len(rest))
+        path.write_text(json.dumps(spec))
+        got = []
+        for argv in (["root", "--K", "8"],
+                     ["sweep", "--N", "1", "--K", "40", "--degree-cap", "1",
+                      "--height-cap", "1"]):
+            res = run_cli("gap", *argv, "--spec", str(path))
+            assert res.returncode == 0, res.stderr
+            rep = report_of(res)
+            assert rep["config"]["spec"]["a"]["rest"] == rest
+            del rep["config"]
+            got.append(rep)
+        reports[len(rest)] = got
+    assert reports[1] == reports[6]
+    root, sweep = reports[1]
+    assert root["lam"] == [0, 1, 1, 0, 1, 0, 0, 0]
+    assert (sweep["route"], sweep["certified"], sweep["total"]) == (
+        "structural", "12", "12")
+
+
+# prepkit as a shell function: each call leaves its exit code, stdout
+# and stderr in numbered files
+_PREPKIT_SHIM = """set -e
+n=0
+prepkit() {
+  n=$((n + 1))
+  "$PY" -m prepkit "$@" > out$n 2> err$n && echo 0 > code$n || echo $? > code$n
+}
+"""
+
+
+def test_readme_cli_examples_run(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = sum(line.startswith("prepkit ") for line in block.splitlines())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prepkit.__file__)))
+    env = dict(os.environ, PY=sys.executable, PYTHONPATH=src)
+    res = subprocess.run(["bash", "-c", _PREPKIT_SHIM + block], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert calls == len(list(tmp_path.glob("code*"))) > 0
+    for i in range(1, calls + 1):
+        code = (tmp_path / ("code%d" % i)).read_text().strip()
+        assert code == "0", (i, (tmp_path / ("err%d" % i)).read_text())
+        lines = (tmp_path / ("out%d" % i)).read_text().splitlines()
+        assert len(lines) == 1
+        assert "config" in json.loads(lines[0])
 
 
 def test_gap_phi_budget_exit(tmp_path):

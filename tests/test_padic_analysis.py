@@ -366,6 +366,10 @@ except InvariantViolation:
 """
 
 
+_HENSEL = ('pa.hensel_lift(make_poly(make_ring("z", 2), [-17, 0, 1]), 1, 12, '
+           'ring=make_ring("zp", 2, 12))')
+
+
 @pytest.mark.parametrize("patch, call", [
     # v(Phi_1(lam)) below the tail bound 16, then above it although the
     # unit tail head forces equality
@@ -388,9 +392,28 @@ except InvariantViolation:
     ("pa._sparse_eval = lambda view, R, terms, x: "
      "R.sub(x, R.one()) if terms[0][1] == 2 else R.one()",
      "pa.small_root_of_gap(spec, 64)"),
+    # the Newton step on x^2 - 17 from 1: a derivative whose valuation
+    # exceeds v(f(x)) = 4, an f(x) that never gains valuation, and one
+    # that gains a unit of valuation per step without ever vanishing
+    ("pa.val_unit_decompose = lambda R, d: (20, R.one())", _HENSEL),
+    ("pa._PolyFunc.eval = lambda self, R, x: R.from_int(8)", _HENSEL),
+    ("pa._PolyFunc.eval = lambda self, R, x, "
+     "c=__import__('itertools').count(3): 2 ** next(c) + 2 ** 200", _HENSEL),
+    # the gap cofactor at K = 8, f = 2 + x + x^2 there: lam = 1 makes
+    # U_0 = 2 a non-unit, and lam = 0 breaks (x - lam) * U = f at x^0
+    ("pa.small_root_of_gap = lambda spec, K: 1",
+     "pa.gap_linear_factor(spec, 8)"),
+    ("pa.small_root_of_gap = lambda spec, K: 0",
+     "pa.gap_linear_factor(spec, 8)"),
+    # past its bit budget the oracle's zeros are sound only below the
+    # size floor, 799 bits here
+    ("from prepkit.h10 import FPOracle, parse_dio_inline",
+     "FPOracle(parse_dio_inline('x^2+1'), 2, 64).coeff(2 ** 900)"),
 ], ids=["tail_below_bound", "tail_above_equality", "certified_vanishes",
         "root_above_resultant", "root_derivative_not_unit",
-        "root_lift_diverges", "root_is_a_unit"])
+        "root_lift_diverges", "root_is_a_unit", "hensel_step_valuation",
+        "hensel_no_progress", "hensel_diverges", "cofactor_not_unit",
+        "cofactor_identity", "oracle_floor"])
 def test_certificate_guards_survive_optimize_flag(patch, call):
     res = subprocess.run([sys.executable, "-O", "-c",
                           _GUARD_CODE % (patch, call)],
