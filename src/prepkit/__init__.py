@@ -18,9 +18,9 @@ from .errors import (BadNormalization, BadPrecision, BothConstant,
                      ZeroAtPrecision, ZeroInput)
 from .rings import make_ring, val_unit_decompose
 from .series import (OracleSeries, RationalityVerdict, Series, comp_inverse,
-                     comp_inverse_newton, compose, detect_periodic_01,
-                     detect_recurrence, evaluate, make_series, series_add,
-                     series_invert, series_mul, series_sub)
+                     compose, detect_periodic_01, detect_recurrence, evaluate,
+                     make_series, series_add, series_invert, series_mul,
+                     series_sub)
 from .weierstrass import (WFactorization, prepare, reduction_index,
                           strong_factor, weierstrass_divide)
 from .resultant import (BoundReport, Poly, hadamard_check, make_poly,

@@ -11,7 +11,6 @@ integer solvability.
 
 import math
 import re
-import threading
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NonPrimeBase
@@ -163,15 +162,11 @@ def _spiral_walk():
 
 _spiral_gen = _spiral_walk()
 _spiral_cache = []
-_spiral_lock = threading.Lock()
 
 
 def _spiral_point(n):
-    if n < len(_spiral_cache):
-        return _spiral_cache[n]
-    with _spiral_lock:
-        while len(_spiral_cache) <= n:
-            _spiral_cache.append(next(_spiral_gen))
+    while len(_spiral_cache) <= n:
+        _spiral_cache.append(next(_spiral_gen))
     return _spiral_cache[n]
 
 
@@ -230,7 +225,7 @@ class LazyBP:
     """Append-only memo of the recursion b(0) = 1,
     b(n) = b(n-1) + b(n-1)^E(n). Values stay exact until the bit
     budget bites; from there on every query at or past the cutoff
-    returns the same OverBudget marker. Thread-safe."""
+    returns the same OverBudget marker."""
 
     def __init__(self, P, bit_budget=DEFAULT_BIT_BUDGET):
         self.P = P
@@ -238,13 +233,8 @@ class LazyBP:
         self._values = [1]
         self._evals = []  # E(0), E(1), ... exact, unbudgeted
         self._over = None
-        self._lock = threading.Lock()
 
     def exponent(self, n):
-        with self._lock:
-            return self._exponent_locked(n)
-
-    def _exponent_locked(self, n):
         while len(self._evals) <= n:
             m = len(self._evals)
             prev = self._evals[-1] if m else 1
@@ -255,16 +245,15 @@ class LazyBP:
     def value(self, n):
         if n < 0:
             raise ValueError("index must be nonnegative")
-        with self._lock:
-            while len(self._values) <= n and self._over is None:
-                self._extend_locked()
-            if self._over is not None and n >= self._over.n:
-                return self._over
-            return self._values[n]
+        while len(self._values) <= n and self._over is None:
+            self._extend()
+        if self._over is not None and n >= self._over.n:
+            return self._over
+        return self._values[n]
 
-    def _extend_locked(self):
+    def _extend(self):
         m = len(self._values)
-        E = self._exponent_locked(m)
+        E = self.exponent(m)
         b = self._values[-1]
         if E == 0:
             self._values.append(b + 1)
@@ -286,8 +275,7 @@ class LazyBP:
         """(values, marker): every exactly known value, then the
         OverBudget marker or None if nothing has hit the budget yet
         among computed indices."""
-        with self._lock:
-            return list(self._values), self._over
+        return list(self._values), self._over
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ input schemas fix as ints (precision, window, budget) stay ints.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import BadPrecision, UsageError
@@ -79,7 +80,7 @@ def _elem_value(ring, v):
         if not isinstance(v, (list, tuple)):
             raise UsageError("element of %s must be a digit array" % ring.kind)
         return tuple(map(int, v))
-    if isinstance(v, bool) or isinstance(v, float):
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise UsageError("element must be an integer or decimal string")
     return int(v)
 
@@ -172,12 +173,6 @@ def poly_from_json(d):
 
 # -------------------------------------------------------------- gap specs
 
-def _gap_coeff_from_json(char, v):
-    if char == "zero":
-        return int(v)
-    return tuple(int(x) for x in v)
-
-
 def gapspec_to_json(spec):
     # coefficients echo as given, padding digits included
     ring = spec.exact_ring()
@@ -203,27 +198,30 @@ def gapspec_to_json(spec):
 def gapspec_from_json(d):
     if not isinstance(d, dict) or "char" not in d:
         raise UsageError("gap spec needs a char field")
-    char = d["char"]
-    araw = d.get("a", {})
-    a = {"kind": araw.get("kind")}
-    if a["kind"] == "const_after":
-        a["a0"] = _gap_coeff_from_json(char, araw["a0"])
-        a["rest"] = _gap_coeff_from_json(char, araw["rest"])
-    elif a["kind"] == "explicit":
-        a["values"] = [_gap_coeff_from_json(char, v) for v in araw["values"]]
-        if "rest" in araw:
-            a["rest"] = _gap_coeff_from_json(char, araw["rest"])
-    else:
-        raise UsageError("unknown coefficient rule %r" % a["kind"])
     braw = d.get("b", {})
     b = {"kind": braw.get("kind")}
     if b["kind"] == "explicit":
         b["values"] = [int(v) for v in braw["values"]]
     elif b["kind"] != "pow2_nsq":
         raise UsageError("unknown exponent rule %r" % b["kind"])
-    return GapSpec(char, int(d.get("p", 2)), a, b,
+    spec = GapSpec(d["char"], int(d.get("p", 2)), {}, b,
                    Fraction(d.get("C", "2")), Fraction(d.get("kappa", "2")),
                    int(d.get("budget", 65536)), int(d.get("witness", 1)))
+    # coefficients decode as elements of the spec's exact ring, kept as
+    # given (before canon) so that the report echoes them
+    ring = spec.exact_ring()
+    araw = d.get("a", {})
+    a = {"kind": araw.get("kind")}
+    if a["kind"] == "const_after":
+        a["a0"] = _elem_value(ring, araw["a0"])
+        a["rest"] = _elem_value(ring, araw["rest"])
+    elif a["kind"] == "explicit":
+        a["values"] = [_elem_value(ring, v) for v in araw["values"]]
+        if "rest" in araw:
+            a["rest"] = _elem_value(ring, araw["rest"])
+    else:
+        raise UsageError("unknown coefficient rule %r" % a["kind"])
+    return replace(spec, a_rule=a)
 
 
 # ------------------------------------------------------------- h10 inputs

@@ -28,6 +28,10 @@ with stdlib arrays while every output digit fits 4 bytes, numpy up to
 int64, and Kronecker with wide limbs past that. numpy, and numpy.fft
 with it, is imported inside the lanes that use it, so it loads on
 first use: the gap and rationality paths never load it.
+
+Ring.matmul is the block matrix product of series composition: a numpy
+int64 matmul over zp, zmodpk and fpt while no sum can reach 2^63, and
+object ints past that and over z.
 """
 
 import sys
@@ -389,12 +393,6 @@ class Ring:
                 return self.one() if r is None else r
             a = self.mul(a, a)
 
-    def sum(self, items):
-        acc = self.zero()
-        for x in items:
-            acc = self.add(acc, x)
-        return acc
-
     def convolve_ref(self, a, b, out_len):
         """Quadratic reference convolution; ground truth for the fast
         kernels in property tests."""
@@ -412,6 +410,20 @@ class Ring:
 
     def convolve(self, a, b, out_len):
         return self.convolve_ref(a, b, out_len)
+
+    def matmul(self, A, B):
+        """The matrix product A·B of row lists, A with len(B) columns:
+        the block product of Brent-Kung composition. This generic route
+        runs on the element operations."""
+        out = []
+        for row in A:
+            acc = [self.zero()] * len(B[0])
+            for x, brow in zip(row, B):
+                if not self.is_zero(x):
+                    acc = [self.add(c, self.mul(x, y))
+                           for c, y in zip(acc, brow)]
+            out.append(acc)
+        return out
 
 
 class IntModRing(Ring):
@@ -488,6 +500,14 @@ class IntModRing(Ring):
             return list(lo)
         ps = self.p ** s
         return [a + ps * b for a, b in zip(lo, hi)]
+
+    def matmul(self, A, B):
+        """A numpy int64 matmul while len(B) * (mod - 1)^2 < 2^63, where
+        no sum can wrap, and object ints past that."""
+        import numpy as np
+        dt = np.int64 if len(B) * (self.mod - 1) ** 2 < 1 << 63 else object
+        C = np.array(A, dtype=dt) @ np.array(B, dtype=dt)
+        return (C % self.mod).tolist()
 
     def convolve(self, a, b, out_len):
         if not a or not b:
@@ -592,6 +612,23 @@ class FpTRing(Ring):
             pad = (0,) * (self.prec - s)
             return [a + pad for a in lo]
         return [a + b for a, b in zip(lo, hi)]
+
+    def matmul(self, A, B):
+        """Entries multiply as polynomials in t cut at t^K, so digit d of
+        C = A·B is the sum over a + b = d of the digit matrices' products
+        A_a·B_b: K^2 digit matmuls, run as K matmuls of A_a against all
+        of B's digits. A sum has at most len(B)·K terms below (p - 1)^2:
+        int64 while that bound is below 2^63, object ints past it."""
+        import numpy as np
+        p, K = self.p, self.prec
+        r, k, m = len(A), len(B), len(B[0])
+        dt = np.int64 if k * K * (p - 1) ** 2 < 1 << 63 else object
+        FA = np.array(A, dtype=dt).reshape(r, k, K)
+        GB = np.array(B, dtype=dt).reshape(k, m * K)
+        C = np.zeros((r, m, K), dtype=dt)
+        for a in range(K):
+            C[:, :, a:] += (FA[:, :, a] @ GB).reshape(r, m, K)[:, :, :K - a]
+        return [[tuple(e) for e in row] for row in (C % p).tolist()]
 
     def convolve(self, a, b, out_len):
         """Rows of K digits multiply as polynomials over Z[t], packed
@@ -703,6 +740,11 @@ class ExactZRing(Ring):
 
     def pow(self, a, e):
         return a ** e
+
+    def matmul(self, A, B):
+        """Object ints, as entries are unbounded."""
+        import numpy as np
+        return (np.array(A, dtype=object) @ np.array(B, dtype=object)).tolist()
 
     def convolve(self, a, b, out_len):
         if not any(a) or not any(b):

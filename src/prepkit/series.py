@@ -2,16 +2,28 @@
 
 A Series is an immutable window of x_prec coefficients. An OracleSeries
 wraps a deterministic coefficient rule and materializes windows on
-demand; memoization is append-only, so concurrent readers are safe.
+demand, memoizing each coefficient it computes; it takes no lock.
 
 Operations: add, sub, mul, unit inversion, composition, compositional
 inverse, evaluation at a small point, and two rationality detectors
 (eventual 0/1 periodicity and linear recurrence over a fraction field).
+
+Every product is one Ring.convolve. Unit inversion is Newton doubling
+that solves only the unknown half of each window. Composition on a
+window of m is Brent and Kung's baby-step/giant-step algorithm (J. ACM
+25 (1978), Alg. 2.1): about 2*sqrt(m) products plus one block product,
+Ring.matmul, of f's coefficient chunks against g's baby powers. That
+block product is a numpy int64 matmul over zp and zmodpk while
+k*(p^K - 1)^2 < 2^63 and over fpt while k*K*(p - 1)^2 < 2^63, for
+k = ceil(sqrt(m)) baby powers, and runs on object ints past those
+bounds and over z. The compositional inverse is Newton reversion on
+that composition, g <- g - (f(g) - x)/f'(g), doubling the window each
+step.
 """
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     BadNormalization,
@@ -70,7 +82,6 @@ class OracleSeries:
         self.fn = fn
         self.x_prec = x_prec
         self._memo = {}
-        self._lock = threading.Lock()
 
     def coeff(self, n):
         if not 0 <= n < self.x_prec:
@@ -78,12 +89,9 @@ class OracleSeries:
                 "index %d outside oracle window %d" % (n, self.x_prec),
                 needed=n + 1, have=self.x_prec)
         memo = self._memo
-        if n in memo:
-            return memo[n]
-        v = self.ring.canon(self.fn(n))
-        with self._lock:
-            memo[n] = v
-        return v
+        if n not in memo:
+            memo[n] = self.ring.canon(self.fn(n))
+        return memo[n]
 
     def window(self, m):
         return [self.coeff(i) for i in range(m)]
@@ -125,17 +133,58 @@ def series_invert(f):
         inv0 = ring.invert_unit(f.coeffs[0])
     except Exception as ex:
         raise NotAUnitSeries("constant term is not a unit") from ex
-    m = f.x_prec
+    return Series(ring, f.x_prec, tuple(_invert(ring, list(f.coeffs), inv0)))
+
+
+def _invert(ring, fc, inv0):
+    """fc^-1 on its window, from inv0 = fc[0]^-1. If f·g = 1 + x^k·e
+    mod x^2k, then f^-1 = g - x^k·g·e mod x^2k: each step finds only
+    the unknown half."""
+    m = len(fc)
     g = [inv0]
-    win = 1
-    while win < m:
-        win = min(2 * win, m)
-        # g <- g * (2 - f * g) at the doubled window
-        fg = ring.convolve(list(f.coeffs[:win]), g, win)
-        two_minus = [ring.sub(ring.zero(), c) for c in fg]
-        two_minus[0] = ring.add(two_minus[0], ring.add(ring.one(), ring.one()))
-        g = ring.convolve(g, two_minus, win)
-    return Series(ring, m, tuple(g))
+    while len(g) < m:
+        k = len(g)
+        win = min(2 * k, m)
+        e = ring.convolve(fc[:win], g, win)[k:]
+        g += [ring.neg(c) for c in ring.convolve(g[:win - k], e, win - k)]
+    return g
+
+
+def _compose(ring, outers, g):
+    """[f(g) mod x^n for f, n in outers], for a window g of m >= n
+    coefficients with g(0) = 0, by Brent and Kung's baby-step/giant-step
+    composition (J. ACM 25 (1978), Alg. 2.1). With k = ceil(sqrt(m)),
+    f = sum_i F_i x^(ik) with deg F_i < k, so f(g) = sum_i F_i(g)·h^i
+    for h = g^k. Every F_i(g), for all outers at once, comes from one
+    block product of their coefficient chunks against the baby powers
+    g^0 .. g^(k-1); the sum is Horner's rule in h. As h^i vanishes mod
+    x^(ik), step i works mod x^(n - ik)."""
+    m = len(g)
+    zero = ring.zero()
+    k = isqrt(m - 1) + 1
+    powers = [[ring.one()] + [zero] * (m - 1)]
+    for _ in range(k - 1):
+        powers.append(ring.convolve(powers[-1], g, m))
+    rows, firsts = [], []
+    for f, n in outers:
+        f = list(f[:n]) + [zero] * (-n % k)
+        firsts.append(len(rows))
+        rows += [f[i:i + k] for i in range(0, n, k)]
+    blocks = ring.matmul(rows, powers)
+    if any(n > k for _, n in outers):
+        h = ring.convolve(powers[-1], g, m)
+    out = []
+    for first, (_, n) in zip(firsts, outers):
+        top = (n - 1) // k
+        acc = blocks[first + top][:n - top * k]
+        for i in range(top - 1, -1, -1):
+            # acc <- F_i(g) + h·acc mod x^L, with h = x^k·h[k:]
+            L = n - i * k
+            hacc = ring.convolve(acc, h[k:L], L - k)
+            b = blocks[first + i]
+            acc = b[:k] + [ring.add(x, y) for x, y in zip(b[k:L], hacc)]
+        out.append(acc)
+    return out
 
 
 def compose(f, g):
@@ -143,61 +192,33 @@ def compose(f, g):
     ring, m = _common(f, g)
     if not ring.is_zero(g.coeffs[0]):
         raise NonzeroConstantInner("inner series has nonzero constant term")
-    gcut = list(g.coeffs[:m])
-    acc = [ring.zero()] * m
-    for k in range(m - 1, -1, -1):
-        acc = ring.convolve(acc, gcut, m)
-        acc[0] = ring.add(acc[0], f.coeffs[k])
-    return Series(ring, m, tuple(acc))
+    fg, = _compose(ring, [(f.coeffs, m)], list(g.coeffs[:m]))
+    return Series(ring, m, tuple(fg))
 
 
 def comp_inverse(f):
-    """Compositional inverse of f = x + higher order terms, by the
-    triangular relation g_n = -sum_{k<n} g_k [x^n] f^k."""
+    """Compositional inverse of f = x + higher order terms by Newton
+    reversion (Brent and Kung 1978): if g inverts f mod x^w, then
+    g - (f(g) - x)/f'(g) inverts it mod x^2w. As f(g) - x vanishes mod
+    x^w, f'(g) is needed mod x^w only; it is a unit in every
+    characteristic, since f'(0) = 1. f(g) and f'(g) share g's baby
+    powers and one block product."""
     ring = f.ring
     m = f.x_prec
     if not ring.is_zero(f.coeffs[0]):
         raise BadNormalization("constant term must be zero")
     if m < 2 or f.coeffs[1] != ring.one():
         raise BadNormalization("linear coefficient must be one")
-    fc = list(f.coeffs)
-    powers = [None, fc]
-    for k in range(2, m):
-        powers.append(ring.convolve(powers[-1], fc, m))
+    df = [ring.mul(ring.from_int(i), f.coeffs[i]) for i in range(1, m)]
     g = [ring.zero(), ring.one()]
-    for n in range(2, m):
-        s = ring.sum(ring.mul(g[k], powers[k][n]) for k in range(1, n))
-        g.append(ring.neg(s))
+    while len(g) < m:
+        w = len(g)
+        win = min(2 * w, m)
+        fg, dfg = _compose(ring, [(f.coeffs, win), (df, win - w)],
+                           g + [ring.zero()] * (win - w))
+        inv = _invert(ring, dfg, ring.invert_unit(dfg[0]))
+        g += [ring.neg(c) for c in ring.convolve(fg[w:], inv, win - w)]
     return Series(ring, m, tuple(g))
-
-
-def comp_inverse_newton(f):
-    """Same contract as comp_inverse via window-doubling Newton steps;
-    kept as an independent route for uniqueness checks."""
-    ring = f.ring
-    m = f.x_prec
-    if not ring.is_zero(f.coeffs[0]):
-        raise BadNormalization("constant term must be zero")
-    if m < 2 or f.coeffs[1] != ring.one():
-        raise BadNormalization("linear coefficient must be one")
-    fprime = [ring.mul(ring.from_int(k), f.coeffs[k]) for k in range(1, m)]
-    g = [ring.zero(), ring.one()]
-    win = 2
-    while win < m:
-        win = min(2 * win, m)
-        gs = Series(ring, win, tuple(g + [ring.zero()] * (win - len(g))))
-        err = series_sub(compose(f.truncate(win), gs), _identity(ring, win))
-        dfg = compose(Series(ring, win, tuple(fprime[:win - 1]) + (ring.zero(),)), gs)
-        step = series_mul(err, series_invert(dfg))
-        g = [ring.sub(a, b) for a, b in zip(gs.coeffs, step.coeffs)]
-    return Series(ring, m, tuple(g))
-
-
-def _identity(ring, m):
-    c = [ring.zero()] * m
-    if m > 1:
-        c[1] = ring.one()
-    return Series(ring, m, tuple(c))
 
 
 def evaluate(f, a, target_val_prec):

@@ -126,6 +126,56 @@ def lagrange_inverse(f, M):
 
 
 # ---------------------------------------------------------------------------
+# compositional inverse over Z, Z/p^K and F_p[[t]] by the triangular
+# relation (the reference route for Newton reversion)
+
+def ring_ops(kind, p=None, K=None):
+    """(zero, one, add, mul, neg) for kind z (ints), zp and zmodpk (ints
+    mod p^K) or fpt (tuples of K digits mod p, truncated at t^K)."""
+    if kind == "z":
+        return 0, 1, (lambda a, b: a + b), (lambda a, b: a * b), (lambda a: -a)
+    if kind in ("zp", "zmodpk"):
+        mod = p ** K
+        return (0, 1 % mod, (lambda a, b: (a + b) % mod),
+                (lambda a, b: a * b % mod), (lambda a: -a % mod))
+
+    def mul(a, b):
+        out = [0] * K
+        for i, x in enumerate(a):
+            for j in range(K - i):
+                out[i + j] += x * b[j]
+        return tuple(c % p for c in out)
+
+    return ((0,) * K, (1,) + (0,) * (K - 1),
+            (lambda a, b: tuple((x + y) % p for x, y in zip(a, b))), mul,
+            (lambda a: tuple(-x % p for x in a)))
+
+
+def triangular_inverse(f, ops):
+    """Compositional inverse of f = x + ... on its window M: g(f) = x
+    gives g_n = -sum_{k<n} g_k [x^n] f^k, with schoolbook powers of f
+    (O(M^3) ring products)."""
+    zero, one, add, mul, neg = ops
+    M = len(f)
+    assert f[0] == zero and f[1] == one
+    powers = [None, list(f)]
+    for _ in range(2, M):
+        prev, nxt = powers[-1], [zero] * M
+        for i, x in enumerate(prev):
+            if x != zero:
+                for j in range(1, M - i):
+                    nxt[i + j] = add(nxt[i + j], mul(x, f[j]))
+        powers.append(nxt)
+    g = [zero, one]
+    for n in range(2, M):
+        s = zero
+        for k in range(1, n):
+            s = add(s, mul(g[k], powers[k][n]))
+        g.append(neg(s))
+    return g
+
+
+# ---------------------------------------------------------------------------
 # dense series mod p^K (Weierstrass division oracle)
 
 def pmul(a, b, M, mod):
@@ -884,6 +934,8 @@ def main():
     check("inverse_x_plus_x2", [int(c) for c in cat], [0, 1, -1, 2, -5, 14, -42])
     cat2 = lagrange_inverse([0, 1, 0, 1], 6)
     check("inverse_x_plus_x3", [int(c) for c in cat2], [0, 1, 0, -1, 0, 3])
+    tri = triangular_inverse([0, 1, 1, 0, 0, 0, 0], ring_ops("z"))
+    check("triangular_inverse_x_plus_x2", tri, [0, 1, -1, 2, -5, 14, -42])
     geo = sum(1 << i for i in range(8))
     check("evaluate_geom_at2_target8", geo, 255)
 

@@ -375,6 +375,22 @@ def test_gap_spec_digits_are_polynomials(tmp_path):
         "structural", "12", "12")
 
 
+@pytest.mark.parametrize("char, a0, rest", [
+    ("p", "01", "12"),       # a string is not a digit array
+    ("zero", [1, 2], 1),     # nor is a digit array an integer
+])
+def test_gap_spec_coefficient_shape_is_usage_error(tmp_path, char, a0, rest):
+    spec = {"char": char, "p": 2, "b": {"kind": "pow2_nsq"}, "C": "2",
+            "kappa": "2", "a": {"kind": "const_after", "a0": a0, "rest": rest}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run_cli("gap", "root", "--spec", str(path), "--K", "6")
+    assert res.returncode == 1 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "UsageError"
+
+
 # prepkit as a shell function: each call leaves its exit code, stdout
 # and stderr in numbered files
 _PREPKIT_SHIM = """set -e

@@ -382,6 +382,45 @@ def test_fft_lane_matches_reference(monkeypatch, kind, p, K, sizes):
             assert taken == [True]
 
 
+@pytest.mark.parametrize("kind, p, K", [
+    ("zp", 2, 31), ("zmodpk", 3, 19), ("fpt", 2147483647, 1),
+    ("fpt", 2147483647, 2)])
+def test_matmul_both_sides_of_the_int64_bound(kind, p, K):
+    # int64 while every sum of len(B) products (len(B) * K for fpt)
+    # stays below 2^63; with every entry at its top value the sums at
+    # one more row of B reach 2^63, so an int64 route would wrap there
+    R = make_ring(kind, p, K)
+    zero, _, add, mul, _ = oracles.ring_ops(kind, p, K)
+    if kind == "fpt":
+        top, terms = (p - 1,) * K, K
+        square = (p - 1) ** 2
+    else:
+        top, terms = R.mod - 1, 1
+        square = (R.mod - 1) ** 2
+    below = ((1 << 63) - 1) // (terms * square)
+    assert below >= 1 and (below + 1) * terms * square >= 1 << 63
+    rng = random.Random(str(R))
+    for k in (below, below + 1):
+        for A, B in (([[top] * k] * 2, [[top] * 3] * k),
+                     ([_operands(R, k, rng) for _ in range(2)],
+                      [_operands(R, 3, rng) for _ in range(k)])):
+            want = []
+            for row in A:
+                out = [zero] * 3
+                for x, brow in zip(row, B):
+                    out = [add(c, mul(x, y)) for c, y in zip(out, brow)]
+                want.append(out)
+            assert R.matmul(A, B) == want
+
+
+def test_matmul_generic_route_matches_lanes():
+    for R in (make_ring("z"), make_ring("zp", 5, 3), make_ring("fpt", 3, 4)):
+        rng = random.Random(str(R))
+        A = [_operands(R, 4, rng) for _ in range(3)]
+        B = [_operands(R, 7, rng) for _ in range(4)]
+        assert R.matmul(A, B) == rings.Ring.matmul(R, A, B)
+
+
 def _largest_admitted(R, amax, k):
     lo, hi = 1, 1 << 15  # admitted at lo, refused at hi
     top = _operands(R, hi, None, top=True)

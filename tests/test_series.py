@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from prepkit import (InsufficientXPrecision, NonBinaryCoefficient,
                      NonzeroConstantInner, NotAUnitSeries, OracleSeries,
-                     PointNotSmall, WindowTooSmall, comp_inverse,
-                     comp_inverse_newton, compose, detect_periodic_01,
-                     detect_recurrence, evaluate, make_ring, make_series,
-                     series_add, series_invert, series_mul, series_sub)
+                     PointNotSmall, WindowTooSmall, comp_inverse, compose,
+                     detect_periodic_01, detect_recurrence, evaluate,
+                     make_ring, make_series, series_add, series_invert,
+                     series_mul, series_sub)
 
 Z4 = make_ring("zmodpk", 2, 2)
 F5 = make_ring("zp", 5, 1)
@@ -64,9 +64,47 @@ def test_comp_inverse_goldens():
 
 def test_comp_inverse_routes_agree():
     f = make_series(Z, [0, 1, 3, -2, 7, 1, 0, 4], 8)
-    assert comp_inverse(f).coeffs == comp_inverse_newton(f).coeffs
+    assert list(comp_inverse(f).coeffs) == oracles.triangular_inverse(
+        list(f.coeffs), oracles.ring_ops("z"))
     g = make_series(F7, [0, 1, 6, 3, 2], 5)
-    assert comp_inverse(g).coeffs == comp_inverse_newton(g).coeffs
+    assert list(comp_inverse(g).coeffs) == oracles.triangular_inverse(
+        list(g.coeffs), oracles.ring_ops("zp", 7, 1))
+
+
+def _random_elem(rng, ring):
+    if ring.kind == "fpt":
+        return tuple(rng.randrange(ring.p) for _ in range(ring.prec))
+    if ring.kind == "z":
+        return rng.randint(-9, 9)
+    return rng.randrange(ring.mod)
+
+
+# zp:2:64 takes the object-int block product; fpt:65537:2 has digit
+# sums past 2^32, so its convolutions pack digits into 8-byte slots
+@pytest.mark.parametrize("desc", [("z",), ("zp", 3, 4), ("zp", 2, 64),
+                                  ("fpt", 2, 4), ("fpt", 65537, 2)])
+def test_comp_inverse_matches_triangular_reference(desc):
+    # Newton reversion on Brent-Kung composition against the O(M^3)
+    # triangular relation, coefficient for coefficient, at windows on
+    # both sides of the square sizes where the baby-step count changes
+    ring = make_ring(*desc)
+    ops = oracles.ring_ops(*desc)
+    rng = random.Random(11)
+    for m in (2, 3, 4, 5, 9, 10, 17, 26, 40):
+        coeffs = [ring.zero(), ring.one()] + [_random_elem(rng, ring)
+                                              for _ in range(m - 2)]
+        f = make_series(ring, coeffs, m)
+        assert list(comp_inverse(f).coeffs) == oracles.triangular_inverse(
+            list(f.coeffs), ops)
+
+
+def test_compose_matches_fraction_oracle():
+    rng = random.Random(12)
+    for m in (1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 31, 50):
+        fc = [rng.randint(-9, 9) for _ in range(m)]
+        gc = [0] + [rng.randint(-9, 9) for _ in range(m - 1)]
+        got = compose(make_series(Z, fc, m), make_series(Z, gc, m))
+        assert ints(got) == oracles.fr_compose(fc, gc, m)
 
 
 def test_evaluate_geometric():
