@@ -79,7 +79,11 @@ def _elem_value(ring, v):
     if _is_tuple_kind(ring):
         if not isinstance(v, (list, tuple)):
             raise UsageError("element of %s must be a digit array" % ring.kind)
-        return tuple(map(int, v))
+        try:
+            return tuple(map(int, v))
+        except TypeError:
+            raise UsageError("digits of a %s element must be integers"
+                             % ring.kind) from None
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise UsageError("element must be an integer or decimal string")
     return int(v)

@@ -522,6 +522,10 @@ def test_elem_json_guards():
     T = make_ring("fpt", 2, 4)
     with pytest.raises(UsageError):
         jsonio.elem_from_json(T, "3")
+    with pytest.raises(UsageError):
+        jsonio.elem_from_json(T, [1, [0]])
+    with pytest.raises(UsageError):
+        jsonio.elem_from_json(ring, [1])
     assert jsonio.elem_from_json(T, [1, 0, 1]) == (1, 0, 1, 0)
 
 
