@@ -250,6 +250,9 @@ def _run_gap(args):
     spec = _load_spec(args.spec) if args.op != "probe" else None
     if args.op == "probe":
         return _run_probe(args, "gap")
+    if args.op in ("root", "bound") and args.budget is not None:
+        raise UsageError("gap %s builds no Phi_N, so --budget does not "
+                         "apply" % args.op)
     if args.op == "root":
         if args.K is None:
             raise UsageError("gap root needs --K")
@@ -286,7 +289,7 @@ def _run_gap(args):
         P = _load_poly(payload, None if has_ring else spec.exact_ring())
         ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
-        rep_obj = certify_not_root(spec, lam, P, args.N, ring)
+        rep_obj = certify_not_root(spec, lam, P, args.N, ring, args.budget)
         rep = jsonio.cert_report_to_json(spec, rep_obj)
         rep["config"] = _config("gap", "certify", args, spec)
         return rep, 0 if rep_obj.verdict != VERDICT_INCONCLUSIVE else 2
@@ -297,7 +300,7 @@ def _run_gap(args):
         H = args.height_cap if args.height_cap is not None else 5
         ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
-        summary = certify_family(spec, lam, D, H, args.N, ring)
+        summary = certify_family(spec, lam, D, H, args.N, ring, args.budget)
         rep = jsonio.family_summary_to_json(spec, summary)
         rep["config"] = _config("gap", "sweep", args, spec)
         return rep, 0 if summary.n_inconclusive == 0 else 2

@@ -404,6 +404,7 @@ def decision_probe(P, points=100, bits=DEFAULT_BIT_BUDGET):
     samples = []
     for n in range(min(8, points) + 1):
         En = bp.exponent(n)
-        assert En >= 2 ** (n + 1), "growth floor fails at %d" % n
+        if En < 2 ** (n + 1):
+            raise InvariantViolation("growth floor fails at %d" % n, index=n)
         samples.append((n, En))
     return GapGrowthEvidence(0, tuple(samples), reason)

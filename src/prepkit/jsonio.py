@@ -81,12 +81,15 @@ def _elem_value(ring, v):
             raise UsageError("element of %s must be a digit array" % ring.kind)
         try:
             return tuple(map(int, v))
-        except TypeError:
+        except (TypeError, ValueError):
             raise UsageError("digits of a %s element must be integers"
                              % ring.kind) from None
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise UsageError("element must be an integer or decimal string")
-    return int(v)
+    try:
+        return int(v)
+    except ValueError as e:
+        raise UsageError("element %.40r does not decode: %s" % (v, e)) from None
 
 
 # ---------------------------------------------------------------- series

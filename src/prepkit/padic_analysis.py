@@ -480,27 +480,35 @@ class MarginReport:
     flipped: bool  # True once the certificate side dominates
 
 
-def _margin_char0(spec, lam_val, bN, bN1, L):
+def _margin(view, N, lam_val):
+    """The margin of a family or candidate, with its family-constant
+    half computed once: returns (L, deg) -> MarginReport for the size L
+    of _candidate_L and the degree deg."""
+    spec = view.spec
+    bN, bN1 = view.b(N), view.b(N + 1)
+    if spec.characteristic == "p":
+        aPhi = _phi_tdegree(view, N)
+        lhs = bN1 * lam_val
+        lf = ((str(lhs), "1"),)
+
+        def margin(L, deg):
+            rhs = L * bN + aPhi * deg
+            return MarginReport("charp", lf, ((str(rhs), "1"),), lhs > rhs)
+        return margin
     kn, kd = spec.kappa.numerator, spec.kappa.denominator
     cn, cd = spec.C.numerator, spec.C.denominator
     head = kd * kd * (cn * cn - cd * cd)
     lhs = spec.p ** (2 * lam_val * bN1) * head * cd ** (2 * bN)
-    rhs = kn * kn * cn * cn * L ** bN * cn ** (2 * bN)
     lf = ((str(spec.p), str(2 * lam_val * bN1)),
           (str(head), "1"),
           (str(cd), str(2 * bN)))
-    rf = ((str(kn * kn * cn * cn), "1"),
-          (str(L), str(bN)),
-          (str(cn), str(2 * bN)))
-    return MarginReport("char0", lf, rf, lhs > rhs)
+    rf0, rf2 = (str(kn * kn * cn * cn), "1"), (str(cn), str(2 * bN))
+    rhs_rest = kn * kn * cn * cn * cn ** (2 * bN)
 
-
-def _margin_charp(lam_val, bN, bN1, hP, aPhi, degP):
-    lhs = bN1 * lam_val
-    rhs = hP * bN + aPhi * degP
-    lf = ((str(lhs), "1"),)
-    rf = ((str(rhs), "1"),)
-    return MarginReport("charp", lf, rf, lhs > rhs)
+    def margin(L, deg):
+        return MarginReport("char0", lf, (rf0, (str(L), str(bN)), rf2),
+                            lhs > rhs_rest * L ** bN)
+    return margin
 
 
 @dataclass(frozen=True)
@@ -529,34 +537,24 @@ def _phi_tdegree(view, N):
                default=0)
 
 
-def _candidate_margin(view, P, N, truncation):
-    spec = view.spec
-    _, _, lam_val, aPhi = truncation
-    bN, bN1 = view.b(N), view.b(N + 1)
-    if spec.characteristic == "zero":
-        return _margin_char0(spec, lam_val, bN, bN1, _candidate_L(spec, P))
-    return _margin_charp(lam_val, bN, bN1, _candidate_L(spec, P), aPhi,
-                         P.degree)
-
-
 def _p_at_lam_val(P, lam, ring):
     return ring.val(P.eval(lam, ring))
 
 
-def _truncation_data(view, lam, N, ring):
+def _truncation_data(view, lam, N, ring, budget=None):
     """What every candidate's certificate shares: Phi_N (BudgetExceeded
-    past the budget), the valuation of Phi_N(lambda), val(lambda) and,
-    in characteristic p, aPhi."""
-    phi = phi_truncation(view.spec, N)
+    past the budget, the spec's unless given), the valuation of
+    Phi_N(lambda), and the margin with its family-constant half."""
+    phi = phi_truncation(view.spec, N, budget)
     phi_val, _, _, vlam = _phi_val_at(view, lam, N, ring)
-    aPhi = _phi_tdegree(view, N) if view.spec.characteristic == "p" else None
-    return phi, phi_val, vlam, aPhi
+    return phi, phi_val, _margin(view, N, vlam)
 
 
-def certify_not_root(spec, lam, P, N, ring):
+def certify_not_root(spec, lam, P, N, ring, budget=None):
     """Certificate that P(lambda) != 0 from the truncation Phi_N:
     compares the exact valuation of B = Res(P, Phi_N) with the
-    valuation of Phi_N(lambda). B = 0 reports a shared factor."""
+    valuation of Phi_N(lambda). B = 0 reports a shared factor. budget
+    caps Phi_N's degree as in phi_truncation."""
     if P.degree < 1:
         raise ValueError("candidates must be nonconstant")
     view = _GapView(spec)
@@ -567,13 +565,14 @@ def certify_not_root(spec, lam, P, N, ring):
             raise ValueError("candidate ring %r does not match the series"
                              % (P.ring.desc(),))
         P = make_poly(exact, list(P.coeffs))
-    return _certify(view, lam, P, N, ring, _truncation_data(view, lam, N, ring))
+    return _certify(view, lam, P, N, ring,
+                    _truncation_data(view, lam, N, ring, budget))
 
 
 def _certify(view, lam, P, N, ring, truncation):
-    phi, phi_val = truncation[:2]
+    phi, phi_val, margin_of = truncation
     B = resultant(P, phi)
-    margin = _candidate_margin(view, P, N, truncation)
+    margin = margin_of(_candidate_L(view.spec, P), P.degree)
     B_val = view.exact.val(B)
     if B_val is None:
         return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B,
@@ -597,28 +596,29 @@ def family_margin(spec, D, H, N, lam_val=1):
     """Family-level margin with the worst-case candidate size cap:
     L = (D + 1) * H^2 in characteristic zero, coefficient t-degree H
     in characteristic p. Needs only the exponent rule."""
-    view = _GapView(spec)
-    bN, bN1 = view.b(N), view.b(N + 1)
+    L = (D + 1) * H * H if spec.characteristic == "zero" else H
+    return _margin(_GapView(spec), N, lam_val)(L, D)
+
+
+def _family_coeffs(spec, H):
+    """The coefficient values of the height-H family: all of them for
+    the lower coefficients, and the leading ones, sign-normalized
+    positive in characteristic zero and nonzero in characteristic p."""
     if spec.characteristic == "zero":
-        return _margin_char0(spec, lam_val, bN, bN1, (D + 1) * H * H)
-    return _margin_charp(lam_val, bN, bN1, H, _phi_tdegree(view, N), D)
+        return range(-H, H + 1), range(1, H + 1)
+    # the coefficient with index m has the base-p digits of m
+    lows = [_base_digits(m, spec.p) for m in range(spec.p ** (H + 1))]
+    return lows, lows[1:]
 
 
 def enumerate_family(spec, D, H):
-    """Deterministic candidate order: degree ascending, then
-    lexicographic on the ascending coefficient tuple. Leading
-    coefficients are sign-normalized positive in characteristic zero
-    and nonzero in characteristic p."""
-    if spec.characteristic == "zero":
-        lows, leads = range(-H, H + 1), range(1, H + 1)
-    else:
-        # the coefficient with index m has the base-p digits of m
-        lows = [_base_digits(m, spec.p) for m in range(spec.p ** (H + 1))]
-        leads = lows[1:]
-    out = []
+    """The candidates as coefficient tuples, generated in a
+    deterministic order: degree ascending, then lexicographic on the
+    ascending coefficient tuple, so the leading coefficient varies
+    fastest."""
+    lows, leads = _family_coeffs(spec, H)
     for deg in range(1, D + 1):
-        out.extend(itertools.product(*[lows] * deg, leads))
-    return out
+        yield from itertools.product(*[lows] * deg, leads)
 
 
 def _base_digits(m, p):
@@ -662,93 +662,84 @@ class FamilySummary:
     margin: MarginReport
 
 
-def certify_family(spec, lam, D, H, N, ring):
-    """Sweep every candidate of degree <= D and height <= H. Counts,
-    sample reports (a deterministic stride), and crossvalidation stats
-    follow the candidate order."""
+def certify_family(spec, lam, D, H, N, ring, budget=None):
+    """Sweep every candidate of degree <= D and height <= H, streamed
+    in enumerate_family's order. Counts, sample reports (a
+    deterministic stride), and crossvalidation stats follow that order.
+
+    The structural route serves characteristic p when the family
+    margin has flipped, D < b(N), and Phi_N is irreducible
+    (_structural_charp_certificate): then every B is nonzero with
+    v(B) <= deg_t(B) <= bound < v(Phi_N(lambda)), so each candidate
+    needs only v(P(lambda)), summed from tables of c * lambda^i, and
+    exact resultants run on the sample alone. Every other family is
+    certified candidate by candidate. budget caps Phi_N's degree as in
+    phi_truncation."""
     view = _GapView(spec)
     view.validate_core()
-    cands = enumerate_family(spec, D, H)
-    total = len(cands)
+    lows, leads = _family_coeffs(spec, H)
+    total = sum(len(lows) ** d * len(leads) for d in range(1, D + 1))
     fam_margin = family_margin(spec, D, H, N,
                                ring.val(lam) if total else 1)
     if total == 0:
         return FamilySummary(0, 0, 0, 0, "empty", 0, None, None, (),
                              fam_margin)
-    polys = [make_poly(view.exact, list(c)) for c in cands]
     stride = max(total // 16, 1)
-    sample_idx = set(range(0, total, stride))
-    truncation = _truncation_data(view, lam, N, ring)
-    if (spec.characteristic == "p"
-            and _structural_charp_certificate(view, N)):
-        return _family_structural(view, lam, polys, N, ring, truncation,
-                                  sample_idx, fam_margin)
-    return _family_percandidate(view, lam, polys, N, ring, truncation,
-                                sample_idx, fam_margin)
-
-
-def _family_percandidate(view, lam, polys, N, ring, truncation, sample_idx,
-                         fam_margin):
+    truncation = _truncation_data(view, lam, N, ring, budget)
+    bN = view.b(N)
+    structural = (spec.characteristic == "p" and fam_margin.flipped
+                  and D < bN and _structural_charp_certificate(view, N))
+    if structural:
+        # bound is the family margin's right side; the soundness gate
+        # on K keeps bound + 2 <= K
+        bound = H * bN + _phi_tdegree(view, N) * D
+        wring = ring.at_prec(bound + 2)
+        wlam, power, tables = wring.canon(lam), wring.one(), []
+        for _ in range(D + 1):
+            tables.append({c: wring.mul(wring.canon(c), power)
+                           for c in lows})
+            power = wring.mul(power, wlam)
     counts = {VERDICT_CERTIFIED: 0, VERDICT_SHARED: 0,
               VERDICT_INCONCLUSIVE: 0}
-    pls = []
-    bvs = []
-    samples = []
-    for idx, P in enumerate(polys):
-        rep = _certify(view, lam, P, N, ring, truncation)
-        counts[rep.verdict] += 1
-        if rep.p_at_lam_val is not None:
-            pls.append(rep.p_at_lam_val)
-        if rep.B_val is not None:
-            bvs.append(rep.B_val)
-        if idx in sample_idx:
-            samples.append(rep)
-    return FamilySummary(len(polys), counts[VERDICT_CERTIFIED],
-                         counts[VERDICT_SHARED], counts[VERDICT_INCONCLUSIVE],
-                         "per_candidate", len(pls),
-                         max(pls) if pls else None,
-                         max(bvs) if bvs else None,
-                         tuple(samples), fam_margin)
-
-
-def _family_structural(view, lam, polys, N, ring, truncation, sample_idx,
-                       fam_margin):
-    """Characteristic-p fast route: one irreducibility certificate
-    covers nonvanishing of every B; per-candidate work reduces to the
-    valuation of P(lambda), plus exact resultants on the sample."""
-    bN, bN1 = view.b(N), view.b(N + 1)
-    _, _, vlam, aPhi = truncation
-    deg_cap = max(p.degree for p in polys)
-    h_cap = max(_candidate_L(view.spec, P) for P in polys)
-    tdeg_bound = h_cap * bN + aPhi * deg_cap
-    if not (bN1 * vlam > tdeg_bound and deg_cap < bN):
-        return _family_percandidate(view, lam, polys, N, ring, truncation,
-                                    sample_idx, fam_margin)
-    # v(B) <= deg_t(B) <= tdeg_bound < v(Phi_N(lam)): certified across
-    # the family once each B is nonzero, which irreducibility grants.
-    # The soundness gate on K keeps tdeg_bound + 2 <= K.
-    wring = ring.at_prec(tdeg_bound + 2)
-    wlam = wring.canon(lam)
-    pls = []
-    samples = []
-    for idx, P in enumerate(polys):
-        v = _p_at_lam_val(P, wlam, wring)
-        if v is None or v > tdeg_bound:
-            raise InvariantViolation(
-                "P(lam) has valuation above the certified bound %d"
-                % tdeg_bound, index=idx)
-        pls.append(v)
-        if idx in sample_idx:
-            rep = _certify(view, lam, P, N, ring, truncation)
-            if rep.verdict != VERDICT_CERTIFIED or rep.B_val > tdeg_bound:
+    n_pl, max_pl, max_B, samples = 0, -1, -1, []
+    low = None
+    for idx, cand in enumerate(enumerate_family(spec, D, H)):
+        sampled = idx % stride == 0
+        verdict = VERDICT_CERTIFIED
+        if structural:
+            if cand[:-1] != low:
+                # the lower terms change only when the leading
+                # coefficient wraps around
+                low, acc = cand[:-1], wring.zero()
+                for table, c in zip(tables, low):
+                    acc = wring.add(acc, table[c])
+            pl_val = wring.val(wring.add(acc, tables[len(low)][cand[-1]]))
+            if pl_val is None or pl_val > bound:
+                raise InvariantViolation(
+                    "P(lam) has valuation above the certified bound %d"
+                    % bound, index=idx)
+        if sampled or not structural:
+            rep = _certify(view, lam, make_poly(view.exact, list(cand)), N,
+                           ring, truncation)
+            if structural and (rep.verdict != VERDICT_CERTIFIED
+                               or rep.B_val > bound):
                 raise InvariantViolation(
                     "sampled candidate %d escapes the structural "
                     "certificate" % idx, index=idx)
-            samples.append(rep)
-    bvs = [rep.B_val for rep in samples]
-    return FamilySummary(len(polys), len(polys), 0, 0, "structural",
-                         len(pls), max(pls) if pls else None,
-                         max(bvs) if bvs else None,
+            verdict, pl_val = rep.verdict, rep.p_at_lam_val
+            if rep.B_val is not None:
+                max_B = max(max_B, rep.B_val)
+            if sampled:
+                samples.append(rep)
+        counts[verdict] += 1
+        if pl_val is not None:
+            n_pl += 1
+            max_pl = max(max_pl, pl_val)
+    return FamilySummary(total, counts[VERDICT_CERTIFIED],
+                         counts[VERDICT_SHARED], counts[VERDICT_INCONCLUSIVE],
+                         "structural" if structural else "per_candidate",
+                         n_pl, max_pl if n_pl else None,
+                         max_B if max_B >= 0 else None,
                          tuple(samples), fam_margin)
 
 

@@ -430,6 +430,26 @@ def test_gap_phi_budget_exit(tmp_path):
     assert report_of(res2)["coeffs"] == ["2", "1", "1"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    # Phi_1 needs degree 2, past a budget of 1
+    (["certify", "--N", "1", "--K", "17", "--in", "cand.json"],
+     "BudgetExceeded"),
+    (["sweep", "--N", "1", "--K", "17", "--degree-cap", "1",
+      "--height-cap", "1"], "BudgetExceeded"),
+    # root and bound build no Phi_N
+    (["root", "--K", "17"], "UsageError"),
+    (["bound", "--N", "1", "--K", "17"], "UsageError"),
+], ids=["certify", "sweep", "root", "bound"])
+def test_gap_budget_bounds_phi_or_is_refused(tmp_path, argv, error):
+    (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    res = run_cli("gap", *argv, "--spec", "zero", "--budget", "1")
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == error
+
+
 def test_gap_root_and_bound(tmp_path):
     res = run_cli("gap", "root", "--spec", "zero", "--K", "20")
     assert res.returncode == 0
@@ -525,8 +545,21 @@ def test_elem_json_guards():
     with pytest.raises(UsageError):
         jsonio.elem_from_json(T, [1, [0]])
     with pytest.raises(UsageError):
+        jsonio.elem_from_json(T, [1, "1x"])
+    with pytest.raises(UsageError):
         jsonio.elem_from_json(ring, [1])
     assert jsonio.elem_from_json(T, [1, 0, 1]) == (1, 0, 1, 0)
+
+
+def test_malformed_decimal_element_is_usage_error(tmp_path):
+    f = tmp_path / "f.json"
+    f.write_text('{"ring":{"kind":"zp","p":3,"prec":2},"coeffs":["1x","1"]}')
+    res = run_cli("series", "invert", "--in", str(f))
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "UsageError" and "'1x'" in err["message"]
 
 
 def test_series_json_oracle_kinds(tmp_path):

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -405,6 +406,10 @@ _HENSEL = ('pa.hensel_lift(make_poly(make_ring("z", 2), [-17, 0, 1]), 1, 12, '
      "pa.gap_linear_factor(spec, 8)"),
     ("pa.small_root_of_gap = lambda spec, K: 0",
      "pa.gap_linear_factor(spec, 8)"),
+    # growth evidence below the floor 2^(n+1) on a sign-definite P
+    ("from prepkit.h10 import LazyBP, decision_probe, parse_dio_inline\n"
+     "LazyBP.exponent = lambda self, n: 1",
+     "decision_probe(parse_dio_inline('x^2+1'))"),
     # past its bit budget the oracle's zeros are sound only below the
     # size floor, 799 bits here
     ("from prepkit.h10 import FPOracle, parse_dio_inline",
@@ -413,7 +418,7 @@ _HENSEL = ('pa.hensel_lift(make_poly(make_ring("z", 2), [-17, 0, 1]), 1, 12, '
         "root_above_resultant", "root_derivative_not_unit",
         "root_lift_diverges", "root_is_a_unit", "hensel_step_valuation",
         "hensel_no_progress", "hensel_diverges", "cofactor_not_unit",
-        "cofactor_identity", "oracle_floor"])
+        "cofactor_identity", "growth_floor", "oracle_floor"])
 def test_certificate_guards_survive_optimize_flag(patch, call):
     res = subprocess.run([sys.executable, "-O", "-c",
                           _GUARD_CODE % (patch, call)],
@@ -458,20 +463,20 @@ def test_family_margin_charp_matches_oracle():
 # ----------------------------------------------------------------- family
 
 def test_enumerate_family_sizes():
-    assert len(enumerate_family(REF0, 1, 3)) == 21
-    assert len(enumerate_family(REF0, 2, 5)) == 660
-    assert len(enumerate_family(REFP, 2, 5)) == 262080
-    assert enumerate_family(REF0, 0, 5) == []
+    assert len(list(enumerate_family(REF0, 1, 3))) == 21
+    assert len(list(enumerate_family(REF0, 2, 5))) == 660
+    assert len(list(enumerate_family(REFP, 2, 5))) == 262080
+    assert list(enumerate_family(REF0, 0, 5)) == []
     # c0 in F_3, c1 in F_3^*; then digits of t-degree <= 1
-    assert len(enumerate_family(C3, 1, 0)) == 6
-    assert len(enumerate_family(C3, 1, 1)) == 72
+    assert len(list(enumerate_family(C3, 1, 0))) == 6
+    assert len(list(enumerate_family(C3, 1, 1))) == 72
 
 
 def test_enumerate_family_order_is_deterministic():
-    fam = enumerate_family(REF0, 1, 2)
+    fam = list(enumerate_family(REF0, 1, 2))
     assert fam[0] == (-2, 1)
-    assert fam == enumerate_family(REF0, 1, 2)
-    famp = enumerate_family(REFP, 1, 1)
+    assert fam == list(enumerate_family(REF0, 1, 2))
+    famp = list(enumerate_family(REFP, 1, 1))
     assert famp[0] == ((), (1,))
     assert len(famp) == 4 * 3
 
@@ -499,6 +504,36 @@ def test_certify_family_charp_structural():
     assert len(s.samples) == 16
     for rep in s.samples:
         assert rep.verdict == VERDICT_CERTIFIED
+
+
+def test_structural_route_matches_horner_evaluation():
+    # the structural route sums tables of c * lam^i; Horner's rule on
+    # each candidate at full precision is the reference
+    ring = make_ring("fpt", 2, 600)
+    lam = small_root_of_gap(REFP, 600)
+    s = certify_family(REFP, lam, 2, 2, 2, ring)
+    assert s.route == "structural"
+    exact = REFP.exact_ring()
+    vals = [ring.val(make_poly(exact, list(c)).eval(lam, ring))
+            for c in enumerate_family(REFP, 2, 2)]
+    assert None not in vals
+    assert (s.total, s.pl_checked, s.max_pl_val) == (
+        len(vals), len(vals), max(vals))
+
+
+def test_structural_sweep_is_streamed():
+    # 4,080 candidates; materializing them with their polynomials took
+    # 1.7 MiB
+    ring = make_ring("fpt", 2, 600)
+    lam = small_root_of_gap(REFP, 600)
+    tracemalloc.start()
+    try:
+        s = certify_family(REFP, lam, 2, 3, 2, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.route, s.total) == ("structural", 4080)
+    assert peak < 512 * 1024
 
 
 def test_certify_family_charp_fallback_route():
