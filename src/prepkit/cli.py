@@ -298,6 +298,10 @@ def _run_gap(args):
             raise UsageError("gap sweep needs --N and --K")
         D = args.degree_cap if args.degree_cap is not None else 2
         H = args.height_cap if args.height_cap is not None else 5
+        for flag, cap in (("--degree-cap", D), ("--height-cap", H)):
+            if cap < 0:
+                raise UsageError("%s must be at least 0, got %d"
+                                 % (flag, cap))
         ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         summary = certify_family(spec, lam, D, H, args.N, ring, args.budget)

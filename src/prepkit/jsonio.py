@@ -5,9 +5,14 @@ no floating point anywhere. Unbounded numbers (element values, counts,
 valuations, margins) are exact decimal strings; t-digit expansions are
 arrays of small ints per the element schema; structural sizes that the
 input schemas fix as ints (precision, window, budget) stay ints.
+
+Every decimal field is read with dec_int and written with dec_str:
+str and int for as many digits as Python converts directly (4,300 by
+default), and the decimal module, which has no such limit, past that.
 """
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +26,31 @@ from .series import OracleSeries, make_series
 
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# the text int() reads in base 10, ASCII digits only
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
+
+
+def dec_str(n):
+    """The decimal string of the int n."""
+    try:
+        return str(n)
+    except ValueError:  # past Python's int/str digit limit
+        import decimal
+        return str(decimal.Decimal(n))
+
+
+def dec_int(s):
+    """The int that s, an int or a decimal string, names. Raises
+    ValueError on malformed text, as int does."""
+    try:
+        return int(s)
+    except ValueError:
+        if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
+            raise
+        import decimal
+        return int(decimal.Decimal(s))
 
 
 def _is_tuple_kind(ring):
@@ -44,8 +74,8 @@ def ring_from_json(d):
     p = d.get("p")
     prec = d.get("prec")
     return make_ring(d["kind"],
-                     None if p is None else int(p),
-                     None if prec is None else int(prec))
+                     None if p is None else dec_int(p),
+                     None if prec is None else dec_int(prec))
 
 
 def parse_ring_flag(text):
@@ -53,8 +83,8 @@ def parse_ring_flag(text):
     parts = text.split(":")
     kind = parts[0]
     try:
-        p = int(parts[1]) if len(parts) > 1 else None
-        prec = int(parts[2]) if len(parts) > 2 else None
+        p = dec_int(parts[1]) if len(parts) > 1 else None
+        prec = dec_int(parts[2]) if len(parts) > 2 else None
     except ValueError:
         raise UsageError("ring flag %r is not kind[:p[:prec]]" % text)
     if len(parts) > 3:
@@ -67,7 +97,7 @@ def parse_ring_flag(text):
 def elem_to_json(ring, x):
     if _is_tuple_kind(ring):
         return [int(d) for d in x]
-    return str(x)
+    return dec_str(x)
 
 
 def elem_from_json(ring, v):
@@ -87,7 +117,7 @@ def _elem_value(ring, v):
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise UsageError("element must be an integer or decimal string")
     try:
-        return int(v)
+        return dec_int(v)
     except ValueError as e:
         raise UsageError("element %.40r does not decode: %s" % (v, e)) from None
 
@@ -115,7 +145,7 @@ def series_from_json(d):
         raise UsageError("series needs a coeffs array")
     # make_series canonicalizes each value
     vals = [_elem_value(ring, c) for c in coeffs]
-    x_prec = _x_prec(int(d["x_prec"]) if "x_prec" in d else len(vals))
+    x_prec = _x_prec(dec_int(d["x_prec"]) if "x_prec" in d else len(vals))
     return make_series(ring, vals, x_prec), None
 
 
@@ -131,15 +161,15 @@ def _series_from_oracle(d):
     kind = spec.get("kind")
     if "x_prec" not in d:
         raise UsageError("oracle series needs an explicit x_prec")
-    x_prec = _x_prec(int(d["x_prec"]))
+    x_prec = _x_prec(dec_int(d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
         vals = [_elem_value(ring, c) for c in spec.get("coeffs", [])]
         return make_series(ring, vals, x_prec), None
     if kind == "periodic":
         ring = ring_from_json(d.get("ring", {}))
-        prefix = [int(c) for c in spec.get("prefix", [])]
-        cycle = [int(c) for c in spec.get("cycle", [])]
+        prefix = [dec_int(c) for c in spec.get("prefix", [])]
+        cycle = [dec_int(c) for c in spec.get("cycle", [])]
         if not cycle:
             raise UsageError("periodic oracle needs a nonempty cycle")
 
@@ -157,8 +187,8 @@ def _series_from_oracle(d):
         return OracleSeries(f.ring, f.coeff, x_prec), "gap"
     if kind == "h10":
         P = dio_from_json(spec.get("poly"))
-        a0 = int(spec.get("a0", 2))
-        bits = int(spec.get("bit_budget", 10 ** 6))
+        a0 = dec_int(spec.get("a0", 2))
+        bits = dec_int(spec.get("bit_budget", 10 ** 6))
         orc = FPOracle(P, a0, bits)
         return orc.series(x_prec), "h10"
     raise UsageError("unknown oracle kind %r" % kind)
@@ -208,12 +238,13 @@ def gapspec_from_json(d):
     braw = d.get("b", {})
     b = {"kind": braw.get("kind")}
     if b["kind"] == "explicit":
-        b["values"] = [int(v) for v in braw["values"]]
+        b["values"] = [dec_int(v) for v in braw["values"]]
     elif b["kind"] != "pow2_nsq":
         raise UsageError("unknown exponent rule %r" % b["kind"])
-    spec = GapSpec(d["char"], int(d.get("p", 2)), {}, b,
+    spec = GapSpec(d["char"], dec_int(d.get("p", 2)), {}, b,
                    Fraction(d.get("C", "2")), Fraction(d.get("kappa", "2")),
-                   int(d.get("budget", 65536)), int(d.get("witness", 1)))
+                   dec_int(d.get("budget", 65536)),
+                   dec_int(d.get("witness", 1)))
     # coefficients decode as elements of the spec's exact ring, kept as
     # given (before canon) so that the report echoes them
     ring = spec.exact_ring()
@@ -241,15 +272,15 @@ def dio_from_json(v):
             return parse_dio_text(v)
         return parse_dio_inline(v)
     if isinstance(v, dict) and "terms" in v:
-        terms = [(tuple(int(e) for e in exps), int(c))
+        terms = [(tuple(dec_int(e) for e in exps), dec_int(c))
                  for exps, c in v["terms"]]
-        return make_dio(int(v.get("d", 1)), terms)
+        return make_dio(dec_int(v.get("d", 1)), terms)
     raise UsageError("cannot read a polynomial from %r" % (v,))
 
 
 def dio_to_json(P):
     return {"d": P.d,
-            "terms": [[[int(e) for e in exps], str(c)]
+            "terms": [[[int(e) for e in exps], dec_str(c)]
                       for exps, c in P.terms]}
 
 
@@ -258,7 +289,7 @@ def dio_to_json(P):
 def wfact_to_json(wf):
     """Report of a factorization that prepare or strong_factor has
     already checked against its input."""
-    return {"v": str(wf.v), "n": str(wf.n),
+    return {"v": dec_str(wf.v), "n": dec_str(wf.n),
             "P": [elem_to_json(wf.ring, c) for c in wf.P],
             "U": series_to_json(wf.U),
             "check": "ok"}
@@ -271,7 +302,7 @@ def resultant_to_json(ring, B):
 def bound_report_to_json(ring, rep):
     return {"which": rep.which,
             "B": elem_to_json(ring, rep.B),
-            "lhs": str(rep.lhs), "rhs": str(rep.rhs),
+            "lhs": dec_str(rep.lhs), "rhs": dec_str(rep.rhs),
             "bound_ok": rep.bound_ok}
 
 
@@ -283,33 +314,34 @@ def margin_to_json(m):
 
 
 def bound_check_to_json(bc):
-    return {"N": str(bc.N), "phi_val": str(bc.phi_val),
-            "lower": str(bc.lower), "required": str(bc.required),
-            "lam_val": str(bc.lam_val), "equality": bc.equality}
+    return {"N": dec_str(bc.N), "phi_val": dec_str(bc.phi_val),
+            "lower": dec_str(bc.lower), "required": dec_str(bc.required),
+            "lam_val": dec_str(bc.lam_val), "equality": bc.equality}
 
 
 def cert_report_to_json(spec, rep):
     ring = spec.exact_ring()
     return {"candidate": [elem_to_json(ring, c) for c in rep.candidate],
-            "N": str(rep.N), "b_next": str(rep.b_next),
-            "phi_val": str(rep.phi_val),
+            "N": dec_str(rep.N), "b_next": dec_str(rep.b_next),
+            "phi_val": dec_str(rep.phi_val),
             "B": elem_to_json(ring, rep.B),
-            "B_val": None if rep.B_val is None else str(rep.B_val),
+            "B_val": None if rep.B_val is None else dec_str(rep.B_val),
             "p_at_lam_val": (None if rep.p_at_lam_val is None
-                             else str(rep.p_at_lam_val)),
+                             else dec_str(rep.p_at_lam_val)),
             "verdict": rep.verdict,
             "margin": margin_to_json(rep.margin)}
 
 
 def family_summary_to_json(spec, s):
-    return {"total": str(s.total),
-            "certified": str(s.n_certified),
-            "shared_factor": str(s.n_shared),
-            "inconclusive": str(s.n_inconclusive),
+    return {"total": dec_str(s.total),
+            "certified": dec_str(s.n_certified),
+            "shared_factor": dec_str(s.n_shared),
+            "inconclusive": dec_str(s.n_inconclusive),
             "route": s.route,
-            "pl_checked": str(s.pl_checked),
-            "max_pl_val": None if s.max_pl_val is None else str(s.max_pl_val),
-            "max_B_val": None if s.max_B_val is None else str(s.max_B_val),
+            "pl_checked": dec_str(s.pl_checked),
+            "max_pl_val": (None if s.max_pl_val is None
+                           else dec_str(s.max_pl_val)),
+            "max_B_val": None if s.max_B_val is None else dec_str(s.max_B_val),
             "samples": [cert_report_to_json(spec, r) for r in s.samples],
             "margin": margin_to_json(s.margin)}
 
@@ -321,14 +353,16 @@ def _q_entry(c):
         if c and isinstance(c[0], tuple):
             return [[int(x) for x in c[0]], [int(x) for x in c[1]]]
         return [int(x) for x in c]
-    return str(c)
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return dec_str(c.numerator) + "/" + dec_str(c.denominator)
+    return dec_str(int(c))
 
 
 def rationality_to_json(v):
-    out = {"kind": v.kind, "budget": str(v.budget)}
+    out = {"kind": v.kind, "budget": dec_str(v.budget)}
     if v.is_rational:
-        out["d"] = str(v.d)
-        out["s"] = None if v.s is None else str(v.s)
+        out["d"] = dec_str(v.d)
+        out["s"] = None if v.s is None else dec_str(v.s)
         out["q"] = None if v.q is None else [_q_entry(c) for c in v.q]
     return out
 
@@ -337,19 +371,20 @@ def probe_to_json(v):
     from .h10 import GapGrowthEvidence, Inconclusive, RationalCertified
     if isinstance(v, RationalCertified):
         return {"verdict": "rational_certified",
-                "zero_index": str(v.zero_index),
-                "point": [str(c) for c in v.point]}
+                "zero_index": dec_str(v.zero_index),
+                "point": [dec_str(c) for c in v.point]}
     if isinstance(v, GapGrowthEvidence):
         return {"verdict": "gap_growth_evidence",
-                "first_n": str(v.first_n),
-                "samples": [[str(n), str(E)] for n, E in v.samples],
+                "first_n": dec_str(v.first_n),
+                "samples": [[dec_str(n), dec_str(E)] for n, E in v.samples],
                 "reason": v.zero_free_reason}
     if isinstance(v, Inconclusive):
-        return {"verdict": "inconclusive", "points": str(v.points)}
+        return {"verdict": "inconclusive", "points": dec_str(v.points)}
     raise ValueError("not a probe verdict: %r" % (v,))
 
 
 def bp_to_json(values, over):
-    return {"values": [str(b) for b in values],
+    return {"values": [dec_str(b) for b in values],
             "over": None if over is None else
-            {"n": str(over.n), "predicted_bits": str(over.predicted_bits)}}
+            {"n": dec_str(over.n),
+             "predicted_bits": dec_str(over.predicted_bits)}}

@@ -501,6 +501,12 @@ class IntModRing(Ring):
         ps = self.p ** s
         return [a + ps * b for a, b in zip(lo, hi)]
 
+    def lift_residual(self, c, t, y, s):
+        """(c - t - y) / p^s over at_prec(prec - s), termwise, for
+        c - t - y = 0 mod p^s."""
+        mod, ps = self.mod, self.p ** s
+        return [(x - u - z) % mod // ps for x, u, z in zip(c, t, y)]
+
     def matmul(self, A, B):
         """A numpy int64 matmul while len(B) * (mod - 1)^2 < 2^63, where
         no sum can wrap, and object ints past that."""
@@ -612,6 +618,15 @@ class FpTRing(Ring):
             pad = (0,) * (self.prec - s)
             return [a + pad for a in lo]
         return [a + b for a, b in zip(lo, hi)]
+
+    def lift_residual(self, c, t, y, s):
+        """(c - t - y) / t^s over at_prec(prec - s), termwise, for
+        c - t - y = 0 mod t^s: digit by digit from digit s, as F_p
+        digits carry nothing."""
+        p = self.p
+        return [tuple([(a - b - d) % p
+                       for a, b, d in zip(x[s:], u[s:], z[s:])])
+                for x, u, z in zip(c, t, y)]
 
     def matmul(self, A, B):
         """Entries multiply as polynomials in t cut at t^K, so digit d of

@@ -10,14 +10,20 @@ the normalization that the top n coefficients of beta * q vanish. Both
 facts are checked after every division and raise InvariantViolation if
 they fail.
 
-The default schedule `lifting` computes the fixed point level by level
-in the pi-adic precision: q mod pi^k comes from q mod pi^ceil(k/2) and
-one correction solved at the remaining precision, so most of its
-arithmetic runs at a fraction of the ring's precision (Dixon's p-adic
-lifting, as Newton-Hensel lifting). The schedules `direct` (K + 2
-passes from zero) and `warmstart` (K + 1 passes from c) iterate the
-contraction at full precision; they are the reference routes the tests
-compare `lifting` against, bit for bit.
+The default schedule `lifting` solves for y = beta * q instead. With
+gamma = alpha * beta^-1 cut to the window, only coefficients below the
+window enter shift_n(q * alpha), so it equals shift_n(gamma * y), and
+the fixed point becomes y = shift_n(g) - shift_n(gamma * y); as gamma
+= 0 mod pi this contraction also gains one uniformizer power per
+application, and by uniqueness of the fixed point q = beta^-1 * y is
+the same q. It is computed level by level in the pi-adic precision: y
+mod pi^k comes from y mod pi^ceil(k/2) and one correction solved at
+the remaining precision, one product gamma * y per level, so most of
+the arithmetic runs at a fraction of the ring's precision (Dixon's
+p-adic lifting, as Newton-Hensel lifting). The schedules `direct`
+(K + 2 passes from zero) and `warmstart` (K + 1 passes from c) iterate
+the contraction in q at full precision; they are the reference routes
+the tests compare `lifting` against, bit for bit.
 
 Strong factorization splits f = pi^v * P * U with P a monic
 distinguished polynomial (non-leading coefficients of positive
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 from .errors import (InvariantViolation, NoUnitCoefficient, RingMismatch,
                      ZeroAtPrecision)
 from .rings import FpTRing, IntModRing, Ring
-from .series import Series, make_series, series_invert, series_mul
+from .series import Series, series_invert
 
 SCHEDULES = ("lifting", "direct", "warmstart")
 
@@ -45,18 +51,20 @@ class WFactorization:
     x_prec: int
 
     def verify(self, f):
-        """Recompute pi^v * P * U against f on the common window."""
+        """Check pi^v * P * U against f on the common window: the low v
+        digits of f vanish and its high digits are P * U mod pi^(K - v)."""
         ring = self.ring
         if f.ring != ring:
             raise RingMismatch("factorization ring differs from operand ring")
         m = min(self.x_prec, f.x_prec)
-        pser = make_series(ring, list(self.P), m)
-        prod = series_mul(pser, self.U.truncate(m))
-        piv = ring.pow(ring.uniformizer(), self.v)
-        for got, want in zip(prod.coeffs, f.coeffs[:m]):
-            if ring.mul(piv, got) != want:
-                return False
-        return True
+        v = self.v
+        k = ring.prec - v
+        lo, hi = ring.split(f.coeffs[:m], v)
+        if v and not all(map(ring.at_prec(v).is_zero, lo)):
+            return False
+        prod = ring.at_prec(k).convolve(ring.reduce(self.P, k),
+                                        ring.reduce(self.U.coeffs[:m], k), m)
+        return prod == hi
 
 
 def reduction_index(f):
@@ -75,32 +83,31 @@ def _require_finite(ring):
                          "got kind %s" % ring.kind)
 
 
-def _lift_solve(ring, c, alpha, binv, n, m):
-    """The fixed point q = c + L(q), L(q) = -binv * shift_n(q * alpha),
-    by divide-and-conquer on the pi-adic precision k. Mod pi, L
-    vanishes and q = c. Otherwise q1 = q mod pi^k1, k1 = ceil(k/2),
-    solves the same system at precision k1, and q2 = (q - q1) / pi^k1
-    solves it at precision k - k1 with constant term
-    (c + L(q1) - q1) / pi^k1."""
+def _lift_solve(ring, c, gamma, n, m):
+    """The fixed point y = c + L(y), L(y) = -shift_n(gamma * y) on a
+    window of m, for y and c of m - n terms (the top n terms of
+    beta * q vanish), by divide-and-conquer on the pi-adic precision k.
+    Mod pi, L vanishes and y = c. Otherwise y1 = y mod pi^k1,
+    k1 = ceil(k/2), solves the same system at precision k1, and
+    y2 = (y - y1) / pi^k1 solves it at precision k - k1 with constant
+    term (c + L(y1) - y1) / pi^k1. Each node above precision 1 makes
+    one product, gamma * y1 at its precision k: K - 1 in all."""
     levels = {}
 
     def level(k):
         if k not in levels:
-            levels[k] = (ring.at_prec(k), ring.reduce(alpha, k),
-                         ring.reduce(binv, k))
+            levels[k] = (ring.at_prec(k), ring.reduce(gamma, k))
         return levels[k]
 
     def solve(c, k):
         if k == 1:
             return c
-        R, a, b = level(k)
+        R, gk = level(k)
         k1 = (k + 1) // 2
         lo = solve(R.reduce(c, k1), k1)
-        q1 = R.join(lo, None, k1)
-        qa = R.convolve(q1, a, m)
-        t = R.convolve(b, qa[n:] + [R.zero()] * n, m)
-        e = [R.sub(R.sub(ci, ti), qi) for ci, ti, qi in zip(c, t, q1)]
-        return R.join(lo, solve(R.split(e, k1)[1], k - k1), k1)
+        y1 = R.join(lo, None, k1)
+        t = R.convolve(gk, y1, m)[n:]
+        return R.join(lo, solve(R.lift_residual(c, t, y1, k1), k - k1), k1)
 
     return solve(c, ring.prec)
 
@@ -132,25 +139,28 @@ def weierstrass_divide(g, f, schedule="lifting"):
         return ring.convolve(binv, shift([ring.sub(gc[i], qa[i])
                                           for i in range(m)]), m)
 
-    if schedule == "direct":
+    if schedule == "lifting":
+        y = gc[n:]
+        if alpha:
+            y = _lift_solve(ring, y, ring.convolve(binv, alpha, m), n, m)
+        q = ring.convolve(binv, y, m)
+    elif schedule == "direct":
         q = [ring.zero()] * m
         for _ in range(ring.prec + 2):
             q = step(q)
     else:
         q = ring.convolve(binv, shift(gc), m)
-        if schedule == "warmstart":
-            for _ in range(ring.prec + 1):
-                q = step(q)
-        elif alpha:
-            q = _lift_solve(ring, q, alpha, binv, n, m)
+        for _ in range(ring.prec + 1):
+            q = step(q)
 
-    qf = ring.convolve(q, fc, m)
-    r = tuple(ring.sub(gc[i], qf[i]) for i in range(n))
-    for i in range(n, m):
-        if qf[i] != gc[i]:
+    # q * f = q * alpha + x^n * q * beta: one n-tap and one full product
+    qa = ring.convolve(q, alpha, m)
+    qb = ring.convolve(q, beta, m)
+    r = tuple(ring.sub(gc[i], qa[i]) for i in range(n))
+    for i, e in enumerate(ring.lift_residual(gc[n:], qa[n:], qb, 0), n):
+        if not ring.is_zero(e):
             raise InvariantViolation("division identity fails at %d" % i,
                                      index=i)
-    qb = ring.convolve(q, beta, m)
     for k in range(m - n, m):
         if not ring.is_zero(qb[k]):
             raise InvariantViolation(

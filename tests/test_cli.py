@@ -450,6 +450,55 @@ def test_gap_budget_bounds_phi_or_is_refused(tmp_path, argv, error):
     assert json.loads(lines[0])["error"]["type"] == error
 
 
+@pytest.mark.parametrize("spec, caps, flag", [
+    ("p", ["--degree-cap", "1", "--height-cap", "-2"], "--height-cap"),
+    ("zero", ["--degree-cap", "1", "--height-cap", "-1"], "--height-cap"),
+    ("p", ["--degree-cap", "-1", "--height-cap", "1"], "--degree-cap"),
+    ("zero", ["--degree-cap", "-1"], "--degree-cap"),
+], ids=["p-height", "zero-height", "p-degree", "zero-degree"])
+def test_negative_sweep_cap_is_usage_error(spec, caps, flag):
+    res = run_cli("gap", "sweep", "--spec", spec, "--N", "1", "--K", "40",
+                  *caps)
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "UsageError" and flag in err["message"]
+
+
+def test_decimals_past_the_int_str_digit_limit(tmp_path):
+    # Python converts at most 4,300 digits between int and str directly
+    f = tmp_path / "f.json"
+    f.write_text('["3","1"]')
+    res = run_cli("series", "invert", "--ring", "zp:2:15000", "--in", str(f))
+    assert res.returncode == 0, res.stderr
+    rep = report_of(res)
+    assert max(map(len, rep["coeffs"])) > 4300
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({k: rep[k] for k in ("ring", "coeffs", "x_prec")}))
+    back = run_cli("series", "invert", "--in", str(g))
+    assert back.returncode == 0, back.stderr
+    assert report_of(back)["coeffs"] == ["3", "1"]
+
+    res = run_cli("gap", "root", "--spec", "zero", "--K", "14300")
+    assert res.returncode == 0, res.stderr
+    lam = report_of(res)["lam"]
+    assert len(lam) > 4300 and jsonio.dec_str(jsonio.dec_int(lam)) == lam
+    # the root mod 2^20 is the root at K = 20
+    assert jsonio.dec_int(lam) % 2 ** 20 == 1007706
+
+
+def test_decimal_helpers_past_the_digit_limit():
+    n = -7 ** 6000
+    assert jsonio.dec_int(jsonio.dec_str(n)) == n
+    assert jsonio.dec_int(" +" + "9" * 5000 + "\n") == 10 ** 5000 - 1
+    assert jsonio.dec_int("1_0" * 3000) == jsonio.dec_int("10" * 3000)
+    for bad in ("1x" * 3000, "1" * 5000 + ".5", "1" * 5000 + "e5",
+                "1__0" * 2000):
+        with pytest.raises(ValueError):
+            jsonio.dec_int(bad)
+
+
 def test_gap_root_and_bound(tmp_path):
     res = run_cli("gap", "root", "--spec", "zero", "--K", "20")
     assert res.returncode == 0

@@ -275,6 +275,28 @@ def test_val_matches_division_loop(p):
         assert R.val(R.zero()) is None
 
 
+@pytest.mark.parametrize("kind, p, K", [("zp", 2, 9), ("zp", 5, 6),
+                                        ("zmodpk", 3, 7), ("fpt", 2, 8),
+                                        ("fpt", 3, 5), ("fpt", 65537, 4)])
+def test_lift_residual_matches_sub_and_split(kind, p, K):
+    # (c - t - y) / pi^s against the element operations and the digit
+    # split, on inputs with c - t - y = 0 mod pi^s
+    rng = random.Random("%s%d" % (kind, p))
+    R = make_ring(kind, p, K)
+    for s in list(range(K)) * 3:
+        n = rng.randrange(1, 12)
+        t, y, e = ([R.from_digits([rng.randrange(p) for _ in range(K)])
+                    if kind == "fpt" else R.from_int(rng.randrange(p ** K))
+                    for _ in range(n)] for _ in range(3))
+        pis = R.pow(R.uniformizer(), s)
+        c = [R.add(R.add(a, b), R.mul(pis, d)) for a, b, d in zip(t, y, e)]
+        lo, hi = R.split([R.sub(R.sub(a, b), d)
+                          for a, b, d in zip(c, t, y)], s)
+        assert all(map(R.at_prec(s).is_zero, lo))
+        assert R.lift_residual(c, t, y, s) == hi
+        assert hi == R.reduce(e, K - s)
+
+
 def test_exact_fpt_sub_monic_gcd():
     rng = random.Random(5)
     for p in (2, 3, 7):

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from prepkit import (InvariantViolation, NoUnitCoefficient, RingMismatch,
                      weierstrass_divide)
 from prepkit import weierstrass
 from prepkit.rings import IntModRing
+from prepkit.series import Series
 from prepkit.weierstrass import SCHEDULES
 
 Z5K4 = make_ring("zp", 5, 4)
@@ -229,13 +231,85 @@ def test_lifting_runs_few_full_precision_convolutions(monkeypatch):
     assert out["direct_full"] >= 2 * 130
 
 
+def test_lifting_takes_one_product_per_level(monkeypatch):
+    # one product gamma * y per node of the precision tree: K - 1 nodes
+    # for K leaves at precision 1 (the q-coordinate lift made 2 per node)
+    ring = make_ring("zp", 2, 128)
+    f = _random_series(random.Random(4406), ring, 128, 5)
+    assert reduction_index(f) == 5
+    xn = make_series(ring, [0, 0, 0, 0, 0, 1], 128)
+    calls, inside = [], []
+    real_convolve, real_solve = IntModRing.convolve, weierstrass._lift_solve
+
+    def counted(self, a, b, out_len):
+        if inside:
+            calls.append(self.prec)
+        return real_convolve(self, a, b, out_len)
+
+    def solve(*args):
+        inside.append(True)
+        try:
+            return real_solve(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(IntModRing, "convolve", counted)
+    monkeypatch.setattr(weierstrass, "_lift_solve", solve)
+    out = weierstrass_divide(xn, f)
+    assert len(calls) == 127
+    assert calls.count(128) == 1
+    assert out == weierstrass_divide(xn, f, schedule="direct")
+
+
+@pytest.mark.parametrize("kind, p, K", [("zp", 3, 6), ("fpt", 2, 5),
+                                        ("zmodpk", 5, 4)])
+def test_verify_rejects_corrupted_factors(monkeypatch, kind, p, K):
+    ring = make_ring(kind, p, K)
+    rng = random.Random(4407)
+    f = _random_series(rng, ring, 10, 3)
+    piv = ring.pow(ring.uniformizer(), 2)
+    g = make_series(ring, [ring.mul(piv, c) for c in
+                           _random_series(rng, ring, 10, 3).coeffs], 10)
+    wf, sf = prepare(f), strong_factor(g)
+    assert sf.v == 2 and wf.verify(f) and sf.verify(g)
+
+    def bump(xs, i):
+        xs = list(xs)
+        xs[i] = ring.add(xs[i], ring.one())
+        return tuple(xs)
+
+    # a wrong U coefficient, at v = 0 and at v = 2
+    for fact, h in ((wf, f), (sf, g)):
+        U = Series(ring, fact.U.x_prec, bump(fact.U.coeffs, 3))
+        assert not replace(fact, U=U).verify(h)
+    # a nonzero digit below pi^v, with the digits above it unchanged
+    low = Series(ring, 10, bump(g.coeffs, 4))
+    assert ring.split(low.coeffs, 2)[1] == ring.split(g.coeffs, 2)[1]
+    assert not sf.verify(low)
+
+    real = weierstrass._prepare_unverified
+
+    def corrupted(h, schedule):
+        out = real(h, schedule)
+        R = out.U.ring
+        U = list(out.U.coeffs)
+        U[1] = R.add(U[1], R.one())
+        return replace(out, U=Series(R, out.U.x_prec, tuple(U)))
+
+    monkeypatch.setattr(weierstrass, "_prepare_unverified", corrupted)
+    with pytest.raises(InvariantViolation):
+        prepare(f)
+    with pytest.raises(InvariantViolation):
+        strong_factor(g)
+
+
 def test_wrong_solver_output_is_invariant_violation(monkeypatch, tmp_path,
                                                     capsys):
     real = weierstrass._lift_solve
 
-    def perturbed(ring, c, alpha, binv, n, m):
-        q = real(ring, c, alpha, binv, n, m)
-        return [ring.add(q[0], ring.one())] + q[1:]
+    def perturbed(ring, c, gamma, n, m):
+        y = real(ring, c, gamma, n, m)
+        return [ring.add(y[0], ring.one())] + y[1:]
 
     monkeypatch.setattr(weierstrass, "_lift_solve", perturbed)
     f = make_series(Z5K4, [10, 25, 2, 3, 1, 7], 6)
