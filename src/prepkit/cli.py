@@ -16,7 +16,8 @@ import sys
 
 from . import jsonio
 from .errors import IoError, PrepkitError, UsageError
-from .h10 import FPOracle, Inconclusive, LazyBP, OverBudget, decision_probe, theta
+from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, Inconclusive, LazyBP,
+                  OverBudget, decision_probe, theta)
 from .padic_analysis import (bound_check_prime, certify_family,
                              certify_not_root, hensel_lift, phi_truncation,
                              reference_spec, small_root_of_gap,
@@ -28,7 +29,6 @@ from .series import (Series, comp_inverse, compose, detect_periodic_01,
 from .weierstrass import prepare, strong_factor
 
 FLAG_GRAMMAR = "kind:p:prec"
-DEFAULT_BIT_BUDGET = 10 ** 6
 
 
 def _bit_budget(args):
@@ -314,6 +314,8 @@ def _run_gap(args):
 def _run_probe(args, verb):
     P = _load_dio(args)
     points = args.N if getattr(args, "N", None) is not None else 100
+    if points < 0:
+        raise UsageError("--N must be at least 0, got %d" % points)
     verdict = decision_probe(P, points=points, bits=_bit_budget(args))
     rep = jsonio.probe_to_json(verdict)
     rep["poly"] = jsonio.dio_to_json(P)

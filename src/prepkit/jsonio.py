@@ -16,12 +16,13 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import BadPrecision, UsageError
-from .h10 import FPOracle, make_dio, parse_dio_inline, parse_dio_text
+from .errors import UsageError
+from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, make_dio, parse_dio_inline,
+                  parse_dio_text)
 from .padic_analysis import GapSpec, build_gap_series
 from .resultant import make_poly
 from .rings import make_ring
-from .series import OracleSeries, make_series
+from .series import OracleSeries, check_x_prec, make_series
 
 
 def dumps(obj):
@@ -145,23 +146,19 @@ def series_from_json(d):
         raise UsageError("series needs a coeffs array")
     # make_series canonicalizes each value
     vals = [_elem_value(ring, c) for c in coeffs]
-    x_prec = _x_prec(dec_int(d["x_prec"]) if "x_prec" in d else len(vals))
+    x_prec = check_x_prec(dec_int(d["x_prec"]) if "x_prec" in d
+                          else len(vals))
     return make_series(ring, vals, x_prec), None
-
-
-def _x_prec(x_prec):
-    if x_prec < 1:
-        raise BadPrecision("series needs x_prec >= 1, got %d" % x_prec,
-                           x_prec=x_prec)
-    return x_prec
 
 
 def _series_from_oracle(d):
     spec = d["oracle"]
+    if not isinstance(spec, dict):
+        raise UsageError("series oracle must be an object")
     kind = spec.get("kind")
     if "x_prec" not in d:
         raise UsageError("oracle series needs an explicit x_prec")
-    x_prec = _x_prec(dec_int(d["x_prec"]))
+    x_prec = check_x_prec(dec_int(d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
         vals = [_elem_value(ring, c) for c in spec.get("coeffs", [])]
@@ -188,7 +185,7 @@ def _series_from_oracle(d):
     if kind == "h10":
         P = dio_from_json(spec.get("poly"))
         a0 = dec_int(spec.get("a0", 2))
-        bits = dec_int(spec.get("bit_budget", 10 ** 6))
+        bits = dec_int(spec.get("bit_budget", DEFAULT_BIT_BUDGET))
         orc = FPOracle(P, a0, bits)
         return orc.series(x_prec), "h10"
     raise UsageError("unknown oracle kind %r" % kind)

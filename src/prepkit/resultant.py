@@ -192,21 +192,16 @@ def hadamard_check(f, g):
     return BoundReport("hadamard", B, lhs, rhs, lhs <= rhs)
 
 
-def _tdeg(c):
-    return len(c) - 1
-
-
-def tdegree_check(f, g, H=None, A=None):
+def tdegree_check(f, g):
     """t-degree bound over F_p[t]:
-    deg_t(Res) <= H * deg(g) + A * deg(f), with H and A defaulting to
-    the largest coefficient t-degrees of f and g."""
-    if not isinstance(f.ring, ExactFpTRing):
+    deg_t(Res) <= H * deg(g) + A * deg(f), with H and A the largest
+    coefficient t-degrees of f and g."""
+    ring = f.ring
+    if not isinstance(ring, ExactFpTRing):
         raise ValueError("the t-degree bound applies over a polynomial ring")
-    if H is None:
-        H = max((_tdeg(c) for c in f.coeffs if c), default=0)
-    if A is None:
-        A = max((_tdeg(c) for c in g.coeffs if c), default=0)
+    H = max((ring.deg(c) for c in f.coeffs if c), default=0)
+    A = max((ring.deg(c) for c in g.coeffs if c), default=0)
     B = resultant(f, g)
-    lhs = _tdeg(B) if B else -1
+    lhs = ring.deg(B)
     rhs = H * _sdeg(g) + A * _sdeg(f)
     return BoundReport("tdegree", B, lhs, rhs, lhs <= rhs)

@@ -27,7 +27,9 @@ schoolbook for small operands, bitmasks for p = 2, Kronecker packing
 with stdlib arrays while every output digit fits 4 bytes, numpy up to
 int64, and Kronecker with wide limbs past that. numpy, and numpy.fft
 with it, is imported inside the lanes that use it, so it loads on
-first use: the gap and rationality paths never load it.
+first use. The gap and rationality paths load it only through the
+F_p[t] product's int64 lane, taken once (p - 1)^2 * min(len) >= 2^32:
+already at p = 65537, never at the small primes of the reference specs.
 
 Ring.matmul is the block matrix product of series composition: a numpy
 int64 matmul over zp, zmodpk and fpt while no sum can reach 2^63, and

@@ -27,7 +27,9 @@ from math import isqrt
 
 from .errors import (
     BadNormalization,
+    BadPrecision,
     InsufficientXPrecision,
+    InvariantViolation,
     NonBinaryCoefficient,
     NonzeroConstantInner,
     NotAUnitSeries,
@@ -38,6 +40,14 @@ from .errors import (
 from .rings import ExactFpTRing, ExactZRing, IntModRing, Ring
 
 
+def check_x_prec(x_prec):
+    """x_prec, or BadPrecision when it is below 1."""
+    if x_prec < 1:
+        raise BadPrecision("series needs x_prec >= 1, got %d" % x_prec,
+                           x_prec=x_prec)
+    return x_prec
+
+
 @dataclass(frozen=True)
 class Series:
     ring: Ring
@@ -45,8 +55,10 @@ class Series:
     coeffs: tuple
 
     def __post_init__(self):
-        assert self.x_prec >= 1
-        assert len(self.coeffs) == self.x_prec
+        check_x_prec(self.x_prec)
+        if len(self.coeffs) != self.x_prec:
+            raise InvariantViolation("a window of %d holds %d coefficients"
+                                     % (self.x_prec, len(self.coeffs)))
 
     def coeff(self, n):
         return self.coeffs[n]

@@ -10,7 +10,7 @@ the normalization that the top n coefficients of beta * q vanish. Both
 facts are checked after every division and raise InvariantViolation if
 they fail.
 
-The default schedule `lifting` solves for y = beta * q instead. With
+The quotient is found by solving for y = beta * q instead. With
 gamma = alpha * beta^-1 cut to the window, only coefficients below the
 window enter shift_n(q * alpha), so it equals shift_n(gamma * y), and
 the fixed point becomes y = shift_n(g) - shift_n(gamma * y); as gamma
@@ -20,10 +20,11 @@ the same q. It is computed level by level in the pi-adic precision: y
 mod pi^k comes from y mod pi^ceil(k/2) and one correction solved at
 the remaining precision, one product gamma * y per level, so most of
 the arithmetic runs at a fraction of the ring's precision (Dixon's
-p-adic lifting, as Newton-Hensel lifting). The schedules `direct`
-(K + 2 passes from zero) and `warmstart` (K + 1 passes from c) iterate
-the contraction in q at full precision; they are the reference routes
-the tests compare `lifting` against, bit for bit.
+p-adic lifting, as Newton-Hensel lifting). `_contraction_quotient`
+iterates the contraction in q itself, K + 2 full-precision passes from
+zero, and no code in the package calls it: it is the reference route
+that the tests put in place of `_quotient`, so both quotients pass the
+same checks and must agree bit for bit.
 
 Strong factorization splits f = pi^v * P * U with P a monic
 distinguished polynomial (non-leading coefficients of positive
@@ -35,10 +36,8 @@ from dataclasses import dataclass
 
 from .errors import (InvariantViolation, NoUnitCoefficient, RingMismatch,
                      ZeroAtPrecision)
-from .rings import FpTRing, IntModRing, Ring
+from .rings import Ring
 from .series import Series, series_invert
-
-SCHEDULES = ("lifting", "direct", "warmstart")
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def reduction_index(f):
 
 
 def _require_finite(ring):
-    if not isinstance(ring, (IntModRing, FpTRing)):
+    if ring.is_exact:
         raise ValueError("division needs a finite-precision local ring, "
                          "got kind %s" % ring.kind)
 
@@ -112,13 +111,30 @@ def _lift_solve(ring, c, gamma, n, m):
     return solve(c, ring.prec)
 
 
-def weierstrass_divide(g, f, schedule="lifting"):
+def _quotient(ring, g, alpha, binv, n, m):
+    """q = beta^-1 * y, with y = beta * q lifted by _lift_solve from the
+    constant term shift_n(g); for n = 0, y = g."""
+    y = g[n:]
+    if alpha:
+        y = _lift_solve(ring, y, ring.convolve(binv, alpha, m), n, m)
+    return ring.convolve(binv, y, m)
+
+
+def _contraction_quotient(ring, g, alpha, binv, n, m):
+    """The reference route for _quotient: K + 2 passes of the
+    contraction q <- beta^-1 * shift_n(g - q * alpha) from zero, each at
+    full precision."""
+    q = [ring.zero()] * m
+    for _ in range(ring.prec + 2):
+        qa = ring.convolve(q, alpha, m) if alpha else [ring.zero()] * m
+        q = ring.convolve(binv, [ring.sub(g[i], qa[i]) for i in range(n, m)]
+                          + [ring.zero()] * n, m)
+    return q
+
+
+def weierstrass_divide(g, f):
     """Divide g by f: returns (q, r) with g = q * f + r on the window,
-    deg r < n, and the fixed-point normalization above. All schedules
-    compute the same fixed point and must agree bit for bit."""
-    if schedule not in SCHEDULES:
-        raise ValueError("unknown schedule %r; expected one of %s"
-                         % (schedule, ", ".join(SCHEDULES)))
+    deg r < n, and the fixed-point normalization above."""
     if f.ring != g.ring:
         raise RingMismatch("operand rings differ: %r vs %r" % (f.ring, g.ring))
     ring = f.ring
@@ -130,28 +146,7 @@ def weierstrass_divide(g, f, schedule="lifting"):
     alpha = fc[:n]
     beta = fc[n:] + [ring.zero()] * n
     binv = list(series_invert(Series(ring, m, tuple(beta))).coeffs)
-
-    def shift(xs):
-        return xs[n:] + [ring.zero()] * n
-
-    def step(q):
-        qa = ring.convolve(q, alpha, m) if alpha else [ring.zero()] * m
-        return ring.convolve(binv, shift([ring.sub(gc[i], qa[i])
-                                          for i in range(m)]), m)
-
-    if schedule == "lifting":
-        y = gc[n:]
-        if alpha:
-            y = _lift_solve(ring, y, ring.convolve(binv, alpha, m), n, m)
-        q = ring.convolve(binv, y, m)
-    elif schedule == "direct":
-        q = [ring.zero()] * m
-        for _ in range(ring.prec + 2):
-            q = step(q)
-    else:
-        q = ring.convolve(binv, shift(gc), m)
-        for _ in range(ring.prec + 1):
-            q = step(q)
+    q = _quotient(ring, gc, alpha, binv, n, m)
 
     # q * f = q * alpha + x^n * q * beta: one n-tap and one full product
     qa = ring.convolve(q, alpha, m)
@@ -168,22 +163,22 @@ def weierstrass_divide(g, f, schedule="lifting"):
     return Series(ring, m, tuple(q)), r
 
 
-def prepare(f, schedule="lifting"):
+def prepare(f):
     """Weierstrass preparation f = P * U from dividing x^n by f."""
-    wf = _prepare_unverified(f, schedule)
+    wf = _prepare_unverified(f)
     if not wf.verify(f):
         raise InvariantViolation("preparation roundtrip fails")
     return wf
 
 
-def _prepare_unverified(f, schedule):
+def _prepare_unverified(f):
     ring = f.ring
     _require_finite(ring)
     m = f.x_prec
     n = reduction_index(f)
     xn = [ring.zero()] * m
     xn[n] = ring.one()
-    q, r = weierstrass_divide(Series(ring, m, tuple(xn)), f, schedule)
+    q, r = weierstrass_divide(Series(ring, m, tuple(xn)), f)
     P = tuple(ring.neg(c) for c in r) + (ring.one(),)
     for i, c in enumerate(P[:-1]):
         if ring.val(c) == 0:
@@ -192,7 +187,7 @@ def _prepare_unverified(f, schedule):
     return WFactorization(0, n, P, series_invert(q), ring, m)
 
 
-def strong_factor(f, schedule="lifting"):
+def strong_factor(f):
     """Strong factorization f = pi^v * P * U. The windowed minimum
     valuation v is divided out, preparation runs at precision K - v,
     and the factors are lifted back to the original ring."""
@@ -207,12 +202,12 @@ def strong_factor(f, schedule="lifting"):
             prec=ring.prec)
     v = min(finite)
     if v == 0:
-        return prepare(f, schedule)
+        return prepare(f)
 
     s = ring.prec - v
     hi = ring.split(f.coeffs, v)[1]
     # the roundtrip check at precision K below implies the one at K - v
-    wf = _prepare_unverified(Series(ring.at_prec(s), m, tuple(hi)), schedule)
+    wf = _prepare_unverified(Series(ring.at_prec(s), m, tuple(hi)))
     P = tuple(ring.join(wf.P, None, s))
     U = Series(ring, m, tuple(ring.join(wf.U.coeffs, None, s)))
     out = WFactorization(v, wf.n, P, U, ring, m)

@@ -49,7 +49,6 @@ from prepkit.padic_analysis import (
     small_root_of_gap,
     sparse_terms_upto,
 )
-from prepkit.weierstrass import SCHEDULES
 
 Z = make_ring("z")
 
@@ -86,7 +85,7 @@ def ref600():
             "factorizations": [wf], "build_s": time.time() - t0}
 
 
-def test_criterion_1_weierstrass_roundtrip():
+def test_criterion_1_weierstrass_roundtrip(reference):
     ring5 = make_ring("zp", 5, 12)
     ringt = make_ring("fpt", 3, 10)
     ring2 = make_ring("zmodpk", 2, 6)
@@ -94,20 +93,19 @@ def test_criterion_1_weierstrass_roundtrip():
     for ring in (ring5, ringt, ring2):
         for _ in range(500):
             f = _random_series(rng, ring, 40, 5)
-            wf = prepare(f, schedule="direct")
+            wf = reference(prepare, f)
             assert wf.n <= 5
             assert wf.verify(f)
-            for schedule in ("warmstart", "lifting"):
-                other = prepare(f, schedule=schedule)
-                assert other.P == wf.P
-                assert other.U.coeffs == wf.U.coeffs
-                assert (other.v, other.n) == (wf.v, wf.n)
+            other = prepare(f)
+            assert other.P == wf.P
+            assert other.U.coeffs == wf.U.coeffs
+            assert (other.v, other.n) == (wf.v, wf.n)
     R = make_ring("zp", 5, 3)
     g = prepare(make_series(R, [5, 1, 1], 3))
     assert g.P == (30, 1)
 
 
-def test_criterion_2_strong_factorization():
+def test_criterion_2_strong_factorization(reference):
     R8 = make_ring("zmodpk", 2, 3)
     f = make_series(R8, [4, 2, 0, 0, 0], 5)
     wf = strong_factor(f)
@@ -127,7 +125,7 @@ def test_criterion_2_strong_factorization():
         wf = strong_factor(g)
         assert wf.v == v
         assert wf.verify(g)
-        ref = strong_factor(g, schedule="direct")
+        ref = reference(strong_factor, g)
         assert (ref.v, ref.n, ref.P) == (wf.v, wf.n, wf.P)
         assert ref.U.coeffs == wf.U.coeffs
 
@@ -225,7 +223,7 @@ def test_criterion_5_hensel_lifting():
         assert ring.is_zero(ring.canon(f.eval(lifted, ring=ring)))
 
 
-def test_criterion_6_gap_bound_chain(ref600):
+def test_criterion_6_gap_bound_chain(ref600, reference):
     t0 = time.time()
     spec, lam, ring = ref600["spec"], ref600["lam"], ref600["ring"]
     assert lam % 4 == 2
@@ -241,18 +239,17 @@ def test_criterion_6_gap_bound_chain(ref600):
     wf = ref600["factorizations"][0]
     assert wf.verify(ref600["f"])
     assert wf.P == (ring.canon(-lam), 1)
-    # schedule uniqueness on the short window: every schedule and the
+    # uniqueness on the short window: the lifting, the contraction and the
     # n = 1 special path agree
     ring40 = make_ring("zp", 2, 40)
     dense40 = [ring40.zero()] * 40
     for e, c in sparse_terms_upto(spec, 39):
         dense40[e] = ring40.add(dense40[e], ring40.from_int(c))
     f40 = make_series(ring40, dense40, 40)
-    wfd = prepare(f40, schedule="direct")
-    wfw = prepare(f40, schedule="warmstart")
-    wfl = prepare(f40, schedule="lifting")
-    assert wfd.P == wfw.P == wfl.P == gap_linear_factor(spec, 40).P
-    assert wfd.U.coeffs == wfw.U.coeffs == wfl.U.coeffs
+    wfd = reference(prepare, f40)
+    wfl = prepare(f40)
+    assert wfd.P == wfl.P == gap_linear_factor(spec, 40).P
+    assert wfd.U.coeffs == wfl.U.coeffs
     assert ref600["build_s"] + (time.time() - t0) < 5.0
 
 

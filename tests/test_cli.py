@@ -574,6 +574,32 @@ def test_h10_encode(tmp_path):
     assert rep["a0"] == "2"
 
 
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_h10_encode_empty_window_is_json_error(optimize, n):
+    # the window check is a real check, so python -O keeps it
+    res = subprocess.run([sys.executable, *optimize, "-m", "prepkit", "h10",
+                          "encode", "x^2+1", "--N", n],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "BadPrecision"
+    assert err["message"] == "series needs x_prec >= 1, got %s" % n
+
+
+@pytest.mark.parametrize("argv", [["h10", "probe", "x^2+1", "--N", "-5"],
+                                  ["gap", "probe", "x-3", "--N", "-1"]])
+def test_negative_probe_points_is_usage_error(argv):
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "UsageError" and "--N" in err["message"]
+
+
 def test_h10_infile_text_format(tmp_path):
     path = tmp_path / "p.dio"
     path.write_text("1:2\n1:0\n")
@@ -609,6 +635,14 @@ def test_malformed_decimal_element_is_usage_error(tmp_path):
     assert len(lines) == 1
     err = json.loads(lines[0])["error"]
     assert err["type"] == "UsageError" and "'1x'" in err["message"]
+
+    f.write_text('{"x_prec":10,"oracle":[1]}')
+    res = run_cli("series", "rationality", "--in", str(f))
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "UsageError" and "oracle" in err["message"]
 
 
 def test_series_json_oracle_kinds(tmp_path):
@@ -659,8 +693,10 @@ print(json.dumps([codes, seen]))
 
 
 def test_gap_and_rationality_never_load_numpy(tmp_path):
-    # numpy is imported by the product lanes that use it, and none of
-    # them lies on the gap or F_p[t] rationality paths
+    # numpy is imported by the product lanes that use it; for small p
+    # none of them lies on the gap or F_p[t] rationality paths (the
+    # F_p[t] product takes its int64 numpy lane once
+    # (p - 1)^2 * min(len) >= 2^32, e.g. for p = 65537)
     c3 = tmp_path / "c3.json"
     c3.write_text(json.dumps(
         {"char": "p", "p": 3, "b": {"kind": "pow2_nsq"}, "C": "2",

@@ -17,7 +17,6 @@ from prepkit import (InvariantViolation, NoUnitCoefficient, RingMismatch,
 from prepkit import weierstrass
 from prepkit.rings import IntModRing
 from prepkit.series import Series
-from prepkit.weierstrass import SCHEDULES
 
 Z5K4 = make_ring("zp", 5, 4)
 Z5K3 = make_ring("zp", 5, 3)
@@ -75,15 +74,12 @@ def test_prepare_distinguished_invariants():
     assert wf.verify(f)
 
 
-def test_schedules_bit_identical():
+def test_lifting_matches_contraction_reference(reference):
     f = make_series(Z5K4, [10, 25, 2, 3, 1, 7], 6)
-    ref = prepare(f, schedule="direct")
-    for schedule in SCHEDULES:
-        wf = prepare(f, schedule=schedule)
-        assert (wf.v, wf.n, wf.P) == (ref.v, ref.n, ref.P)
-        assert wf.U.coeffs == ref.U.coeffs
-    with pytest.raises(ValueError):
-        prepare(f, schedule="nope")
+    ref = reference(prepare, f)
+    wf = prepare(f)
+    assert (wf.v, wf.n, wf.P) == (ref.v, ref.n, ref.P)
+    assert wf.U.coeffs == ref.U.coeffs
 
 
 def test_prepare_needs_finite_ring():
@@ -147,7 +143,7 @@ def _random_series(rng, ring, m, nmax):
     return make_series(ring, coeffs, m)
 
 
-def test_prepare_roundtrip_random():
+def test_prepare_roundtrip_random(reference):
     rng = random.Random(20260816)
     rings = [make_ring("zp", 5, 6), make_ring("fpt", 3, 5),
              make_ring("zmodpk", 2, 6)]
@@ -157,10 +153,9 @@ def test_prepare_roundtrip_random():
             wf = prepare(f)
             assert wf.n <= 5
             assert wf.verify(f)
-            for schedule in ("direct", "warmstart"):
-                alt = prepare(f, schedule=schedule)
-                assert (alt.v, alt.n, alt.P) == (wf.v, wf.n, wf.P)
-                assert alt.U.coeffs == wf.U.coeffs
+            alt = reference(prepare, f)
+            assert (alt.v, alt.n, alt.P) == (wf.v, wf.n, wf.P)
+            assert alt.U.coeffs == wf.U.coeffs
 
 
 def test_strong_factor_roundtrip_random():
@@ -178,7 +173,7 @@ def test_strong_factor_roundtrip_random():
         assert wf.verify(f)
 
 
-def test_lifting_matches_direct_general_g():
+def test_lifting_matches_direct_general_g(reference):
     # random g, not only x^n, with the edge shapes K=1, n=0 and m=1
     rng = random.Random(4404)
     for kind, p in (("zp", 2), ("zp", 5), ("zmodpk", 3), ("fpt", 2),
@@ -191,10 +186,10 @@ def test_lifting_matches_direct_general_g():
             g = make_series(ring, [ring.from_int(rng.randrange(-10 ** 6, 10 ** 6))
                                    for _ in range(m)], m)
             q, r = weierstrass_divide(g, f)
-            assert (q, r) == weierstrass_divide(g, f, schedule="direct")
+            assert (q, r) == reference(weierstrass_divide, g, f)
 
 
-def test_strong_factor_one_level_left():
+def test_strong_factor_one_level_left(reference):
     # K - v = 1: preparation runs at precision 1, where lifting is c itself
     rng = random.Random(4405)
     for kind, p in (("zmodpk", 2), ("zp", 3), ("fpt", 5)):
@@ -204,12 +199,13 @@ def test_strong_factor_one_level_left():
             base = _random_series(rng, ring, 10, 3)
             f = make_series(ring, [ring.mul(piv, c) for c in base.coeffs], 10)
             wf = strong_factor(f)
-            ref = strong_factor(f, schedule="direct")
+            ref = reference(strong_factor, f)
             assert wf.v == K - 1 and wf.verify(f)
             assert (wf.n, wf.P, wf.U.coeffs) == (ref.n, ref.P, ref.U.coeffs)
 
 
-def test_lifting_runs_few_full_precision_convolutions(monkeypatch):
+def test_lifting_runs_few_full_precision_convolutions(monkeypatch,
+                                                      reference):
     ring = make_ring("zp", 2, 128)
     f = _random_series(random.Random(4406), ring, 128, 5)
     xn = make_series(ring, [0, 0, 0, 1], 128)
@@ -222,16 +218,17 @@ def test_lifting_runs_few_full_precision_convolutions(monkeypatch):
 
     monkeypatch.setattr(IntModRing, "convolve", counted)
     out = {}
-    for schedule in ("lifting", "direct"):
+    for route, run in (("lifting", weierstrass_divide),
+                       ("direct", lambda *a: reference(weierstrass_divide, *a))):
         del calls[:]
-        out[schedule] = weierstrass_divide(xn, f, schedule=schedule)
-        out[schedule + "_full"] = calls.count(128)
+        out[route] = run(xn, f)
+        out[route + "_full"] = calls.count(128)
     assert out["lifting"] == out["direct"]
     assert out["lifting_full"] <= 24
     assert out["direct_full"] >= 2 * 130
 
 
-def test_lifting_takes_one_product_per_level(monkeypatch):
+def test_lifting_takes_one_product_per_level(monkeypatch, reference):
     # one product gamma * y per node of the precision tree: K - 1 nodes
     # for K leaves at precision 1 (the q-coordinate lift made 2 per node)
     ring = make_ring("zp", 2, 128)
@@ -258,7 +255,7 @@ def test_lifting_takes_one_product_per_level(monkeypatch):
     out = weierstrass_divide(xn, f)
     assert len(calls) == 127
     assert calls.count(128) == 1
-    assert out == weierstrass_divide(xn, f, schedule="direct")
+    assert out == reference(weierstrass_divide, xn, f)
 
 
 @pytest.mark.parametrize("kind, p, K", [("zp", 3, 6), ("fpt", 2, 5),
@@ -289,8 +286,8 @@ def test_verify_rejects_corrupted_factors(monkeypatch, kind, p, K):
 
     real = weierstrass._prepare_unverified
 
-    def corrupted(h, schedule):
-        out = real(h, schedule)
+    def corrupted(h):
+        out = real(h)
         R = out.U.ring
         U = list(out.U.coeffs)
         U[1] = R.add(U[1], R.one())
@@ -304,7 +301,7 @@ def test_verify_rejects_corrupted_factors(monkeypatch, kind, p, K):
 
 
 def test_wrong_solver_output_is_invariant_violation(monkeypatch, tmp_path,
-                                                    capsys):
+                                                    capsys, reference):
     real = weierstrass._lift_solve
 
     def perturbed(ring, c, gamma, n, m):
@@ -315,7 +312,7 @@ def test_wrong_solver_output_is_invariant_violation(monkeypatch, tmp_path,
     f = make_series(Z5K4, [10, 25, 2, 3, 1, 7], 6)
     with pytest.raises(InvariantViolation):
         prepare(f)
-    assert prepare(f, schedule="direct").verify(f)
+    assert reference(prepare, f).verify(f)
 
     path = tmp_path / "f.json"
     path.write_text("[10,25,2,3,1,7]")
