@@ -16,7 +16,7 @@ from .errors import (BadNormalization, BadPrecision, BothConstant,
                      PointNotSmall, PrecisionTooLow, PrepkitError,
                      RingMismatch, SpecViolation, UsageError, WindowTooSmall,
                      ZeroAtPrecision, ZeroInput)
-from .rings import make_ring, val_unit_decompose
+from .rings import make_ring
 from .series import (OracleSeries, RationalityVerdict, Series, comp_inverse,
                      compose, detect_periodic_01, detect_recurrence, evaluate,
                      make_series, series_add, series_invert, series_mul,

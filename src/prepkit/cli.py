@@ -24,18 +24,34 @@ from .padic_analysis import (bound_check_prime, certify_family,
                              VERDICT_INCONCLUSIVE)
 from .resultant import hadamard_check, make_poly, resultant, tdegree_check
 from .rings import make_ring
-from .series import (Series, comp_inverse, compose, detect_periodic_01,
-                     detect_recurrence, series_invert, series_mul)
+from .series import (OracleSeries, Series, comp_inverse, compose,
+                     detect_periodic_01, detect_recurrence, series_invert,
+                     series_mul)
 from .weierstrass import prepare, strong_factor
 
 FLAG_GRAMMAR = "kind:p:prec"
 
 
+def _at_least(flag, value, least):
+    """value, or a UsageError naming flag when value is below least."""
+    if value < least:
+        raise UsageError("%s must be at least %d, got %d"
+                         % (flag, least, value))
+    return value
+
+
 def _bit_budget(args):
     if getattr(args, "budget", None) is not None:
-        return args.budget
+        return _at_least("--budget", args.budget, 1)
     raw = os.environ.get("PREPKIT_BUDGET_BITS", "")
-    return int(raw) if raw.strip() else DEFAULT_BIT_BUDGET
+    if not raw.strip():
+        return DEFAULT_BIT_BUDGET
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise UsageError("PREPKIT_BUDGET_BITS must be an integer, got %r"
+                         % raw) from None
+    return _at_least("PREPKIT_BUDGET_BITS", bits, 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +102,10 @@ def _inject_ring(payload, ring):
     return payload
 
 
-def _load_series(payload, ring):
+def _load_series(payload, ring, lazy=False):
+    """(series, oracle kind) from a payload. An oracle's declared window
+    is materialized unless lazy, as rationality reads only a budgeted
+    prefix."""
     if isinstance(payload, list):
         if ring is None:
             raise UsageError("bare coefficient lists need --ring")
@@ -94,6 +113,8 @@ def _load_series(payload, ring):
     f, okind = jsonio.series_from_json(_inject_ring(payload, ring))
     if ring is not None and f.ring != ring:
         raise UsageError("--ring disagrees with the input's embedded ring")
+    if not lazy and isinstance(f, OracleSeries):
+        f = f.materialize(f.x_prec)
     return f, okind
 
 
@@ -166,7 +187,7 @@ def _run_series(args):
         rep["config"] = _config("series", op, args)
         return rep, 0
     single = payload.get("f", payload) if isinstance(payload, dict) else payload
-    f, okind = _load_series(single, ring)
+    f, okind = _load_series(single, ring, lazy=op == "rationality")
     if op == "invert":
         rep = jsonio.series_to_json(series_invert(f))
     elif op == "comp-inverse":
@@ -180,7 +201,8 @@ def _run_series(args):
 
 
 def _run_rationality(args, f, okind):
-    budget = args.budget if args.budget is not None else f.x_prec
+    budget = (f.x_prec if args.budget is None
+              else _at_least("--budget", args.budget, 1))
     if okind in ("periodic", "h10"):
         offset = 1 if okind == "h10" else 0
         upto = min(budget + offset, f.x_prec)
@@ -189,11 +211,9 @@ def _run_rationality(args, f, okind):
         route = "periodic01"
     else:
         upto = min(budget, f.x_prec)
-        if upto < 1:
-            raise UsageError("--budget must be at least 1, got %d" % budget)
         head = Series(f.ring, upto, tuple(f.window(upto)))
-        max_order = (args.degree_cap if args.degree_cap is not None
-                     else (upto - 2) // 2)
+        max_order = (_at_least("--degree-cap", args.degree_cap, 1)
+                     if args.degree_cap is not None else (upto - 2) // 2)
         verdict = detect_recurrence(head, max_order)
         route = "recurrence"
         offset = 0
@@ -238,7 +258,7 @@ def _run_hensel(args):
     x0 = jsonio.elem_from_json(ring, payload["x0"])
     K = args.K if args.K is not None else ring.prec
     root, trace = hensel_lift(P, x0, K, ring=ring, with_trace=True)
-    work = make_ring(ring.kind, ring.p, K)
+    work = ring.at_prec(K)
     rep = {"ring": jsonio.ring_to_json(work),
            "root": jsonio.elem_to_json(work, root),
            "trace": [jsonio.elem_to_json(work, t) for t in trace],
@@ -253,6 +273,8 @@ def _run_gap(args):
     if args.op in ("root", "bound") and args.budget is not None:
         raise UsageError("gap %s builds no Phi_N, so --budget does not "
                          "apply" % args.op)
+    if args.N is not None and args.op != "root":
+        _at_least("--N", args.N, 0)
     if args.op == "root":
         if args.K is None:
             raise UsageError("gap root needs --K")
@@ -298,10 +320,8 @@ def _run_gap(args):
             raise UsageError("gap sweep needs --N and --K")
         D = args.degree_cap if args.degree_cap is not None else 2
         H = args.height_cap if args.height_cap is not None else 5
-        for flag, cap in (("--degree-cap", D), ("--height-cap", H)):
-            if cap < 0:
-                raise UsageError("%s must be at least 0, got %d"
-                                 % (flag, cap))
+        _at_least("--degree-cap", D, 0)
+        _at_least("--height-cap", H, 0)
         ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         summary = certify_family(spec, lam, D, H, args.N, ring, args.budget)
@@ -313,9 +333,8 @@ def _run_gap(args):
 
 def _run_probe(args, verb):
     P = _load_dio(args)
-    points = args.N if getattr(args, "N", None) is not None else 100
-    if points < 0:
-        raise UsageError("--N must be at least 0, got %d" % points)
+    points = (100 if getattr(args, "N", None) is None
+              else _at_least("--N", args.N, 0))
     verdict = decision_probe(P, points=points, bits=_bit_budget(args))
     rep = jsonio.probe_to_json(verdict)
     rep["poly"] = jsonio.dio_to_json(P)
@@ -329,8 +348,8 @@ def _run_h10(args):
     if args.op == "theta":
         if args.N is None:
             raise UsageError("h10 theta needs --N")
-        d = args.d if args.d is not None else 2
-        pt = theta(args.N, d)
+        d = _at_least("--d", args.d, 1) if args.d is not None else 2
+        pt = theta(_at_least("--N", args.N, 0), d)
         rep = {"n": str(args.N), "d": str(d),
                "point": [str(c) for c in pt],
                "config": _config("h10", "theta", args)}
@@ -340,7 +359,7 @@ def _run_h10(args):
         if args.N is None:
             raise UsageError("h10 bp needs --N")
         bp = LazyBP(P, _bit_budget(args))
-        res = bp.value(args.N)
+        res = bp.value(_at_least("--N", args.N, 0))
         values, over = bp.exact_prefix()
         if not isinstance(res, OverBudget):
             over = None

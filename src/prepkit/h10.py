@@ -142,32 +142,20 @@ def zigzag(n):
     return (n + 1) // 2 if n % 2 else -(n // 2)
 
 
-def _spiral_walk():
-    # counterclockwise from the origin: right 1, up 1, left 2, down 2,
-    # right 3, up 3, ...
-    x = y = 0
-    yield (0, 0)
-    dirs = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    run = 1
-    di = 0
-    while True:
-        for _ in range(2):
-            dx, dy = dirs[di % 4]
-            for _ in range(run):
-                x, y = x + dx, y + dy
-                yield (x, y)
-            di += 1
-        run += 1
-
-
-_spiral_gen = _spiral_walk()
-_spiral_cache = []
-
-
 def _spiral_point(n):
-    while len(_spiral_cache) <= n:
-        _spiral_cache.append(next(_spiral_gen))
-    return _spiral_cache[n]
+    # the counterclockwise square spiral from the origin: right 1, up 1,
+    # left 2, down 2, right 3, up 3, ... Pair j of runs (two runs of j
+    # steps, right then up for odd j, left then down for even j) starts
+    # after (j - 1) * j steps, at the corner (c, c), c = zigzag(j - 1).
+    if n == 0:
+        return (0, 0)
+    j = (math.isqrt(4 * n - 3) + 1) // 2
+    s = n - (j - 1) * j
+    c = zigzag(j - 1)
+    sign = 1 if j % 2 else -1
+    if s <= j:
+        return (c + sign * s, c)
+    return (c + sign * j, c + sign * (s - j))
 
 
 def cantor_unpair(z):
@@ -202,17 +190,6 @@ def _growth_factor(v):
     return v * v * (1 + v * v)
 
 
-def exponent_E(P, n):
-    """Exact product over scanned points l <= n of
-    P(theta(l))^2 * (1 + P(theta(l))^2). Zero iff a zero was hit."""
-    acc = 1
-    for ell in range(n + 1):
-        acc *= _growth_factor(P.eval(theta(ell, P.d)))
-        if acc == 0:
-            return 0
-    return acc
-
-
 @dataclass(frozen=True)
 class OverBudget:
     """Returned (never raised) when the next value cannot be
@@ -235,6 +212,8 @@ class LazyBP:
         self._over = None
 
     def exponent(self, n):
+        if n < 0:
+            raise ValueError("index must be nonnegative")
         while len(self._evals) <= n:
             m = len(self._evals)
             prev = self._evals[-1] if m else 1
@@ -276,6 +255,12 @@ class LazyBP:
         OverBudget marker or None if nothing has hit the budget yet
         among computed indices."""
         return list(self._values), self._over
+
+
+def exponent_E(P, n):
+    """Exact product over scanned points l <= n of
+    P(theta(l))^2 * (1 + P(theta(l))^2). Zero iff a zero was hit."""
+    return LazyBP(P).exponent(n)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ from .errors import (
     PointNotSmall,
     PrecisionTooLow,
     SpecViolation,
+    ZeroAtPrecision,
 )
-from .rings import is_prime, make_ring, val_unit_decompose
+from .rings import check_prec, is_prime, make_ring
 from .resultant import Poly, make_poly, resultant
 from .series import OracleSeries, Series, evaluate
 from .weierstrass import WFactorization
@@ -382,8 +383,7 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
             ring = f.ring
     if ring.prec is None or ring.prec < K:
         raise ValueError("need a finite ring of precision at least %d" % K)
-    if ring.prec != K:
-        ring = make_ring(ring.kind, ring.p, K)
+    ring = ring.at_prec(check_prec(ring.kind, K))
     lam = ring.canon(x0)
     trace = [lam]
     fv = fn.eval(ring, lam)
@@ -397,14 +397,20 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
         prev_vf = vf
         for _ in range(2 * K + 8):
             dv = fn.deriv_eval(ring, lam)
-            vd2, unit = val_unit_decompose(ring, dv)
-            # f(x) / f'(x) = (f(x) / unit) / pi^vd2, which needs vf >= vd2
-            if vf < vd2:
+            v = ring.val(dv)
+            if v is None:
+                raise ZeroAtPrecision("zero residue has no unit part at "
+                                      "precision %d" % K, prec=K)
+            # f(x) / f'(x) = (f(x) / pi^v) / (f'(x) / pi^v), which needs
+            # v(f(x)) >= v; the quotient is exact mod pi^(K - v)
+            if vf < v:
                 raise InvariantViolation(
                     "the Newton step has valuation %d, below v(f'(x)) = %d"
-                    % (vf, vd2))
-            hi = ring.split([ring.mul(fv, ring.invert_unit(unit))], vd2)[1]
-            lam = ring.sub(lam, ring.join(hi, None, K - vd2)[0])
+                    % (vf, v))
+            fh, dh = ring.split([fv, dv], v)[1]
+            low = ring.at_prec(K - v)
+            step = low.mul(fh, low.invert_unit(dh))
+            lam = ring.sub(lam, ring.join([step], None, K - v)[0])
             trace.append(lam)
             fv = fn.eval(ring, lam)
             if ring.is_zero(fv):

@@ -8,7 +8,7 @@ inversion, and bulk convolution.
 
 kind        ring                      element encoding
 zp          p-adic ints mod p^K       int in [0, p^K)
-zmodpk      Z/p^k, Artinian local     int in [0, p^k)
+zmodpk      Z/p^k, Artinian local     int in [0, p^k)  (one class with zp)
 fpt         F_p[[t]] mod t^K          tuple of K digits in [0, p)
 z           rational integers         int
 fpt_exact   polynomial ring F_p[t]    trimmed digit tuple, () is zero
@@ -45,7 +45,6 @@ from .errors import (
     CompositeModulus,
     InvariantViolation,
     NotAUnit,
-    ZeroAtPrecision,
     ZeroInput,
 )
 
@@ -429,9 +428,10 @@ class Ring:
 
 
 class IntModRing(Ring):
-    """Z/p^K with canonical representatives; covers both the p-adic
-    finite-precision kind and the Artinian quotient kind (identical
-    arithmetic, distinct semantics for precision handling upstream)."""
+    """Z/p^K with canonical representatives in [0, p^K). It serves both
+    zp (Z_p cut at p^K) and zmodpk (the Artinian ring Z/p^k): the two
+    kinds share one arithmetic and differ only in the kind that reports
+    echo."""
 
     def __init__(self, kind, p, prec):
         self.kind = kind
@@ -483,7 +483,7 @@ class IntModRing(Ring):
 
     def at_prec(self, k):
         """The same ring at precision k."""
-        return self if k == self.prec else type(self)(self.p, k)
+        return self if k == self.prec else IntModRing(self.kind, self.p, k)
 
     def reduce(self, xs, k):
         """xs mod p^k, over at_prec(k)."""
@@ -688,20 +688,6 @@ class FpTRing(Ring):
         return out + [self.zero()] * (out_len - rows)
 
 
-class ZpRing(IntModRing):
-    kind = "zp"
-
-    def __init__(self, p, prec):
-        super().__init__("zp", p, prec)
-
-
-class ZmodPkRing(IntModRing):
-    kind = "zmodpk"
-
-    def __init__(self, p, prec):
-        super().__init__("zmodpk", p, prec)
-
-
 class ExactZRing(Ring):
     """Rational integers; p is optional and only enables valuation."""
 
@@ -876,6 +862,14 @@ class ExactFpTRing(Ring):
 _KINDS = ("zp", "fpt", "zmodpk", "z", "fpt_exact")
 
 
+def check_prec(kind, prec):
+    """prec, or BadPrecision when a finite kind cannot take it."""
+    if prec is None or prec < 1:
+        raise BadPrecision("kind %s needs prec >= 1, got %r" % (kind, prec),
+                           prec=prec)
+    return prec
+
+
 def make_ring(kind, p=None, prec=None):
     """Build a ring from its descriptor. The base must be prime
     (CompositeModulus otherwise) and finite kinds need prec >= 1
@@ -896,31 +890,7 @@ def make_ring(kind, p=None, prec=None):
         if prec is not None:
             raise ValueError("kind fpt_exact is exact; prec does not apply")
         return ExactFpTRing(p)
-    if prec is None or prec < 1:
-        raise BadPrecision("kind %s needs prec >= 1, got %r" % (kind, prec),
-                           prec=prec)
-    if kind == "zp":
-        return ZpRing(p, prec)
-    if kind == "zmodpk":
-        return ZmodPkRing(p, prec)
-    return FpTRing(p, prec)
-
-
-def val_unit_decompose(ring, r):
-    """Split r as pi^v * u with u a unit. Finite kinds refuse the zero
-    residue (ZeroAtPrecision): it is indistinguishable from pi^K times
-    a unit. Exact kinds refuse exact zero (ZeroInput)."""
-    v = ring.val(r)
-    if v is None:
-        if ring.is_exact:
-            raise ZeroInput("cannot decompose exact zero")
-        raise ZeroAtPrecision("zero residue has no unit part at precision %d"
-                              % ring.prec, prec=ring.prec)
-    if isinstance(ring, IntModRing):
-        return v, (r // ring.p ** v) % ring.mod
-    if isinstance(ring, FpTRing):
-        shifted = tuple(r[v:]) + (0,) * v
-        return v, shifted
-    if isinstance(ring, ExactZRing):
-        return v, r // ring.p ** v
-    return v, tuple(r[v:])
+    check_prec(kind, prec)
+    if kind == "fpt":
+        return FpTRing(p, prec)
+    return IntModRing(kind, p, prec)

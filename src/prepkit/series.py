@@ -32,6 +32,7 @@ from .errors import (
     InvariantViolation,
     NonBinaryCoefficient,
     NonzeroConstantInner,
+    NotAUnit,
     NotAUnitSeries,
     PointNotSmall,
     RingMismatch,
@@ -143,7 +144,7 @@ def series_invert(f):
     ring = f.ring
     try:
         inv0 = ring.invert_unit(f.coeffs[0])
-    except Exception as ex:
+    except NotAUnit as ex:
         raise NotAUnitSeries("constant term is not a unit") from ex
     return Series(ring, f.x_prec, tuple(_invert(ring, list(f.coeffs), inv0)))
 

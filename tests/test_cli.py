@@ -589,15 +589,38 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
     assert err["message"] == "series needs x_prec >= 1, got %s" % n
 
 
-@pytest.mark.parametrize("argv", [["h10", "probe", "x^2+1", "--N", "-5"],
-                                  ["gap", "probe", "x-3", "--N", "-1"]])
-def test_negative_probe_points_is_usage_error(argv):
-    res = run_cli(*argv)
+@pytest.mark.parametrize("argv, env, flag", [
+    (["h10", "probe", "x^2+1", "--N", "-5"], None, "--N"),
+    (["gap", "probe", "x-3", "--N", "-1"], None, "--N"),
+    (["gap", "bound", "--spec", "zero", "--N", "-1", "--K", "40"], None,
+     "--N"),
+    (["gap", "sweep", "--spec", "zero", "--N", "-1", "--K", "40",
+      "--degree-cap", "1", "--height-cap", "1"], None, "--N"),
+    (["gap", "phi", "--spec", "zero", "--N", "-1"], None, "--N"),
+    (["gap", "certify", "--spec", "zero", "--N", "-1", "--K", "40",
+      "--in", "cand.json"], None, "--N"),
+    (["h10", "theta", "--N", "-1"], None, "--N"),
+    (["h10", "bp", "x^2+1", "--N", "-1"], None, "--N"),
+    (["h10", "theta", "--N", "3", "--d", "0"], None, "--d"),
+    (["series", "rationality", "--ring", "zp:7:1", "--in", "r.json",
+      "--degree-cap", "0"], None, "--degree-cap"),
+    (["h10", "bp", "x^2+1", "--N", "2"], "abc", "PREPKIT_BUDGET_BITS"),
+    (["h10", "bp", "x^2+1", "--N", "2"], "-5", "PREPKIT_BUDGET_BITS"),
+    (["h10", "bp", "x^2+1", "--N", "2", "--budget", "0"], None, "--budget"),
+], ids=["argv%d" % i for i in range(13)])
+def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
+    (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
+    (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    environ = dict(os.environ)
+    if env is not None:
+        environ["PREPKIT_BUDGET_BITS"] = env
+    res = run_cli(*argv, env=environ)
     assert (res.returncode, res.stdout) == (1, "")
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])["error"]
-    assert err["type"] == "UsageError" and "--N" in err["message"]
+    assert err["type"] == "UsageError" and flag in err["message"]
 
 
 def test_h10_infile_text_format(tmp_path):
@@ -645,7 +668,7 @@ def test_malformed_decimal_element_is_usage_error(tmp_path):
     assert err["type"] == "UsageError" and "oracle" in err["message"]
 
 
-def test_series_json_oracle_kinds(tmp_path):
+def test_series_json_oracle_kinds(tmp_path, capsys):
     d = {"ring": {"kind": "z"}, "x_prec": 12,
          "oracle": {"kind": "periodic", "prefix": [], "cycle": ["1", "0"]}}
     f, kind = jsonio.series_from_json(d)
@@ -658,6 +681,49 @@ def test_series_json_oracle_kinds(tmp_path):
     with pytest.raises(UsageError):
         jsonio.series_from_json({"ring": {"kind": "z"}, "x_prec": 4,
                                  "oracle": {"kind": "wat"}})
+
+    # every verb but rationality reads an oracle's whole declared window,
+    # so it reports what the equivalent coeffs payload reports; the exit
+    # codes pin which verbs apply (prepare needs a finite ring, invert a
+    # unit constant term, comp-inverse f = x + O(x^2) up to a unit)
+    zp = {"kind": "zp", "p": 3, "prec": 4}
+    gap = jsonio.gapspec_to_json(prepkit.reference_spec("zero"))
+    cases = [
+        ({"ring": zp, "x_prec": 8, "oracle": {
+            "kind": "periodic", "prefix": ["1"], "cycle": ["0", "1"]}},
+         [0, 0, 0, 1, 0, 0]),
+        ({"ring": zp, "x_prec": 8, "oracle": {
+            "kind": "periodic", "prefix": ["0", "1"], "cycle": ["2"]}},
+         [0, 0, 1, 0, 0, 0]),
+        ({"x_prec": 8, "oracle": {"kind": "h10", "poly": "x^2+1"}},
+         [1, 1, 1, 1, 0, 0]),
+        ({"x_prec": 8, "oracle": {"kind": "gap", "spec": gap}},
+         [1, 1, 1, 1, 0, 0]),
+    ]
+    verbs = [["prepare"], ["strong-factor"], ["series", "invert"],
+             ["series", "comp-inverse"], ["series", "mul"],
+             ["series", "compose"]]
+    path = tmp_path / "s.json"
+    for orc, want_codes in cases:
+        explicit = jsonio.series_to_json(jsonio.series_from_json(orc)[0])
+        inner = {"ring": explicit["ring"], "x_prec": 8,
+                 "coeffs": ["0", "1", "1"]}
+        results = []
+        for src in (orc, explicit):
+            got = []
+            for verb in verbs:
+                payload = ({"f": src, "g": src if verb[-1] == "mul" else inner}
+                           if verb[-1] in ("mul", "compose") else src)
+                path.write_text(json.dumps(payload))
+                code = cli.main(verb + ["--in", str(path)])
+                out, err = capsys.readouterr()
+                rep = json.loads(out) if out else None
+                if rep:
+                    del rep["config"]
+                got.append((code, rep, err))
+            results.append(got)
+        assert results[0] == results[1], orc
+        assert [r[0] for r in results[0]] == want_codes, orc
 
 
 @pytest.mark.parametrize("payload", [

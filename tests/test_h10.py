@@ -60,8 +60,11 @@ def test_parse_text_format():
 
 def test_zigzag_and_spiral_goldens():
     assert [zigzag(i) for i in range(6)] == [0, 1, -1, 2, -2, 3]
-    want = oracles.spiral(25)
-    assert [theta(n, 2) for n in range(25)] == want
+    want = oracles.spiral(10 ** 4 + 1)
+    assert [theta(n, 2) for n in range(10 ** 4 + 1)] == want
+    far = 10 ** 6 + 2024
+    walk = oracles._spiral_walk()
+    assert theta(far, 2) == next(itertools.islice(walk, far, None))
     assert theta(4, 2) == (-1, 1)
     assert theta(9, 2) == (2, -1)
 

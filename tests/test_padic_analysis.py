@@ -396,7 +396,10 @@ _HENSEL = ('pa.hensel_lift(make_poly(make_ring("z", 2), [-17, 0, 1]), 1, 12, '
     # the Newton step on x^2 - 17 from 1: a derivative whose valuation
     # exceeds v(f(x)) = 4, an f(x) that never gains valuation, and one
     # that gains a unit of valuation per step without ever vanishing
-    ("pa.val_unit_decompose = lambda R, d: (20, R.one())", _HENSEL),
+    ("real = pa._PolyFunc.deriv_eval\n"
+     "pa._PolyFunc.deriv_eval = lambda self, R, x, "
+     "c=__import__('itertools').count(): "
+     "real(self, R, x) if next(c) == 0 else R.from_int(2 ** 8)", _HENSEL),
     ("pa._PolyFunc.eval = lambda self, R, x: R.from_int(8)", _HENSEL),
     ("pa._PolyFunc.eval = lambda self, R, x, "
      "c=__import__('itertools').count(3): 2 ** next(c) + 2 ** 200", _HENSEL),

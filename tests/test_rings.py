@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from prepkit import (BadPrecision, CompositeModulus, NotAUnit, make_ring,
-                     rings, val_unit_decompose)
+from prepkit import BadPrecision, CompositeModulus, NotAUnit, make_ring, rings
 from prepkit.rings import (b2_deg, b2_divmod, b2_mul, digits_from_mask,
                            is_prime, mask_from_digits)
 
@@ -56,16 +55,16 @@ def test_intmod_goldens():
         R.invert_unit(R.from_int(5))
 
 
-def test_val_unit_decompose():
-    R = make_ring("zp", 5, 8)
-    v, u = val_unit_decompose(R, R.from_int(50))
-    assert (v, u % 5 != 0) == (2, True)
-    assert R.mul(R.pow(R.uniformizer(), v), u) == R.from_int(50)
-    T = make_ring("fpt", 3, 6)
-    x = T.from_digits((0, 0, 2, 1))
-    v, u = val_unit_decompose(T, x)
-    assert v == 2 and T.val(u) == 0
-    assert T.mul(T.pow(T.uniformizer(), v), u) == x
+def test_val_split_identity():
+    # the Hensel step's split: r = pi^v * hi with hi a unit mod pi^(K - v)
+    for R, r in ((make_ring("zp", 5, 8), 50),
+                 (make_ring("fpt", 3, 6), (0, 0, 2, 1))):
+        r = R.canon(r)
+        v = R.val(r)
+        hi = R.split([r], v)[1][0]
+        assert v == 2 and R.at_prec(R.prec - v).val(hi) == 0
+        lifted = R.join([hi], None, R.prec - v)[0]
+        assert R.mul(R.pow(R.uniformizer(), v), lifted) == r
 
 
 def test_exact_z_valuations():
