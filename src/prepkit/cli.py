@@ -24,9 +24,8 @@ from .padic_analysis import (bound_check_prime, certify_family,
                              VERDICT_INCONCLUSIVE)
 from .resultant import hadamard_check, make_poly, resultant, tdegree_check
 from .rings import make_ring
-from .series import (OracleSeries, Series, comp_inverse, compose,
-                     detect_periodic_01, detect_recurrence, series_invert,
-                     series_mul)
+from .series import (comp_inverse, compose, detect_periodic_01,
+                     detect_recurrence, series_invert, series_mul)
 from .weierstrass import prepare, strong_factor
 
 FLAG_GRAMMAR = "kind:p:prec"
@@ -102,31 +101,23 @@ def _inject_ring(payload, ring):
     return payload
 
 
-def _load_series(payload, ring, lazy=False):
-    """(series, oracle kind) from a payload. An oracle's declared window
-    is materialized unless lazy, as rationality reads only a budgeted
-    prefix."""
+def _load(decode, payload, ring):
+    """decode(payload) for a series or polynomial payload: a bare list
+    takes its ring from --ring and an object without a ring gets it.
+    decode returns a pair whose head carries the ring, which must agree
+    with --ring."""
     if isinstance(payload, list):
         if ring is None:
             raise UsageError("bare coefficient lists need --ring")
-        payload = {"ring": jsonio.ring_to_json(ring), "coeffs": payload}
-    f, okind = jsonio.series_from_json(_inject_ring(payload, ring))
-    if ring is not None and f.ring != ring:
+        payload = {"coeffs": payload}
+    out = decode(_inject_ring(payload, ring))
+    if ring is not None and out[0].ring != ring:
         raise UsageError("--ring disagrees with the input's embedded ring")
-    if not lazy and isinstance(f, OracleSeries):
-        f = f.materialize(f.x_prec)
-    return f, okind
+    return out
 
 
-def _load_poly(payload, ring):
-    if isinstance(payload, list):
-        if ring is None:
-            raise UsageError("bare coefficient lists need --ring")
-        payload = {"ring": jsonio.ring_to_json(ring), "coeffs": payload}
-    P = jsonio.poly_from_json(_inject_ring(payload, ring))
-    if ring is not None and P.ring != ring:
-        raise UsageError("--ring disagrees with the input's embedded ring")
-    return P
+def _poly_pair(d):
+    return jsonio.poly_from_json(d), None
 
 
 def _load_dio(args):
@@ -165,7 +156,7 @@ def _config(verb, op, args, spec=None, extra=None):
 
 def _run_prepare(args, strong):
     ring = _ring_flag(args.ring) if args.ring else None
-    f, _ = _load_series(_read_json(args.infile), ring)
+    f, _ = _load(jsonio.series_from_json, _read_json(args.infile), ring)
     wf = strong_factor(f) if strong else prepare(f)
     rep = jsonio.wfact_to_json(wf)
     rep["config"] = _config("strong-factor" if strong else "prepare",
@@ -180,14 +171,14 @@ def _run_series(args):
     if op in ("mul", "compose"):
         if not isinstance(payload, dict) or "f" not in payload or "g" not in payload:
             raise UsageError("series %s needs {\"f\":..., \"g\":...}" % op)
-        f, _ = _load_series(payload["f"], ring)
-        g, _ = _load_series(payload["g"], ring)
+        f, _ = _load(jsonio.series_from_json, payload["f"], ring)
+        g, _ = _load(jsonio.series_from_json, payload["g"], ring)
         out = series_mul(f, g) if op == "mul" else compose(f, g)
         rep = jsonio.series_to_json(out)
         rep["config"] = _config("series", op, args)
         return rep, 0
     single = payload.get("f", payload) if isinstance(payload, dict) else payload
-    f, okind = _load_series(single, ring, lazy=op == "rationality")
+    f, okind = _load(jsonio.series_from_json, single, ring)
     if op == "invert":
         rep = jsonio.series_to_json(series_invert(f))
     elif op == "comp-inverse":
@@ -202,21 +193,23 @@ def _run_series(args):
 
 def _run_rationality(args, f, okind):
     budget = (f.x_prec if args.budget is None
-              else _at_least("--budget", args.budget, 1))
+              else _at_least("--budget", args.budget, 4))
+    # h10 skips the constant term
+    offset = 1 if okind == "h10" else 0
+    upto = min(budget + offset, f.x_prec)
+    if upto - offset < 4:
+        raise UsageError("rationality needs at least 4 coefficients, and "
+                         "the window of %d gives %d"
+                         % (f.x_prec, upto - offset))
     if okind in ("periodic", "h10"):
-        offset = 1 if okind == "h10" else 0
-        upto = min(budget + offset, f.x_prec)
         vals = [f.coeff(i) for i in range(offset, upto)]
-        verdict = detect_periodic_01(vals, len(vals))
+        verdict = detect_periodic_01(f.ring, vals)
         route = "periodic01"
     else:
-        upto = min(budget, f.x_prec)
-        head = Series(f.ring, upto, tuple(f.window(upto)))
         max_order = (_at_least("--degree-cap", args.degree_cap, 1)
                      if args.degree_cap is not None else (upto - 2) // 2)
-        verdict = detect_recurrence(head, max_order)
+        verdict = detect_recurrence(f.truncate(upto), max_order)
         route = "recurrence"
-        offset = 0
     rep = jsonio.rationality_to_json(verdict)
     rep["route"] = route
     rep["offset"] = str(offset)
@@ -229,8 +222,8 @@ def _run_resultant(args):
     payload = _read_json(args.infile)
     if not isinstance(payload, dict) or "f" not in payload or "g" not in payload:
         raise UsageError("resultant needs {\"f\":..., \"g\":...}")
-    f = _load_poly(payload["f"], ring)
-    g = _load_poly(payload["g"], ring)
+    f, _ = _load(_poly_pair, payload["f"], ring)
+    g, _ = _load(_poly_pair, payload["g"], ring)
     if args.op == "compute":
         rep = jsonio.resultant_to_json(f.ring, resultant(f, g))
     elif args.op == "hadamard":
@@ -308,7 +301,8 @@ def _run_gap(args):
             raise UsageError("gap certify needs --in with a candidate")
         payload = _read_json(args.infile)
         has_ring = isinstance(payload, dict) and "ring" in payload
-        P = _load_poly(payload, None if has_ring else spec.exact_ring())
+        P, _ = _load(_poly_pair, payload,
+                     None if has_ring else spec.exact_ring())
         ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         rep_obj = certify_not_root(spec, lam, P, args.N, ring, args.budget)

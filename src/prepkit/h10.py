@@ -192,8 +192,8 @@ def _growth_factor(v):
 
 @dataclass(frozen=True)
 class OverBudget:
-    """Returned (never raised) when the next value cannot be
-    materialized: its bit size is at least predicted_bits."""
+    """Returned (never raised) when the next value cannot be computed
+    within the budget: its bit size is at least predicted_bits."""
     n: int
     predicted_bits: int
 
@@ -267,7 +267,7 @@ def exponent_E(P, n):
 class UnderdeterminedBeyond:
     """Coefficient queries beyond the last exact recursion value are
     sound zeros only below 2^floor_bits, the proven lower bound on the
-    next (unmaterialized) value."""
+    next (uncomputed) value."""
     n: int
     floor_bits: int
 

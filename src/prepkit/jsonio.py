@@ -126,8 +126,6 @@ def _elem_value(ring, v):
 # ---------------------------------------------------------------- series
 
 def series_to_json(f):
-    if isinstance(f, OracleSeries):
-        f = f.materialize(f.x_prec)
     return {"ring": ring_to_json(f.ring),
             "x_prec": f.x_prec,
             "coeffs": [elem_to_json(f.ring, c) for c in f.coeffs]}

@@ -1,8 +1,13 @@
 """Truncated power series over a coefficient ring.
 
 A Series is an immutable window of x_prec coefficients. An OracleSeries
-wraps a deterministic coefficient rule and materializes windows on
-demand, memoizing each coefficient it computes; it takes no lock.
+is a deterministic coefficient rule with a declared window of x_prec;
+it computes each coefficient on first read and memoizes it, and takes
+no lock. Both answer one protocol, so every operation here and every
+one built on them takes either type: ring, x_prec, coeff(n), window(m)
+(the first m coefficients; InsufficientXPrecision past x_prec), coeffs
+(the whole window, built once) and truncate(m) (the first m
+coefficients as a Series).
 
 Operations: add, sub, mul, unit inversion, composition, compositional
 inverse, evaluation at a small point, and two rationality detectors
@@ -23,6 +28,7 @@ step.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import (
@@ -65,14 +71,18 @@ class Series:
         return self.coeffs[n]
 
     def window(self, m):
-        if m > self.x_prec:
-            raise InsufficientXPrecision(
-                "window %d exceeds stored precision %d" % (m, self.x_prec),
-                needed=m, have=self.x_prec)
+        _check_window(self, m)
         return list(self.coeffs[:m])
 
     def truncate(self, m):
         return Series(self.ring, m, tuple(self.window(m)))
+
+
+def _check_window(f, m):
+    if m > f.x_prec:
+        raise InsufficientXPrecision(
+            "window %d exceeds stored precision %d" % (m, f.x_prec),
+            needed=m, have=f.x_prec)
 
 
 def make_series(ring, coeffs, x_prec=None):
@@ -93,7 +103,7 @@ class OracleSeries:
     def __init__(self, ring, fn, x_prec):
         self.ring = ring
         self.fn = fn
-        self.x_prec = x_prec
+        self.x_prec = check_x_prec(x_prec)
         self._memo = {}
 
     def coeff(self, n):
@@ -107,10 +117,14 @@ class OracleSeries:
         return memo[n]
 
     def window(self, m):
+        _check_window(self, m)
         return [self.coeff(i) for i in range(m)]
 
-    def materialize(self, m):
-        return Series(self.ring, m, tuple(self.window(m)))
+    @cached_property
+    def coeffs(self):
+        return tuple(self.window(self.x_prec))
+
+    truncate = Series.truncate
 
 
 def _common(f, g):
@@ -277,35 +291,19 @@ class RationalityVerdict:
         return self.kind == "rational"
 
 
-def _binary_values(source, budget):
-    if hasattr(source, "coeff"):
-        ring = source.ring
-        raw = [source.coeff(i) for i in range(budget)]
-        out = []
-        for i, v in enumerate(raw):
-            if ring.is_zero(v):
-                out.append(0)
-            elif v == ring.one():
-                out.append(1)
-            else:
-                raise NonBinaryCoefficient("coefficient %d is not 0 or 1" % i,
-                                           index=i)
-        return out
-    vals = [source(i) if callable(source) else source[i] for i in range(budget)]
-    for i, v in enumerate(vals):
-        if v not in (0, 1):
-            raise NonBinaryCoefficient("coefficient %d is not 0 or 1" % i,
-                                       index=i)
-    return list(vals)
-
-
-def detect_periodic_01(source, budget):
-    """Least (d, s) in lexicographic order such that the 0/1 sequence
-    is d-periodic from index s, with s + 2d <= budget; the witness is
-    q = 1 - x^d. No such pair means irrational at this budget."""
+def detect_periodic_01(ring, vals):
+    """Least (d, s) in lexicographic order such that vals, a list of
+    ring elements each 0 or 1, is d-periodic from index s, with
+    s + 2d <= len(vals); the witness is q = 1 - x^d. No such pair means
+    irrational at this budget, len(vals)."""
+    budget = len(vals)
     if budget < 4:
         raise ValueError("budget must be at least 4, got %r" % (budget,))
-    vals = _binary_values(source, budget)
+    one = ring.one()
+    for i, v in enumerate(vals):
+        if not ring.is_zero(v) and v != one:
+            raise NonBinaryCoefficient("coefficient %d is not 0 or 1" % i,
+                                       index=i)
     for d in range(1, budget // 2 + 1):
         for s in range(0, budget - 2 * d + 1):
             if all(vals[i] == vals[i + d] for i in range(s, budget - d)):
@@ -420,8 +418,6 @@ def detect_recurrence(f, max_order):
     operations. L never decreases, so the pass stops as soon as L
     exceeds max_order. An all-zero window (L = 0) reports d = 1, and q
     is zero-padded to d + 1 entries when its degree falls below d."""
-    if hasattr(f, "materialize"):
-        f = f.materialize(f.x_prec)
     ring = f.ring
     F = _recurrence_field(ring)
     m = f.x_prec

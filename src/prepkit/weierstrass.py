@@ -20,11 +20,10 @@ the same q. It is computed level by level in the pi-adic precision: y
 mod pi^k comes from y mod pi^ceil(k/2) and one correction solved at
 the remaining precision, one product gamma * y per level, so most of
 the arithmetic runs at a fraction of the ring's precision (Dixon's
-p-adic lifting, as Newton-Hensel lifting). `_contraction_quotient`
-iterates the contraction in q itself, K + 2 full-precision passes from
-zero, and no code in the package calls it: it is the reference route
-that the tests put in place of `_quotient`, so both quotients pass the
-same checks and must agree bit for bit.
+p-adic lifting, as Newton-Hensel lifting). The reference route, which
+iterates the contraction in q itself, lives in the tests; they put it
+in place of `_quotient`, so both quotients pass the same checks and
+must agree bit for bit.
 
 Strong factorization splits f = pi^v * P * U with P a monic
 distinguished polynomial (non-leading coefficients of positive
@@ -118,18 +117,6 @@ def _quotient(ring, g, alpha, binv, n, m):
     if alpha:
         y = _lift_solve(ring, y, ring.convolve(binv, alpha, m), n, m)
     return ring.convolve(binv, y, m)
-
-
-def _contraction_quotient(ring, g, alpha, binv, n, m):
-    """The reference route for _quotient: K + 2 passes of the
-    contraction q <- beta^-1 * shift_n(g - q * alpha) from zero, each at
-    full precision."""
-    q = [ring.zero()] * m
-    for _ in range(ring.prec + 2):
-        qa = ring.convolve(q, alpha, m) if alpha else [ring.zero()] * m
-        q = ring.convolve(binv, [ring.sub(g[i], qa[i]) for i in range(n, m)]
-                          + [ring.zero()] * n, m)
-    return q
 
 
 def weierstrass_divide(g, f):

@@ -8,6 +8,8 @@ from prepkit import weierstrass
 # Let test modules import the standalone oracle helpers next to them.
 sys.path.insert(0, os.path.dirname(__file__))
 
+import oracles  # noqa: E402
+
 
 @pytest.fixture
 def reference():
@@ -17,7 +19,7 @@ def reference():
     def run(fn, *args):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weierstrass, "_quotient",
-                       weierstrass._contraction_quotient)
+                       oracles.contraction_quotient)
             return fn(*args)
 
     return run

@@ -250,6 +250,19 @@ def wprepare(f, p, K, M, mod=None):
     return P, U, n
 
 
+def contraction_quotient(ring, g, alpha, binv, n, m):
+    """The reference route for the library's Weierstrass quotient, with
+    its signature: K + 2 passes of the contraction
+    q <- beta^-1 * shift_n(g - q * alpha) from zero, each at full
+    precision, in the ring methods of the library ring it is given."""
+    q = [ring.zero()] * m
+    for _ in range(ring.prec + 2):
+        qa = ring.convolve(q, alpha, m) if alpha else [ring.zero()] * m
+        q = ring.convolve(binv, [ring.sub(g[i], qa[i]) for i in range(n, m)]
+                          + [ring.zero()] * n, m)
+    return q
+
+
 # ---------------------------------------------------------------------------
 # integer and GF(2)[t] determinants (Bareiss), Sylvester layout
 

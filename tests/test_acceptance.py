@@ -317,7 +317,7 @@ def test_criterion_8_h10_encoder():
     assert (v.zero_index, v.point) == (5, (3,))
     orc = FPOracle(parse_dio_inline("x-3"), 2, 10 ** 6)
     tail = [orc.coeff(i) for i in range(1, 41)]
-    verdict = detect_periodic_01(tail, len(tail))
+    verdict = detect_periodic_01(make_ring("z"), tail)
     assert verdict.is_rational and verdict.d == 1
     assert isinstance(decision_probe(parse_dio_inline("x^2+1")),
                       GapGrowthEvidence)

@@ -157,6 +157,15 @@ def test_rationality_exit_codes(tmp_path):
     assert res.returncode == 0
     rep = report_of(res)
     assert rep["kind"] == "rational" and rep["route"] == "periodic01"
+    # over F_3[[t]] the elements 0 and 1 are digit arrays
+    per.write_text(json.dumps({
+        "ring": {"kind": "fpt", "p": 3, "prec": 2}, "x_prec": 16,
+        "oracle": {"kind": "periodic", "prefix": ["1"], "cycle": ["0", "1"]}}))
+    res = run_cli("series", "rationality", "--in", str(per))
+    assert res.returncode == 0
+    rep = report_of(res)
+    assert (rep["kind"], rep["d"], rep["route"]) == ("rational", "2",
+                                                     "periodic01")
 
     irr = tmp_path / "irr.json"
     bits = [str(bin(i).count("1") % 2) for i in range(64)]
@@ -607,10 +616,28 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
     (["h10", "bp", "x^2+1", "--N", "2"], "abc", "PREPKIT_BUDGET_BITS"),
     (["h10", "bp", "x^2+1", "--N", "2"], "-5", "PREPKIT_BUDGET_BITS"),
     (["h10", "bp", "x^2+1", "--N", "2", "--budget", "0"], None, "--budget"),
-], ids=["argv%d" % i for i in range(13)])
+    # rationality reads at least 4 coefficients on either route
+    (["series", "rationality", "--in", "per8.json", "--budget", "3"], None,
+     "--budget"),
+    (["series", "rationality", "--in", "per3.json"], None, "window"),
+    (["series", "rationality", "--ring", "zp:7:1", "--in", "r.json",
+      "--budget", "3"], None, "--budget"),
+    (["series", "rationality", "--ring", "zp:7:1", "--in", "r3.json"], None,
+     "window"),
+    (["series", "rationality", "--in", "h4.json"], None, "window"),
+], ids=["argv%d" % i for i in range(18)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
+    (tmp_path / "r3.json").write_text('["1","2","3"]')
+    for n in (3, 8):
+        (tmp_path / ("per%d.json" % n)).write_text(json.dumps({
+            "ring": {"kind": "zp", "p": 3, "prec": 4}, "x_prec": n,
+            "oracle": {"kind": "periodic", "prefix": ["1"],
+                       "cycle": ["0", "1"]}}))
+    # h10 skips the constant term, so a window of 4 gives 3 coefficients
+    (tmp_path / "h4.json").write_text(json.dumps({
+        "x_prec": 4, "oracle": {"kind": "h10", "poly": "x-3"}}))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     environ = dict(os.environ)
     if env is not None:

@@ -235,7 +235,7 @@ def test_probe_scan_is_inclusive():
 def test_encoded_tail_period_one():
     P = parse_dio_inline("x-3")
     s = FPOracle(P, 2, 10 ** 6).series(40)
-    verdict = detect_periodic_01([s.coeff(i) for i in range(1, 40)], 39)
+    verdict = detect_periodic_01(s.ring, s.window(40)[1:])
     assert verdict.kind == "rational"
     assert verdict.d == 1
 

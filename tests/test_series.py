@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from prepkit import (InsufficientXPrecision, NonBinaryCoefficient,
-                     NonzeroConstantInner, NotAUnitSeries, OracleSeries,
-                     PointNotSmall, WindowTooSmall, comp_inverse, compose,
+from prepkit import (BadPrecision, InsufficientXPrecision,
+                     NonBinaryCoefficient, NonzeroConstantInner,
+                     NotAUnitSeries, OracleSeries, PointNotSmall,
+                     PrepkitError, WindowTooSmall, comp_inverse, compose,
                      detect_periodic_01, detect_recurrence, evaluate,
-                     make_ring, make_series, series_add, series_invert,
-                     series_mul, series_sub)
+                     hensel_lift, jsonio, make_ring, make_series, prepare,
+                     series_add, series_invert, series_mul, series_sub,
+                     strong_factor)
 
 Z4 = make_ring("zmodpk", 2, 2)
 F5 = make_ring("zp", 5, 1)
@@ -124,13 +126,61 @@ def test_add_sub_roundtrip():
     assert ints(series_sub(series_add(f, g), g)) == ints(f)
 
 
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (PrepkitError, ValueError) as e:
+        return type(e).__name__, str(e), getattr(e, "data", None)
+
+
 def test_oracle_series_window_and_materialize():
     s = OracleSeries(Z, lambda n: n * n, 10)
     assert s.window(4) == [0, 1, 4, 9]
-    m = s.materialize(5)
+    m = s.truncate(5)
     assert ints(m) == [0, 1, 4, 9, 16]
     with pytest.raises(InsufficientXPrecision):
         s.coeff(10)
+    with pytest.raises(BadPrecision):
+        OracleSeries(Z, lambda n: n, 0)
+    for f in (s, m):
+        with pytest.raises(InsufficientXPrecision) as e:
+            f.window(f.x_prec + 3)
+        assert e.value.data == {"needed": f.x_prec + 3, "have": f.x_prec}
+
+    # every op answers on an oracle what it answers on its window
+    for R, pi in ((make_ring("zp", 3, 4), 3),
+                  (make_ring("fpt", 3, 3), (0, 1))):
+        pi = R.canon(pi)
+
+        def oracle(head):
+            def rule(n):
+                return head[n] if n < len(head) else R.from_int(1 + n % 2)
+            return OracleSeries(R, rule, 8)
+
+        one = R.one()
+        a = oracle([pi, R.add(pi, pi)])  # reduction index 2
+        u = oracle([R.add(one, pi), pi])  # a unit
+        z = oracle([R.zero(), one, pi])  # x + O(x^2)
+        h = oracle([pi, one])  # a simple root of positive valuation
+        pa = OracleSeries(R, lambda n: R.mul(pi, a.coeff(n)), 8)  # v = 1
+        calls = [(prepare, a), (strong_factor, pa), (series_invert, u),
+                 (series_mul, u, a), (compose, u, z), (comp_inverse, z),
+                 (detect_recurrence, u, 3), (evaluate, u, pi, R.prec),
+                 (hensel_lift, h, R.zero(), R.prec),
+                 (jsonio.series_to_json, u)]
+        for fn, *args in calls:
+            windows = [f.truncate(f.x_prec) if isinstance(f, OracleSeries)
+                       else f for f in args]
+            got = _outcome(fn, *args)
+            assert got == _outcome(fn, *windows), fn.__name__
+            # recurrence detection needs a field; every other call succeeds
+            want = "ValueError" if fn is detect_recurrence else "ok"
+            assert got[0] == want, (fn.__name__, got)
+    F3 = make_ring("zp", 3, 1)
+    o = OracleSeries(F3, lambda n: 1 + n % 2, 12)
+    got = detect_recurrence(o, 5)
+    assert got == detect_recurrence(o.truncate(12), 5)
+    assert (got.kind, got.d) == ("rational", 1)  # c(n + 1) = -c(n) mod 3
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=2,
@@ -163,34 +213,36 @@ def test_comp_inverse_roundtrip_random(tail):
 # ------------------------------------------------------------- rationality
 
 def test_detect_periodic_goldens():
-    v = detect_periodic_01([0, 1] * 8, 16)
+    v = detect_periodic_01(Z, [0, 1] * 8)
     assert (v.kind, v.d, v.s, v.q) == ("rational", 2, 0, (1, 0, -1))
-    v = detect_periodic_01([1] * 16, 16)
+    v = detect_periodic_01(Z, [1] * 16)
     assert (v.kind, v.d, v.s) == ("rational", 1, 0)
-    v = detect_periodic_01([0, 1] + [0] * 30, 32)
+    v = detect_periodic_01(Z, [0, 1] + [0] * 30)
     assert (v.kind, v.d, v.s) == ("rational", 1, 2)
     assert v.q == (1, -1)
 
 
 def test_detect_periodic_thue_morse_irrational():
     tm = [oracles.thue_morse(i) for i in range(512)]
-    v = detect_periodic_01(tm, 512)
+    v = detect_periodic_01(Z, tm)
     assert v.kind == "irrational_at_budget"
     assert v.budget == 512
 
 
 def test_detect_periodic_input_guards():
     with pytest.raises(ValueError):
-        detect_periodic_01([0, 1, 0], 3)
+        detect_periodic_01(Z, [0, 1, 0])
     with pytest.raises(NonBinaryCoefficient):
-        detect_periodic_01([0, 1, 2, 0, 1], 5)
+        detect_periodic_01(Z, [0, 1, 2, 0, 1])
 
 
-def test_detect_periodic_accepts_series():
-    R = make_ring("zp", 7, 1)
-    f = make_series(R, [1, 0] * 10, 20)
-    v = detect_periodic_01(f, 20)
+def test_detect_periodic_fpt_values():
+    # 0 and 1 of F_3[[t]]/t^2 are digit tuples, not the ints 0 and 1
+    R = make_ring("fpt", 3, 2)
+    v = detect_periodic_01(R, [R.from_int(c) for c in [1, 0] * 10])
     assert (v.kind, v.d, v.s) == ("rational", 2, 0)
+    with pytest.raises(NonBinaryCoefficient):
+        detect_periodic_01(R, [R.one(), R.zero(), R.canon((0, 1)), R.one()])
 
 
 def test_detect_recurrence_fibonacci_mod5():
