@@ -206,6 +206,11 @@ def _run_rationality(args, f, okind):
         verdict = detect_periodic_01(f.ring, vals)
         route = "periodic01"
     else:
+        if f.ring.fraction_field() is None:
+            where = "--ring " + args.ring if args.ring else "input"
+            raise UsageError("%s: recurrence detection needs zp or zmodpk at "
+                             "prec 1, z or fpt_exact, got kind %s with prec %r"
+                             % (where, f.ring.kind, f.ring.prec))
         max_order = (_at_least("--degree-cap", args.degree_cap, 1)
                      if args.degree_cap is not None else (upto - 2) // 2)
         verdict = detect_recurrence(f.truncate(upto), max_order)

@@ -26,7 +26,9 @@ class DioPoly:
     terms: tuple  # sorted ((e_1, ..., e_d), coeff) pairs, coeff != 0
 
     def eval(self, point):
-        assert len(point) == self.d
+        if len(point) != self.d:
+            raise ValueError("point has %d coordinates, polynomial has %d "
+                             "variables" % (len(point), self.d))
         acc = 0
         for exps, c in self.terms:
             m = c
@@ -366,15 +368,14 @@ def _sign_definite(P):
 
 
 def decision_probe(P, points=100, bits=DEFAULT_BIT_BUDGET):
-    """Scan l = 0..points for a zero of P along theta. A zero is
-    re-verified and certifies rationality of f_P. With no zero found,
-    growth evidence is emitted only under a zero-freeness certificate
-    (full cover of the one-variable integer-root window, or sign
-    definiteness); otherwise the verdict is Inconclusive."""
+    """Scan l = 0..points for a zero of P along theta; a zero certifies
+    rationality of f_P. With no zero found, growth evidence is emitted
+    only under a zero-freeness certificate (full cover of the
+    one-variable integer-root window, or sign definiteness); otherwise
+    the verdict is Inconclusive."""
     for ell in range(points + 1):
         pt = theta(ell, P.d)
         if P.eval(pt) == 0:
-            assert P.eval(theta(ell, P.d)) == 0
             return RationalCertified(ell, pt)
     reason = None
     if P.d == 1:

@@ -54,6 +54,18 @@ def dec_int(s):
         return int(decimal.Decimal(s))
 
 
+def _decimal(what, v):
+    """dec_int(v) for the payload value named what, which must be an int
+    or a decimal string; a UsageError naming what otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise UsageError("%s must be an integer or decimal string" % what)
+    try:
+        return dec_int(v)
+    except ValueError as e:
+        raise UsageError("%s %.40r does not decode: %s"
+                         % (what, v, e)) from None
+
+
 def _is_tuple_kind(ring):
     return ring.kind in ("fpt", "fpt_exact")
 
@@ -75,8 +87,8 @@ def ring_from_json(d):
     p = d.get("p")
     prec = d.get("prec")
     return make_ring(d["kind"],
-                     None if p is None else dec_int(p),
-                     None if prec is None else dec_int(prec))
+                     None if p is None else _decimal("ring p", p),
+                     None if prec is None else _decimal("ring prec", prec))
 
 
 def parse_ring_flag(text):
@@ -115,12 +127,7 @@ def _elem_value(ring, v):
         except (TypeError, ValueError):
             raise UsageError("digits of a %s element must be integers"
                              % ring.kind) from None
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise UsageError("element must be an integer or decimal string")
-    try:
-        return dec_int(v)
-    except ValueError as e:
-        raise UsageError("element %.40r does not decode: %s" % (v, e)) from None
+    return _decimal("element", v)
 
 
 # ---------------------------------------------------------------- series
@@ -144,7 +151,7 @@ def series_from_json(d):
         raise UsageError("series needs a coeffs array")
     # make_series canonicalizes each value
     vals = [_elem_value(ring, c) for c in coeffs]
-    x_prec = check_x_prec(dec_int(d["x_prec"]) if "x_prec" in d
+    x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]) if "x_prec" in d
                           else len(vals))
     return make_series(ring, vals, x_prec), None
 
@@ -156,15 +163,15 @@ def _series_from_oracle(d):
     kind = spec.get("kind")
     if "x_prec" not in d:
         raise UsageError("oracle series needs an explicit x_prec")
-    x_prec = check_x_prec(dec_int(d["x_prec"]))
+    x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
         vals = [_elem_value(ring, c) for c in spec.get("coeffs", [])]
         return make_series(ring, vals, x_prec), None
     if kind == "periodic":
         ring = ring_from_json(d.get("ring", {}))
-        prefix = [dec_int(c) for c in spec.get("prefix", [])]
-        cycle = [dec_int(c) for c in spec.get("cycle", [])]
+        prefix = [_decimal("prefix", c) for c in spec.get("prefix", [])]
+        cycle = [_decimal("cycle", c) for c in spec.get("cycle", [])]
         if not cycle:
             raise UsageError("periodic oracle needs a nonempty cycle")
 
@@ -182,8 +189,9 @@ def _series_from_oracle(d):
         return OracleSeries(f.ring, f.coeff, x_prec), "gap"
     if kind == "h10":
         P = dio_from_json(spec.get("poly"))
-        a0 = dec_int(spec.get("a0", 2))
-        bits = dec_int(spec.get("bit_budget", DEFAULT_BIT_BUDGET))
+        a0 = _decimal("h10 a0", spec.get("a0", 2))
+        bits = _decimal("h10 bit_budget",
+                        spec.get("bit_budget", DEFAULT_BIT_BUDGET))
         orc = FPOracle(P, a0, bits)
         return orc.series(x_prec), "h10"
     raise UsageError("unknown oracle kind %r" % kind)
@@ -233,13 +241,13 @@ def gapspec_from_json(d):
     braw = d.get("b", {})
     b = {"kind": braw.get("kind")}
     if b["kind"] == "explicit":
-        b["values"] = [dec_int(v) for v in braw["values"]]
+        b["values"] = [_decimal("spec b value", v) for v in braw["values"]]
     elif b["kind"] != "pow2_nsq":
         raise UsageError("unknown exponent rule %r" % b["kind"])
-    spec = GapSpec(d["char"], dec_int(d.get("p", 2)), {}, b,
+    spec = GapSpec(d["char"], _decimal("spec p", d.get("p", 2)), {}, b,
                    Fraction(d.get("C", "2")), Fraction(d.get("kappa", "2")),
-                   dec_int(d.get("budget", 65536)),
-                   dec_int(d.get("witness", 1)))
+                   _decimal("spec budget", d.get("budget", 65536)),
+                   _decimal("spec witness", d.get("witness", 1)))
     # coefficients decode as elements of the spec's exact ring, kept as
     # given (before canon) so that the report echoes them
     ring = spec.exact_ring()
@@ -267,9 +275,9 @@ def dio_from_json(v):
             return parse_dio_text(v)
         return parse_dio_inline(v)
     if isinstance(v, dict) and "terms" in v:
-        terms = [(tuple(dec_int(e) for e in exps), dec_int(c))
-                 for exps, c in v["terms"]]
-        return make_dio(dec_int(v.get("d", 1)), terms)
+        terms = [(tuple(_decimal("exponent", e) for e in exps),
+                  _decimal("coefficient", c)) for exps, c in v["terms"]]
+        return make_dio(_decimal("polynomial d", v.get("d", 1)), terms)
     raise UsageError("cannot read a polynomial from %r" % (v,))
 
 
@@ -342,15 +350,14 @@ def family_summary_to_json(spec, s):
 
 
 def _q_entry(c):
-    # recurrence witnesses live over ints, Fractions, F_p, F_p[t]
-    # digit tuples, or (numerator, denominator) digit-tuple pairs
-    if isinstance(c, tuple):
-        if c and isinstance(c[0], tuple):
-            return [[int(x) for x in c[0]], [int(x) for x in c[1]]]
-        return [int(x) for x in c]
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return dec_str(c.numerator) + "/" + dec_str(c.denominator)
-    return dec_str(int(c))
+    # an int over F_p and on the periodic route; a FractionField
+    # (num, den) pair over Z or F_p[t]
+    if not isinstance(c, tuple):
+        return dec_str(c)
+    num, den = c
+    if isinstance(num, tuple):
+        return [list(num), list(den)]
+    return dec_str(num) if den == 1 else dec_str(num) + "/" + dec_str(den)
 
 
 def rationality_to_json(v):

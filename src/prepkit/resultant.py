@@ -44,7 +44,7 @@ class Poly:
 
 
 def make_poly(ring, coeffs):
-    if not isinstance(ring, (ExactZRing, ExactFpTRing)):
+    if not ring.is_exact:
         raise ValueError("polynomials live over exact kinds, got %s"
                          % ring.kind)
     out = [ring.canon(c) for c in coeffs]

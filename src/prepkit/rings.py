@@ -39,6 +39,7 @@ object ints past that and over z.
 import sys
 from array import array
 from itertools import chain, zip_longest
+from math import gcd
 
 from .errors import (
     BadPrecision,
@@ -412,6 +413,10 @@ class Ring:
     def convolve(self, a, b, out_len):
         return self.convolve_ref(a, b, out_len)
 
+    def fraction_field(self):
+        """The field that recurrence detection runs in, or None."""
+        return FractionField(self) if self.is_exact else None
+
     def matmul(self, A, B):
         """The matrix product A·B of row lists, A with len(B) columns:
         the block product of Brent-Kung composition. This generic route
@@ -477,6 +482,9 @@ class IntModRing(Ring):
 
     def pow(self, a, e):
         return pow(a, e, self.mod)
+
+    def fraction_field(self):
+        return self if self.prec == 1 else None  # Z/p is a field
 
     # The pi-adic digit split behind Weierstrass lifting and strong
     # factorization: every element is lo + p^s * hi, lo < p^s.
@@ -741,6 +749,11 @@ class ExactZRing(Ring):
                                      % b)
         return a // b
 
+    gcd = staticmethod(gcd)  # math.gcd is nonnegative, so unit-normal
+
+    def unit_part(self, r):
+        return -1 if r < 0 else 1
+
     def pow(self, a, e):
         return a ** e
 
@@ -845,6 +858,9 @@ class ExactFpTRing(Ring):
                                      "remainder" % self.p)
         return q
 
+    def unit_part(self, r):
+        return (r[-1],) if r else self.one()
+
     def monic(self, a):
         """a scaled to leading digit 1; zero stays zero."""
         if not a or a[-1] == 1:
@@ -857,6 +873,65 @@ class ExactFpTRing(Ring):
         while b:
             a, b = b, self.divmod(a, b)[1]
         return self.monic(a)
+
+
+class FractionField:
+    """The fraction field of an exact ring R: (num, den) pairs over R in
+    lowest terms, den unit-normal (positive over Z, monic over F_p[t]),
+    so equal fractions are equal pairs. It answers the Ring names that
+    recurrence detection uses, from R's gcd, exact_div, invert_unit,
+    mul and unit_part alone; R.gcd must be unit-normal."""
+
+    def __init__(self, R):
+        self.R, self._r1 = R, R.one()
+
+    def _norm(self, num, den):
+        # den and the gcd are unit-normal, so their quotient is too
+        R = self.R
+        if R.is_zero(num):
+            return self.zero()
+        g = R.gcd(num, den)
+        if g == self._r1:
+            return (num, den)
+        return (R.exact_div(num, g), R.exact_div(den, g))
+
+    def zero(self):
+        return (self.R.zero(), self._r1)
+
+    def one(self):
+        return (self._r1, self._r1)
+
+    def canon(self, c):
+        return (self.R.canon(c), self._r1)
+
+    def is_zero(self, a):
+        return self.R.is_zero(a[0])
+
+    def add(self, a, b):
+        R = self.R
+        return self._norm(R.add(R.mul(a[0], b[1]), R.mul(b[0], a[1])),
+                          R.mul(a[1], b[1]))
+
+    def sub(self, a, b):
+        R = self.R
+        return self._norm(R.sub(R.mul(a[0], b[1]), R.mul(b[0], a[1])),
+                          R.mul(a[1], b[1]))
+
+    def mul(self, a, b):
+        R = self.R
+        return self._norm(R.mul(a[0], b[0]), R.mul(a[1], b[1]))
+
+    def invert_unit(self, a):
+        R = self.R
+        num, den = a
+        if R.is_zero(num):
+            raise ZeroInput("zero has no inverse in a fraction field")
+        # den / num is in lowest terms; num's unit part moves up
+        u = R.unit_part(num)
+        if u == self._r1:
+            return (den, num)
+        u = R.invert_unit(u)
+        return (R.mul(den, u), R.mul(num, u))
 
 
 _KINDS = ("zp", "fpt", "zmodpk", "z", "fpt_exact")

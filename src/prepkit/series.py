@@ -11,7 +11,8 @@ coefficients as a Series).
 
 Operations: add, sub, mul, unit inversion, composition, compositional
 inverse, evaluation at a small point, and two rationality detectors
-(eventual 0/1 periodicity and linear recurrence over a fraction field).
+(eventual 0/1 periodicity, and linear recurrence over the field that
+ring.fraction_field() names).
 
 Every product is one Ring.convolve. Unit inversion is Newton doubling
 that solves only the unknown half of each window. Composition on a
@@ -27,7 +28,6 @@ step.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
@@ -44,7 +44,7 @@ from .errors import (
     RingMismatch,
     WindowTooSmall,
 )
-from .rings import ExactFpTRing, ExactZRing, IntModRing, Ring
+from .rings import Ring
 
 
 def check_x_prec(x_prec):
@@ -313,100 +313,6 @@ def detect_periodic_01(ring, vals):
     return RationalityVerdict("irrational_at_budget", budget=budget)
 
 
-class _FractionField:
-    """Q over Z; like _RatFuncField, it takes the Ring method names."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def invert_unit(self, a):
-        return 1 / a
-
-    def canon(self, c):
-        return Fraction(c)
-
-
-class _RatFuncField:
-    """Rational functions over F_p; elements are (num, den) pairs of
-    F_p[t] elements in lowest terms with monic denominator."""
-
-    def __init__(self, p):
-        self.R = ExactFpTRing(p)
-
-    def _norm(self, num, den):
-        assert den
-        R = self.R
-        if not num:
-            return ((), (1,))
-        g = R.gcd(num, den)
-        if g != (1,):
-            num = R.divmod(num, g)[0]
-            den = R.divmod(den, g)[0]
-        if den[-1] != 1:
-            p = R.p
-            inv = pow(den[-1], -1, p)
-            num = tuple(x * inv % p for x in num)
-            den = tuple(x * inv % p for x in den)
-        return (num, den)
-
-    def zero(self):
-        return ((), (1,))
-
-    def one(self):
-        return ((1,), (1,))
-
-    def is_zero(self, a):
-        return not a[0]
-
-    def mul(self, a, b):
-        R = self.R
-        return self._norm(R.mul(a[0], b[0]), R.mul(a[1], b[1]))
-
-    def add(self, a, b):
-        R = self.R
-        num = R.add(R.mul(a[0], b[1]), R.mul(b[0], a[1]))
-        return self._norm(num, R.mul(a[1], b[1]))
-
-    def sub(self, a, b):
-        R = self.R
-        num = R.sub(R.mul(a[0], b[1]), R.mul(b[0], a[1]))
-        return self._norm(num, R.mul(a[1], b[1]))
-
-    def invert_unit(self, a):
-        assert a[0]
-        return self._norm(a[1], a[0])
-
-    def canon(self, c):
-        return (self.R.canon(c), (1,))
-
-
-def _recurrence_field(ring):
-    # Z/p at precision 1 is the field itself
-    if isinstance(ring, IntModRing) and ring.prec == 1:
-        return ring
-    if isinstance(ring, ExactZRing):
-        return _FractionField()
-    if isinstance(ring, ExactFpTRing):
-        return _RatFuncField(ring.p)
-    raise ValueError("recurrence detection needs a field or exact domain, "
-                     "got kind %s with prec %r" % (ring.kind, ring.prec))
-
-
 def detect_recurrence(f, max_order):
     """Least order d <= max_order such that q(x) * f(x) is a polynomial
     of degree < d for some q with q(0) = 1, judged on every window row
@@ -417,9 +323,14 @@ def detect_recurrence(f, max_order):
     linear complexity L and its connection polynomial in O(M * L) field
     operations. L never decreases, so the pass stops as soon as L
     exceeds max_order. An all-zero window (L = 0) reports d = 1, and q
-    is zero-padded to d + 1 entries when its degree falls below d."""
+    is zero-padded to d + 1 entries when its degree falls below d. q's
+    entries lie in ring.fraction_field(): ints over Z/p, (num, den)
+    pairs over z and fpt_exact; with no such field, ValueError."""
     ring = f.ring
-    F = _recurrence_field(ring)
+    F = ring.fraction_field()
+    if F is None:
+        raise ValueError("recurrence detection needs a field or exact domain, "
+                         "got kind %s with prec %r" % (ring.kind, ring.prec))
     m = f.x_prec
     if max_order < 1:
         raise ValueError("max_order must be at least 1")

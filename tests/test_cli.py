@@ -625,9 +625,26 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
     (["series", "rationality", "--ring", "zp:7:1", "--in", "r3.json"], None,
      "window"),
     (["series", "rationality", "--in", "h4.json"], None, "window"),
-], ids=["argv%d" % i for i in range(18)])
+    # recurrence detection needs a field or exact domain
+    (["series", "rationality", "--ring", "zp:3:4", "--in", "r.json"], None,
+     "--ring zp:3:4"),
+    # malformed decimal fields name the field
+    (["series", "invert", "--in", "xprec.json"], None, "x_prec"),
+    (["series", "invert", "--in", "prec.json"], None, "ring prec"),
+    (["series", "invert", "--in", "prefix.json"], None, "prefix"),
+    (["series", "invert", "--in", "cycle.json"], None, "cycle"),
+], ids=["argv%d" % i for i in range(23)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
+    zp = {"kind": "zp", "p": 3, "prec": 2}
+    for name, payload in (
+            ("xprec", {"ring": zp, "coeffs": ["1"], "x_prec": "ab"}),
+            ("prec", {"ring": dict(zp, prec="q"), "coeffs": ["1"]}),
+            ("prefix", {"ring": zp, "x_prec": 4, "oracle": {
+                "kind": "periodic", "prefix": ["x"], "cycle": ["1"]}}),
+            ("cycle", {"ring": zp, "x_prec": 4, "oracle": {
+                "kind": "periodic", "prefix": [], "cycle": [[1]]}})):
+        (tmp_path / (name + ".json")).write_text(json.dumps(payload))
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
     (tmp_path / "r3.json").write_text('["1","2","3"]')
     for n in (3, 8):

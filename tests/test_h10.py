@@ -21,6 +21,8 @@ def test_make_dio_canonicalizes():
     assert P.terms == (((0, 0), -1), ((1, 0), 5))
     assert P.eval((2, 9)) == 9
     assert make_dio(1, [((1,), 0)]).terms == ()
+    with pytest.raises(ValueError, match="3 coordinates, polynomial has 2"):
+        P.eval((1, 2, 3))
     with pytest.raises(ValueError):
         make_dio(1, [((1, 2), 1)])
 

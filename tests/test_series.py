@@ -2,6 +2,7 @@
 compositional inverse, evaluation, and rationality detection."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +285,10 @@ def test_detect_recurrence_window_guard():
     f = make_series(F5, [1, 2, 3, 4], 4)
     with pytest.raises(WindowTooSmall):
         detect_recurrence(f, 3)
+    # Z/3^4 is neither a field nor an exact domain
+    f = make_series(make_ring("zp", 3, 4), [1, 2, 3, 4, 5, 6], 6)
+    with pytest.raises(ValueError, match="got kind zp with prec 4"):
+        detect_recurrence(f, 2)
 
 
 def _recurrence_windows(rng, p, count):
@@ -344,7 +349,9 @@ def test_detect_recurrence_matches_scan_q():
         if want is None:
             assert v.kind == "irrational_at_budget"
         else:
-            assert (v.kind, v.d, list(v.q)) == ("rational", want[0], want[1])
+            # q entries are (num, den) pairs in lowest terms over Z
+            q = [Fraction(num, den) for num, den in v.q]
+            assert (v.kind, v.d, q) == ("rational", want[0], want[1])
 
 
 def _fp_poly_mul(a, b, p):

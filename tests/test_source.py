@@ -8,7 +8,7 @@ import prepkit
 # Every assert left in src/ repeats a cheaper check or guards arguments;
 # an invariant that must hold under python -O is an InvariantViolation.
 # Lower this bound as asserts are replaced; never raise it.
-MAX_ASSERTS = 4
+MAX_ASSERTS = 0
 
 
 def test_assert_count_does_not_grow():
