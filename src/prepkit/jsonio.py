@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import index
 
 from .errors import UsageError
 from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, make_dio, parse_dio_inline,
@@ -62,6 +63,19 @@ def _decimal(what, v):
     try:
         return dec_int(v)
     except ValueError as e:
+        raise UsageError("%s %.40r does not decode: %s"
+                         % (what, v, e)) from None
+
+
+def _fraction(what, v):
+    """Fraction(v) for the payload value named what, which must be an
+    int or a string that Fraction reads; a UsageError naming what
+    otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise UsageError("%s must be an integer or fraction string" % what)
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError("%s %.40r does not decode: %s"
                          % (what, v, e)) from None
 
@@ -122,12 +136,26 @@ def _elem_value(ring, v):
     if _is_tuple_kind(ring):
         if not isinstance(v, (list, tuple)):
             raise UsageError("element of %s must be a digit array" % ring.kind)
-        try:
-            return tuple(map(int, v))
-        except (TypeError, ValueError):
-            raise UsageError("digits of a %s element must be integers"
-                             % ring.kind) from None
+        if bool not in map(type, v):
+            try:
+                return tuple(map(index, v))  # a float or a string raises
+            except TypeError:
+                pass
+        return tuple([_digit(ring.kind, d) for d in v])
     return _decimal("element", v)
+
+
+def _digit(kind, d):
+    """The digit d, an int or a decimal string; a UsageError naming d
+    when it is neither, as a float or a bool is."""
+    if isinstance(d, bool) or not isinstance(d, (int, str)):
+        raise UsageError("digit %.40r of a %s element is not an integer or "
+                         "decimal string" % (d, kind))
+    try:
+        return int(d)
+    except ValueError:
+        raise UsageError("digits of a %s element must be integers"
+                         % kind) from None
 
 
 # ---------------------------------------------------------------- series
@@ -245,7 +273,8 @@ def gapspec_from_json(d):
     elif b["kind"] != "pow2_nsq":
         raise UsageError("unknown exponent rule %r" % b["kind"])
     spec = GapSpec(d["char"], _decimal("spec p", d.get("p", 2)), {}, b,
-                   Fraction(d.get("C", "2")), Fraction(d.get("kappa", "2")),
+                   _fraction("spec C", d.get("C", "2")),
+                   _fraction("spec kappa", d.get("kappa", "2")),
                    _decimal("spec budget", d.get("budget", 65536)),
                    _decimal("spec witness", d.get("witness", 1)))
     # coefficients decode as elements of the spec's exact ring, kept as
@@ -275,8 +304,14 @@ def dio_from_json(v):
             return parse_dio_text(v)
         return parse_dio_inline(v)
     if isinstance(v, dict) and "terms" in v:
+        terms = v["terms"]
+        if not isinstance(terms, list) or not all(
+                isinstance(t, list) and len(t) == 2 and isinstance(t[0], list)
+                for t in terms):
+            raise UsageError("polynomial terms must be a list of "
+                             "[[e, ...], c] pairs")
         terms = [(tuple(_decimal("exponent", e) for e in exps),
-                  _decimal("coefficient", c)) for exps, c in v["terms"]]
+                  _decimal("coefficient", c)) for exps, c in terms]
         return make_dio(_decimal("polynomial d", v.get("d", 1)), terms)
     raise UsageError("cannot read a polynomial from %r" % (v,))
 

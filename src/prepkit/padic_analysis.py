@@ -8,16 +8,26 @@ witness index, and (3) a growth cap on coefficient size relative to the
 exponent gaps; every violation is reported with its condition number
 and offending index.
 
+GapSpec is the series itself: b(n), a(n), validate_core() and
+sparse_terms_upto(emax) read its rules and check admissibility, and
+what passed is memoized on the spec. Every function here takes the
+spec, so a passing check runs once per spec however many take it.
+
 Certificates that a candidate polynomial P does not vanish at the small
 root lambda compare exact resultant valuations against the valuation of
 the truncation Phi_N at lambda: v(Res(P, Phi_N)) < v(Phi_N(lambda))
 forces P(lambda) != 0. Margins are cleared integer comparisons, never
 floating point.
+
+hensel_lift is Newton lifting on anything with deriv() and eval(x,
+ring): an exact polynomial (Poly) or a windowed series (Series,
+OracleSeries).
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -32,7 +42,7 @@ from .errors import (
 )
 from .rings import check_prec, is_prime, make_ring
 from .resultant import Poly, make_poly, resultant
-from .series import OracleSeries, Series, evaluate
+from .series import OracleSeries, Series
 from .weierstrass import WFactorization
 
 VERDICT_CERTIFIED = "certified_not_root"
@@ -42,6 +52,12 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class GapSpec:
+    """A gap series, by its coefficient rule a_rule and exponent rule
+    b_rule. The memo (the values of b, the indices of a that passed
+    their checks, the exact ring) takes no part in comparisons, and
+    dataclasses.replace starts a fresh one. A failing check is never
+    memoized."""
+
     characteristic: str  # "zero" | "p"
     p: int
     a_rule: dict
@@ -50,6 +66,10 @@ class GapSpec:
     kappa: Fraction
     budget: int = 65536
     witness: int = 1
+    _bs: list = field(default_factory=list, init=False, compare=False,
+                      repr=False)
+    _checked_a: set = field(default_factory=set, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         if self.characteristic not in ("zero", "p"):
@@ -66,45 +86,24 @@ class GapSpec:
         if self.characteristic == "p" and not self.C > 0:
             raise ValueError("growth constant must be positive")
 
+    @cached_property
+    def _exact(self):
+        kind = "z" if self.characteristic == "zero" else "fpt_exact"
+        return make_ring(kind, self.p)
+
     def exact_ring(self):
         """Where the coefficients live: Z in characteristic zero, F_p[t]
         in characteristic p."""
-        kind = "z" if self.characteristic == "zero" else "fpt_exact"
-        return make_ring(kind, self.p)
+        return self._exact
 
     def work_ring(self, K):
         """The completion at precision K: Z_p or F_p[[t]]."""
         kind = "zp" if self.characteristic == "zero" else "fpt"
         return make_ring(kind, self.p, K)
 
-
-def reference_spec(characteristic="zero"):
-    """The running example: p = 2, a_0 the uniformizer, unit higher
-    coefficients, b(n) = 2^(n^2), C = kappa = 2."""
-    if characteristic == "zero":
-        a0 = 2
-        rest = 1
-    else:
-        a0 = (0, 1)
-        rest = (1,)
-    return GapSpec(characteristic, 2,
-                   {"kind": "const_after", "a0": a0, "rest": rest},
-                   {"kind": "pow2_nsq"},
-                   Fraction(2), Fraction(2))
-
-
-class _GapView:
-    """Rule evaluation plus admissibility checks for one GapSpec."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.exact = spec.exact_ring()
-        self._bs = []
-        self._checked_a = set()
-
-    # exponent rule
     def b(self, n):
-        rule = self.spec.b_rule
+        """The exponent b(n); b(0) = 1 and b increases strictly."""
+        rule = self.b_rule
         bs = self._bs
         while len(bs) <= n:
             m = len(bs)
@@ -126,8 +125,10 @@ class _GapView:
             bs.append(v)
         return bs[n]
 
-    def _raw_a(self, n):
-        rule = self.spec.a_rule
+    def a(self, n):
+        """The coefficient a_n in the exact ring, checked against
+        admissibility conditions 1-3 (SpecViolation) on first read."""
+        rule = self.a_rule
         if rule["kind"] == "const_after":
             v = rule["a0"] if n == 0 else rule["rest"]
         elif rule["kind"] == "explicit":
@@ -140,35 +141,33 @@ class _GapView:
                 raise ValueError("explicit coefficient rule exhausted at %d" % n)
         else:
             raise ValueError("unknown coefficient rule %r" % rule["kind"])
+        exact = self._exact
         # library callers may give decimal strings
-        if self.spec.characteristic == "zero":
-            return int(v)
-        return self.exact.canon([int(d) for d in v])
-
-    def a(self, n):
-        v = self._raw_a(n)
+        if self.characteristic == "zero":
+            v = int(v)
+        else:
+            v = exact.canon([int(d) for d in v])
         if n in self._checked_a:
             return v
-        spec = self.spec
-        val = self.exact.val(v)
+        val = exact.val(v)
         if n == 0:
             if val is None or val < 1:
                 raise SpecViolation(
                     "a_0 must be nonzero with positive valuation",
                     condition=1, index=0)
-        elif n == spec.witness:
+        elif n == self.witness:
             if val != 0:
                 raise SpecViolation(
                     "the witness coefficient a_%d must be a unit" % n,
                     condition=2, index=n)
         if n >= 1 and val is not None:
             bn = self.b(n)
-            if spec.characteristic == "zero":
-                lhs = abs(v) * spec.kappa.denominator * spec.C.denominator ** bn
-                rhs = spec.kappa.numerator * spec.C.numerator ** bn
+            if self.characteristic == "zero":
+                lhs = abs(v) * self.kappa.denominator * self.C.denominator ** bn
+                rhs = self.kappa.numerator * self.C.numerator ** bn
             else:
-                lhs = self.exact.deg(v) * spec.C.denominator
-                rhs = spec.C.numerator * bn
+                lhs = exact.deg(v) * self.C.denominator
+                rhs = self.C.numerator * bn
             if lhs > rhs:
                 raise SpecViolation(
                     "coefficient a_%d breaks the growth cap" % n,
@@ -178,7 +177,7 @@ class _GapView:
 
     def validate_core(self):
         self.a(0)
-        self.a(self.spec.witness)
+        self.a(self.witness)
         self.b(0)
 
     def sparse_terms_upto(self, emax):
@@ -186,51 +185,46 @@ class _GapView:
         ascending. The witness-indexed coefficient sits at x^(b(0)) = x
         as well as at its own exponent."""
         self.validate_core()
-        out = []
-        is_zero = self.exact.is_zero
-        a0 = self.a(0)
-        if not is_zero(a0):
-            out.append((0, a0))
+        terms = [(0, self.a(0))]
         if emax >= 1:
-            a1 = self.a(1)
-            if not is_zero(a1):
-                out.append((1, a1))
+            terms.append((1, self.a(1)))
         m = 1
-        while True:
-            bm = self.b(m)
-            if bm > emax:
-                break
-            am = self.a(m)
-            if not is_zero(am):
-                out.append((bm, am))
+        while self.b(m) <= emax:
+            terms.append((self.b(m), self.a(m)))
             m += 1
-        return out
+        return [(e, c) for e, c in terms if not self._exact.is_zero(c)]
+
+
+def reference_spec(characteristic="zero"):
+    """The running example: p = 2, a_0 the uniformizer, unit higher
+    coefficients, b(n) = 2^(n^2), C = kappa = 2."""
+    if characteristic == "zero":
+        a0 = 2
+        rest = 1
+    else:
+        a0 = (0, 1)
+        rest = (1,)
+    return GapSpec(characteristic, 2,
+                   {"kind": "const_after", "a0": a0, "rest": rest},
+                   {"kind": "pow2_nsq"},
+                   Fraction(2), Fraction(2))
 
 
 def build_gap_series(spec):
     """The gap series as an exact-coefficient oracle, queryable up to
     the configured budget."""
-    view = _GapView(spec)
-    view.validate_core()
-    ring = view.exact
+    spec.validate_core()
+    ring = spec.exact_ring()
 
     def coeff(e):
-        if e == 0:
-            return view.a(0)
-        if e == 1:
-            return view.a(1)
-        lo = 1
-        while view.b(lo) < e:
-            lo += 1
-        if view.b(lo) == e:
-            return view.a(lo)
-        return ring.zero()
+        if e <= 1:
+            return spec.a(e)
+        n = 1
+        while spec.b(n) < e:
+            n += 1
+        return spec.a(n) if spec.b(n) == e else ring.zero()
 
     return OracleSeries(ring, coeff, spec.budget)
-
-
-def sparse_terms_upto(spec, emax):
-    return _GapView(spec).sparse_terms_upto(emax)
 
 
 def phi_truncation(spec, N, budget=None):
@@ -239,20 +233,24 @@ def phi_truncation(spec, N, budget=None):
     budget (BudgetExceeded carries the needed size)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    view = _GapView(spec)
-    bN = view.b(N)
+    bN = spec.b(N)
     cap = spec.budget if budget is None else budget
     if bN > cap:
         raise BudgetExceeded("Phi_%d needs degree %d, budget is %d"
                              % (N, bN, cap), needed=bN, budget=cap)
-    ring = view.exact
-    dense = [ring.zero()] * (bN + 1)
-    for e, c in view.sparse_terms_upto(bN):
-        dense[e] = ring.add(dense[e], ring.canon(c))
-    return make_poly(ring, dense)
+    ring = spec.exact_ring()
+    return make_poly(ring, _dense(ring, spec.sparse_terms_upto(bN), bN + 1))
 
 
-def _sparse_eval(view, ring, terms, lam):
+def _dense(ring, terms, n):
+    """The n coefficients in ring of terms, with distinct exponents < n."""
+    dense = [ring.zero()] * n
+    for e, c in terms:
+        dense[e] = ring.canon(c)
+    return dense
+
+
+def _sparse_eval(ring, terms, lam):
     """The sum of c * lam^e over terms ascending in e. Each power comes
     from the previous one, lam^e = (lam^e0)^(e // e0) * lam^(e % e0), so
     exponents that divide each other share one squaring chain."""
@@ -280,17 +278,16 @@ def small_root_of_gap(spec, K):
     the coefficient at x must be a unit (DegreeAboveOne otherwise)."""
     if K < 1:
         raise ValueError("precision must be positive")
-    view = _GapView(spec)
-    view.validate_core()
-    exact = view.exact
-    if exact.val(view.a(1)) != 0:
-        terms = view.sparse_terms_upto(view.b(max(spec.witness, 1)))
+    spec.validate_core()
+    exact = spec.exact_ring()
+    if exact.val(spec.a(1)) != 0:
+        terms = spec.sparse_terms_upto(spec.b(max(spec.witness, 1)))
         n = next((e for e, c in terms if exact.val(c) == 0), None)
         raise DegreeAboveOne(
             "the coefficient at x is not a unit; reduction index is %s" % n,
             reduction_index=n)
     ring = spec.work_ring(K)
-    terms = view.sparse_terms_upto(max(K - 1, 1))
+    terms = spec.sparse_terms_upto(max(K - 1, 1))
     dterms = []
     for e, c in terms:
         if e == 0:
@@ -310,9 +307,9 @@ def small_root_of_gap(spec, K):
         lo = lift(k1)
         R, D = ring.at_prec(k), ring.at_prec(k - k1)
         lam = R.join([lo], None, k1)[0]
-        fv = _sparse_eval(view, R, [t for t in terms if t[0] < k], lam)
+        fv = _sparse_eval(R, [t for t in terms if t[0] < k], lam)
         h = R.split([fv], k1)[1][0]
-        dv = _sparse_eval(view, D, [t for t in dterms if t[0] < k - k1],
+        dv = _sparse_eval(D, [t for t in dterms if t[0] < k - k1],
                           R.reduce([lam], k - k1)[0])
         if D.val(dv) != 0:
             raise InvariantViolation("the derivative at the root is not a "
@@ -321,7 +318,7 @@ def small_root_of_gap(spec, K):
         return R.join([lo], [D.neg(step)], k1)[0]
 
     lam = lift(K)
-    if not ring.is_zero(_sparse_eval(view, ring, terms, lam)):
+    if not ring.is_zero(_sparse_eval(ring, terms, lam)):
         raise InvariantViolation("the root lift did not converge at "
                                  "precision %d" % K)
     if ring.val(lam) == 0:
@@ -329,66 +326,26 @@ def small_root_of_gap(spec, K):
     return lam
 
 
-class _PolyFunc:
-    """Hensel adapter: exact polynomial, evaluable anywhere."""
-
-    def __init__(self, poly):
-        self.poly = poly
-
-    def eval(self, ring, x):
-        return self.poly.eval(x, ring)
-
-    def deriv_eval(self, ring, x):
-        cs = self.poly.coeffs
-        acc = ring.zero()
-        for k in range(len(cs) - 1, 0, -1):
-            ck = ring.mul(ring.from_int(k), ring.canon(cs[k]))
-            acc = ring.add(ring.mul(acc, x), ck)
-        return acc
-
-
-class _SeriesFunc:
-    """Hensel adapter: windowed series, evaluable at small points."""
-
-    def __init__(self, series):
-        self.series = series
-        ring = series.ring
-        m = series.x_prec
-        dc = [ring.mul(ring.from_int(k), series.coeffs[k])
-              for k in range(1, m)]
-        self.deriv = Series(ring, max(m - 1, 1),
-                            tuple(dc) if dc else (ring.zero(),))
-
-    def eval(self, ring, x):
-        v = evaluate(self.series, self.series.ring.canon(x), ring.prec)
-        return ring.canon(v)
-
-    def deriv_eval(self, ring, x):
-        v = evaluate(self.deriv, self.series.ring.canon(x), ring.prec)
-        return ring.canon(v)
-
-
 def hensel_lift(f, x0, K, ring=None, with_trace=False):
     """Newton lifting to a root mod pi^K from a start satisfying
     val(f(x0)) > 2 * val(f'(x0)). f may be an exact polynomial or a
-    windowed series; the working ring defaults to x0's ring reduced
-    to precision K."""
-    if isinstance(f, Poly):
-        fn = _PolyFunc(f)
-        if ring is None:
+    windowed series: it gives its derivative by f.deriv() and its value
+    in the working ring by f.eval(x, ring). The working ring is
+    required for a polynomial and defaults to a series' own ring; it is
+    reduced to precision K."""
+    df = f.deriv()
+    if ring is None:
+        if isinstance(f, Poly):
             raise ValueError("polynomial lifting needs an explicit ring")
-    else:
-        fn = _SeriesFunc(f)
-        if ring is None:
-            ring = f.ring
+        ring = f.ring
     if ring.prec is None or ring.prec < K:
         raise ValueError("need a finite ring of precision at least %d" % K)
     ring = ring.at_prec(check_prec(ring.kind, K))
     lam = ring.canon(x0)
     trace = [lam]
-    fv = fn.eval(ring, lam)
+    fv = f.eval(lam, ring)
     if not ring.is_zero(fv):
-        dv = fn.deriv_eval(ring, lam)
+        dv = df.eval(lam, ring)
         vf, vd = ring.val(fv), ring.val(dv)
         if vd is None or vf <= 2 * vd:
             raise HenselConditionFails(
@@ -396,7 +353,7 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
                 % (vf, "inf" if vd is None else 2 * vd), vf=vf, vd=vd)
         prev_vf = vf
         for _ in range(2 * K + 8):
-            dv = fn.deriv_eval(ring, lam)
+            dv = df.eval(lam, ring)
             v = ring.val(dv)
             if v is None:
                 raise ZeroAtPrecision("zero residue has no unit part at "
@@ -412,7 +369,7 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
             step = low.mul(fh, low.invert_unit(dh))
             lam = ring.sub(lam, ring.join([step], None, K - v)[0])
             trace.append(lam)
-            fv = fn.eval(ring, lam)
+            fv = f.eval(lam, ring)
             if ring.is_zero(fv):
                 break
             vf = ring.val(fv)
@@ -436,14 +393,14 @@ class BoundCheck:
     equality: bool
 
 
-def _phi_val_at(view, lam, N, ring):
+def _phi_val_at(spec, lam, N, ring):
     """Valuation of Phi_N(lam), with the precision soundness gate:
     K must exceed b(N+1) * val(lam) + val(a_(N+1))."""
     vlam = ring.val(lam)
     if vlam is None or vlam < 1:
         raise PointNotSmall("the root must have positive valuation")
-    bN1 = view.b(N + 1)
-    va = view.exact.val(view.a(N + 1))
+    bN1 = spec.b(N + 1)
+    va = spec.exact_ring().val(spec.a(N + 1))
     if va is None:
         raise SpecViolation("the tail head a_%d vanishes; the bound needs "
                             "it nonzero" % (N + 1), condition="tail",
@@ -454,7 +411,7 @@ def _phi_val_at(view, lam, N, ring):
         raise PrecisionTooLow(
             "need precision %d for a sound comparison, have %d"
             % (required, ring.prec), required=required, have=ring.prec)
-    phi = _sparse_eval(view, ring, view.sparse_terms_upto(view.b(N)), lam)
+    phi = _sparse_eval(ring, spec.sparse_terms_upto(spec.b(N)), lam)
     pv = ring.val(phi)
     if pv is None:
         raise PrecisionTooLow(
@@ -472,9 +429,8 @@ def _phi_val_at(view, lam, N, ring):
 def bound_check_prime(spec, lam, N, ring):
     """Check v(Phi_N(lam)) >= b(N+1) * val(lam) + val(a_(N+1)), with
     equality when the tail head is a unit and val(lam) = 1."""
-    view = _GapView(spec)
-    view.validate_core()
-    pv, lower, required, vlam = _phi_val_at(view, lam, N, ring)
+    spec.validate_core()
+    pv, lower, required, vlam = _phi_val_at(spec, lam, N, ring)
     return BoundCheck(N, pv, lower, required, vlam, pv == lower)
 
 
@@ -486,14 +442,13 @@ class MarginReport:
     flipped: bool  # True once the certificate side dominates
 
 
-def _margin(view, N, lam_val):
+def _margin(spec, N, lam_val):
     """The margin of a family or candidate, with its family-constant
     half computed once: returns (L, deg) -> MarginReport for the size L
     of _candidate_L and the degree deg."""
-    spec = view.spec
-    bN, bN1 = view.b(N), view.b(N + 1)
+    bN, bN1 = spec.b(N), spec.b(N + 1)
     if spec.characteristic == "p":
-        aPhi = _phi_tdegree(view, N)
+        aPhi = _phi_tdegree(spec, N)
         lhs = bN1 * lam_val
         lf = ((str(lhs), "1"),)
 
@@ -536,10 +491,10 @@ def _candidate_L(spec, P):
     return max(map(P.ring.deg, P.coeffs))
 
 
-def _phi_tdegree(view, N):
+def _phi_tdegree(spec, N):
     """aPhi: the largest t-degree among Phi_N's coefficients."""
-    deg = view.exact.deg
-    return max((deg(c) for _, c in view.sparse_terms_upto(view.b(N))),
+    deg = spec.exact_ring().deg
+    return max((deg(c) for _, c in spec.sparse_terms_upto(spec.b(N))),
                default=0)
 
 
@@ -547,13 +502,13 @@ def _p_at_lam_val(P, lam, ring):
     return ring.val(P.eval(lam, ring))
 
 
-def _truncation_data(view, lam, N, ring, budget=None):
+def _truncation_data(spec, lam, N, ring, budget=None):
     """What every candidate's certificate shares: Phi_N (BudgetExceeded
     past the budget, the spec's unless given), the valuation of
     Phi_N(lambda), and the margin with its family-constant half."""
-    phi = phi_truncation(view.spec, N, budget)
-    phi_val, _, _, vlam = _phi_val_at(view, lam, N, ring)
-    return phi, phi_val, _margin(view, N, vlam)
+    phi = phi_truncation(spec, N, budget)
+    phi_val, _, _, vlam = _phi_val_at(spec, lam, N, ring)
+    return phi, phi_val, _margin(spec, N, vlam)
 
 
 def certify_not_root(spec, lam, P, N, ring, budget=None):
@@ -563,25 +518,24 @@ def certify_not_root(spec, lam, P, N, ring, budget=None):
     caps Phi_N's degree as in phi_truncation."""
     if P.degree < 1:
         raise ValueError("candidates must be nonconstant")
-    view = _GapView(spec)
-    view.validate_core()
-    exact = view.exact
+    spec.validate_core()
+    exact = spec.exact_ring()
     if P.ring != exact:
         if P.ring.kind != exact.kind or P.ring.p not in (None, exact.p):
             raise ValueError("candidate ring %r does not match the series"
                              % (P.ring.desc(),))
         P = make_poly(exact, list(P.coeffs))
-    return _certify(view, lam, P, N, ring,
-                    _truncation_data(view, lam, N, ring, budget))
+    return _certify(spec, lam, P, N, ring,
+                    _truncation_data(spec, lam, N, ring, budget))
 
 
-def _certify(view, lam, P, N, ring, truncation):
+def _certify(spec, lam, P, N, ring, truncation):
     phi, phi_val, margin_of = truncation
     B = resultant(P, phi)
-    margin = margin_of(_candidate_L(view.spec, P), P.degree)
-    B_val = view.exact.val(B)
+    margin = margin_of(_candidate_L(spec, P), P.degree)
+    B_val = spec.exact_ring().val(B)
     if B_val is None:
-        return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B,
+        return CertificateReport(P.coeffs, N, spec.b(N + 1), phi_val, B,
                                  None, None, VERDICT_SHARED, margin)
     pl_val = _p_at_lam_val(P, lam, ring)
     if B_val < phi_val:
@@ -594,7 +548,7 @@ def _certify(view, lam, P, N, ring, truncation):
                                      % (pl_val, B_val))
     else:
         verdict = VERDICT_INCONCLUSIVE
-    return CertificateReport(P.coeffs, N, view.b(N + 1), phi_val, B, B_val,
+    return CertificateReport(P.coeffs, N, spec.b(N + 1), phi_val, B, B_val,
                              pl_val, verdict, margin)
 
 
@@ -603,7 +557,7 @@ def family_margin(spec, D, H, N, lam_val=1):
     L = (D + 1) * H^2 in characteristic zero, coefficient t-degree H
     in characteristic p. Needs only the exponent rule."""
     L = (D + 1) * H * H if spec.characteristic == "zero" else H
-    return _margin(_GapView(spec), N, lam_val)(L, D)
+    return _margin(spec, N, lam_val)(L, D)
 
 
 def _family_coeffs(spec, H):
@@ -635,19 +589,19 @@ def _base_digits(m, p):
     return tuple(out)
 
 
-def _structural_charp_certificate(view, N):
+def _structural_charp_certificate(spec, N):
     """Once-per-family irreducibility certificate for Phi_N over
     F_2[t]: Phi = A0(x) + t * A1(x) with every coefficient t-linear
     and gcd(A0, A1) = 1 makes Phi irreducible, so no candidate of
     smaller degree can share a factor."""
-    if view.spec.p != 2:
+    if spec.p != 2:
         return False
-    R = view.exact
-    terms = view.sparse_terms_upto(view.b(N))
+    R = spec.exact_ring()
+    terms = spec.sparse_terms_upto(spec.b(N))
     if any(R.deg(c) > 1 for _, c in terms):
         return False
-    A0 = [0] * (view.b(N) + 1)
-    A1 = [0] * (view.b(N) + 1)
+    A0 = [0] * (spec.b(N) + 1)
+    A1 = [0] * (spec.b(N) + 1)
     for e, c in terms:
         for A, d in zip((A0, A1), c):
             A[e] = d
@@ -681,8 +635,7 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
     exact resultants run on the sample alone. Every other family is
     certified candidate by candidate. budget caps Phi_N's degree as in
     phi_truncation."""
-    view = _GapView(spec)
-    view.validate_core()
+    spec.validate_core()
     lows, leads = _family_coeffs(spec, H)
     total = sum(len(lows) ** d * len(leads) for d in range(1, D + 1))
     fam_margin = family_margin(spec, D, H, N,
@@ -691,14 +644,14 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
         return FamilySummary(0, 0, 0, 0, "empty", 0, None, None, (),
                              fam_margin)
     stride = max(total // 16, 1)
-    truncation = _truncation_data(view, lam, N, ring, budget)
-    bN = view.b(N)
+    truncation = _truncation_data(spec, lam, N, ring, budget)
+    bN = spec.b(N)
     structural = (spec.characteristic == "p" and fam_margin.flipped
-                  and D < bN and _structural_charp_certificate(view, N))
+                  and D < bN and _structural_charp_certificate(spec, N))
     if structural:
         # bound is the family margin's right side; the soundness gate
         # on K keeps bound + 2 <= K
-        bound = H * bN + _phi_tdegree(view, N) * D
+        bound = H * bN + _phi_tdegree(spec, N) * D
         wring = ring.at_prec(bound + 2)
         wlam, power, tables = wring.canon(lam), wring.one(), []
         for _ in range(D + 1):
@@ -725,8 +678,8 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
                     "P(lam) has valuation above the certified bound %d"
                     % bound, index=idx)
         if sampled or not structural:
-            rep = _certify(view, lam, make_poly(view.exact, list(cand)), N,
-                           ring, truncation)
+            rep = _certify(spec, lam, make_poly(spec.exact_ring(), list(cand)),
+                           N, ring, truncation)
             if structural and (rep.verdict != VERDICT_CERTIFIED
                                or rep.B_val > bound):
                 raise InvariantViolation(
@@ -754,12 +707,9 @@ def gap_linear_factor(spec, K):
     precision K on the window x^K: P = x - lambda and the unit
     cofactor with coefficients U_k = sum_(j>k) f_j lambda^(j-k-1),
     built by one suffix sweep instead of the generic iteration."""
-    view = _GapView(spec)
     lam = small_root_of_gap(spec, K)
     ring = spec.work_ring(K)
-    dense = [ring.zero()] * K
-    for e, c in view.sparse_terms_upto(K - 1):
-        dense[e] = ring.add(dense[e], ring.canon(c))
+    dense = _dense(ring, spec.sparse_terms_upto(K - 1), K)
     U = [ring.zero()] * K
     cur = ring.zero()
     for k in range(K - 1, -1, -1):

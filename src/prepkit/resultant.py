@@ -42,6 +42,12 @@ class Poly:
             acc = R.add(R.mul(acc, x), R.canon(c))
         return acc
 
+    def deriv(self):
+        """The formal derivative."""
+        R, cs = self.ring, self.coeffs
+        return make_poly(R, [R.mul(R.from_int(k), cs[k])
+                             for k in range(1, len(cs))])
+
 
 def make_poly(ring, coeffs):
     if not ring.is_exact:

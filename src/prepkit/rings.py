@@ -43,11 +43,18 @@ from math import gcd
 
 from .errors import (
     BadPrecision,
+    BudgetExceeded,
     CompositeModulus,
     InvariantViolation,
     NotAUnit,
     ZeroInput,
 )
+
+# The largest ring precision and series window an input may ask for.
+# Memory and work grow with both, so a larger one fails fast with
+# BudgetExceeded; 2^20 is far past every job of the tests and the
+# benchmark (the largest is a gap root at K = 14,300).
+SIZE_CAP = 1 << 20
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -938,18 +945,24 @@ _KINDS = ("zp", "fpt", "zmodpk", "z", "fpt_exact")
 
 
 def check_prec(kind, prec):
-    """prec, or BadPrecision when a finite kind cannot take it."""
+    """prec, or BadPrecision when a finite kind cannot take it and
+    BudgetExceeded past SIZE_CAP."""
     if prec is None or prec < 1:
         raise BadPrecision("kind %s needs prec >= 1, got %r" % (kind, prec),
                            prec=prec)
+    if prec > SIZE_CAP:
+        raise BudgetExceeded("kind %s needs prec <= %d, got %d"
+                             % (kind, SIZE_CAP, prec),
+                             needed=prec, budget=SIZE_CAP)
     return prec
 
 
 def make_ring(kind, p=None, prec=None):
     """Build a ring from its descriptor. The base must be prime
     (CompositeModulus otherwise) and finite kinds need prec >= 1
-    (BadPrecision otherwise). kind z may omit p, giving plain integers
-    with no valuation."""
+    (BadPrecision otherwise) and at most SIZE_CAP (BudgetExceeded
+    otherwise). kind z may omit p, giving plain integers with no
+    valuation."""
     if kind not in _KINDS:
         raise ValueError("unknown ring kind %r; expected one of %s"
                          % (kind, ", ".join(_KINDS)))

@@ -6,8 +6,11 @@ it computes each coefficient on first read and memoizes it, and takes
 no lock. Both answer one protocol, so every operation here and every
 one built on them takes either type: ring, x_prec, coeff(n), window(m)
 (the first m coefficients; InsufficientXPrecision past x_prec), coeffs
-(the whole window, built once) and truncate(m) (the first m
-coefficients as a Series).
+(the whole window, built once), truncate(m) (the first m
+coefficients as a Series), deriv() (the formal derivative, a Series)
+and eval(x, ring) (f at a point of positive valuation, in f's ring or
+that ring at lower precision, as Poly.eval evaluates a polynomial).
+Windows and x_prec are capped at rings.SIZE_CAP (BudgetExceeded).
 
 Operations: add, sub, mul, unit inversion, composition, compositional
 inverse, evaluation at a small point, and two rationality detectors
@@ -34,6 +37,7 @@ from math import isqrt
 from .errors import (
     BadNormalization,
     BadPrecision,
+    BudgetExceeded,
     InsufficientXPrecision,
     InvariantViolation,
     NonBinaryCoefficient,
@@ -44,14 +48,19 @@ from .errors import (
     RingMismatch,
     WindowTooSmall,
 )
-from .rings import Ring
+from .rings import SIZE_CAP, Ring
 
 
 def check_x_prec(x_prec):
-    """x_prec, or BadPrecision when it is below 1."""
+    """x_prec, or BadPrecision when it is below 1 and BudgetExceeded
+    past rings.SIZE_CAP."""
     if x_prec < 1:
         raise BadPrecision("series needs x_prec >= 1, got %d" % x_prec,
                            x_prec=x_prec)
+    if x_prec > SIZE_CAP:
+        raise BudgetExceeded("series needs x_prec <= %d, got %d"
+                             % (SIZE_CAP, x_prec),
+                             needed=x_prec, budget=SIZE_CAP)
     return x_prec
 
 
@@ -77,6 +86,20 @@ class Series:
     def truncate(self, m):
         return Series(self.ring, m, tuple(self.window(m)))
 
+    def deriv(self):
+        """The formal derivative, on a window one shorter (and at least
+        one)."""
+        ring, cs = self.ring, self.coeffs
+        dc = [ring.mul(ring.from_int(k), cs[k]) for k in range(1, len(cs))]
+        return Series(ring, max(len(dc), 1), tuple(dc) or (ring.zero(),))
+
+    def eval(self, x, ring=None):
+        """f(x) for x of positive valuation, in ring: f's own by
+        default, or f's ring at a lower precision. The signature is
+        Poly.eval's, so Newton lifting takes either."""
+        R = ring or self.ring
+        return R.canon(evaluate(self, self.ring.canon(x), R.prec))
+
 
 def _check_window(f, m):
     if m > f.x_prec:
@@ -93,6 +116,7 @@ def make_series(ring, coeffs, x_prec=None):
     if len(coeffs) > x_prec:
         raise ValueError("got %d coefficients for a window of %d"
                          % (len(coeffs), x_prec))
+    check_x_prec(x_prec)
     coeffs = coeffs + [ring.zero()] * (x_prec - len(coeffs))
     return Series(ring, x_prec, tuple(coeffs))
 
@@ -125,6 +149,8 @@ class OracleSeries:
         return tuple(self.window(self.x_prec))
 
     truncate = Series.truncate
+    deriv = Series.deriv
+    eval = Series.eval
 
 
 def _common(f, g):
@@ -236,7 +262,7 @@ def comp_inverse(f):
         raise BadNormalization("constant term must be zero")
     if m < 2 or f.coeffs[1] != ring.one():
         raise BadNormalization("linear coefficient must be one")
-    df = [ring.mul(ring.from_int(i), f.coeffs[i]) for i in range(1, m)]
+    df = f.deriv().coeffs
     g = [ring.zero(), ring.one()]
     while len(g) < m:
         w = len(g)

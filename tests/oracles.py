@@ -372,8 +372,12 @@ class GFTable:
     def __init__(self, p, d):
         self.p, self.d, self.q = p, d, p ** d
         self.modpoly = find_irreducible(p, d)
-        self.mul_table = None
+        self.add_table = self.mul_table = None
         if self.q <= 130:
+            self.add_table = [
+                [self._add_slow(a, b) for b in range(self.q)]
+                for a in range(self.q)
+            ]
             self.mul_table = [
                 [self._mul_slow(a, b) for b in range(self.q)]
                 for a in range(self.q)
@@ -392,9 +396,14 @@ class GFTable:
             acc = acc * self.p + c
         return acc
 
-    def add(self, a, b):
+    def _add_slow(self, a, b):
         da, db = self._digits(a), self._digits(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+
+    def add(self, a, b):
+        if self.add_table is not None:
+            return self.add_table[a][b]
+        return self._add_slow(a, b)
 
     def _mul_slow(self, a, b):
         da, db = self._digits(a), self._digits(b)
@@ -490,18 +499,35 @@ def gf_table(p, d):
     return _gf_cache[(p, d)]
 
 
+_roots_cache = {}
+
+
+def _factor_roots(fc, p):
+    """lc(f) and, per irreducible factor of f, its splitting field, one
+    root there and its multiplicity; memoized per f, since the pairs
+    that res_roots_fp serves repeat each f many times."""
+    key = (tuple(fc), p)
+    if key not in _roots_cache:
+        lc, factors = fp_factor_cubic_window(fc, p)
+        roots = []
+        for monic, mult in factors:
+            fld = gf_table(p, fp_deg(monic))
+            root = next(a for a in range(fld.q)
+                        if fld.poly_eval(monic, a) == 0)
+            roots.append((fld, root, mult))
+        _roots_cache[key] = lc, roots
+    return _roots_cache[key]
+
+
 def res_roots_fp(fc, gc, p):
     """Res(f, g) over F_p by root products: lc(f)^deg(g) times the norm of
     g at one root of each irreducible factor of f, per multiplicity."""
     df, dg = fp_deg(fc), fp_deg(gc)
     if df == 0:
         return pow(fc[0] % p, dg, p)
-    lc, factors = fp_factor_cubic_window(fc, p)
+    lc, roots = _factor_roots(fc, p)
     res = pow(lc, dg, p)
-    for monic, mult in factors:
-        e = fp_deg(monic)
-        fld = gf_table(p, e)
-        root = next(a for a in range(fld.q) if fld.poly_eval(monic, a) == 0)
+    for fld, root, mult in roots:
         val = fld.poly_eval(gc, root)
         res = (res * pow(fld.norm(val), mult, p)) % p
     return res

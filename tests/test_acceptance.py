@@ -47,7 +47,6 @@ from prepkit.padic_analysis import (
     hensel_lift,
     reference_spec,
     small_root_of_gap,
-    sparse_terms_upto,
 )
 
 Z = make_ring("z")
@@ -77,7 +76,7 @@ def ref600():
     lam = small_root_of_gap(spec, 600)
     ring = make_ring("zp", 2, 600)
     dense = [ring.zero()] * 600
-    for e, c in sparse_terms_upto(spec, 599):
+    for e, c in spec.sparse_terms_upto(599):
         dense[e] = ring.add(dense[e], ring.from_int(c))
     f600 = make_series(ring, dense, 600)
     wf = gap_linear_factor(spec, 600)
@@ -243,7 +242,7 @@ def test_criterion_6_gap_bound_chain(ref600, reference):
     # n = 1 special path agree
     ring40 = make_ring("zp", 2, 40)
     dense40 = [ring40.zero()] * 40
-    for e, c in sparse_terms_upto(spec, 39):
+    for e, c in spec.sparse_terms_upto(39):
         dense40[e] = ring40.add(dense40[e], ring40.from_int(c))
     f40 = make_series(ring40, dense40, 40)
     wfd = reference(prepare, f40)

@@ -633,7 +633,16 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
     (["series", "invert", "--in", "prec.json"], None, "ring prec"),
     (["series", "invert", "--in", "prefix.json"], None, "prefix"),
     (["series", "invert", "--in", "cycle.json"], None, "cycle"),
-], ids=["argv%d" % i for i in range(23)])
+    # a polynomial term that is not [[e, ...], c]
+    (["h10", "probe", "--in", "terms.json"], None, "terms"),
+    # C and kappa are ints or fraction strings
+    (["gap", "root", "--K", "10", "--spec", "c_abc.json"], None, "spec C"),
+    (["gap", "root", "--K", "10", "--spec", "c_float.json"], None, "spec C"),
+    (["gap", "root", "--K", "10", "--spec", "kappa_zero.json"], None,
+     "spec kappa"),
+    # a float digit of a char-p spec coefficient
+    (["gap", "root", "--K", "10", "--spec", "digit.json"], None, "digit 1.5"),
+], ids=["argv%d" % i for i in range(28)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     zp = {"kind": "zp", "p": 3, "prec": 2}
@@ -645,6 +654,16 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
             ("cycle", {"ring": zp, "x_prec": 4, "oracle": {
                 "kind": "periodic", "prefix": [], "cycle": [[1]]}})):
         (tmp_path / (name + ".json")).write_text(json.dumps(payload))
+    (tmp_path / "terms.json").write_text('{"d":1,"terms":[[1]]}')
+    ref = {"char": "zero", "p": 2, "b": {"kind": "pow2_nsq"},
+           "a": {"kind": "const_after", "a0": "2", "rest": "1"}}
+    for name, spec in (("c_abc", dict(ref, C="abc")),
+                       ("c_float", dict(ref, C=1.5)),
+                       ("kappa_zero", dict(ref, kappa="1/0")),
+                       ("digit", dict(ref, char="p", a={
+                           "kind": "const_after", "a0": [0, 1],
+                           "rest": [1.5]}))):
+        (tmp_path / (name + ".json")).write_text(json.dumps(spec))
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
     (tmp_path / "r3.json").write_text('["1","2","3"]')
     for n in (3, 8):
@@ -690,7 +709,33 @@ def test_elem_json_guards():
         jsonio.elem_from_json(T, [1, "1x"])
     with pytest.raises(UsageError):
         jsonio.elem_from_json(ring, [1])
+    # a float or bool digit is refused, not truncated by int()
+    for digit in (1.7, True):
+        with pytest.raises(UsageError, match="digit %s " % digit):
+            jsonio.elem_from_json(T, [digit, 0])
     assert jsonio.elem_from_json(T, [1, 0, 1]) == (1, 0, 1, 0)
+    assert jsonio.elem_from_json(T, ["1", 0, "01"]) == (1, 0, 1, 0)
+
+
+def test_size_cap_is_budget_exceeded(tmp_path):
+    # a window or ring precision past rings.SIZE_CAP fails before any
+    # padding or p^prec
+    cases = (("prepare", {"ring": {"kind": "zp", "p": 7, "prec": 1},
+                          "coeffs": ["0"], "x_prec": 3000000}, "x_prec"),
+             ("series invert", {"ring": {"kind": "zp", "p": 3,
+                                         "prec": 3000000},
+                                "coeffs": ["1"]}, "prec"))
+    for verb, payload, what in cases:
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(payload))
+        res = run_cli(*verb.split(), "--in", str(f))
+        assert (res.returncode, res.stdout) == (1, "")
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "BudgetExceeded"
+        assert err["message"].endswith("needs %s <= 1048576, got 3000000"
+                                       % what)
 
 
 def test_malformed_decimal_element_is_usage_error(tmp_path):

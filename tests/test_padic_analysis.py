@@ -21,8 +21,7 @@ from prepkit import (BudgetExceeded, CompositeModulus, DegreeAboveOne,
                      make_series, phi_truncation, prepare,
                      resultant_generic, small_root_of_gap)
 from prepkit.padic_analysis import (VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
-                                    VERDICT_SHARED, reference_spec,
-                                    sparse_terms_upto)
+                                    VERDICT_SHARED, reference_spec)
 from prepkit.rings import mask_from_digits
 
 REF0 = reference_spec("zero")
@@ -290,7 +289,7 @@ def test_closed_forms_match_generic_resultant():
     lam0 = small_root_of_gap(REF0, 600)
     for N in (1, 2):
         phi = phi_truncation(REF0, N)
-        terms = sparse_terms_upto(REF0, phi.degree)
+        terms = REF0.sparse_terms_upto(phi.degree)
         for _ in range(8):
             deg = rng.choice([1, 2, 3])
             co = [rng.randrange(-9, 10) for _ in range(deg)] + [
@@ -311,7 +310,7 @@ def test_closed_forms_match_generic_resultant():
         for N in (1, 2):
             phip = phi_truncation(spec, N)
             mterms = [(k, mask_from_digits(a))
-                      for k, a in sparse_terms_upto(spec, phip.degree)]
+                      for k, a in spec.sparse_terms_upto(phip.degree)]
             for _ in range(8):
                 deg = rng.choice([1, 2, 3])
                 co = [tuple(rng.randrange(p) for _ in range(3))
@@ -374,9 +373,9 @@ _HENSEL = ('pa.hensel_lift(make_poly(make_ring("z", 2), [-17, 0, 1]), 1, 12, '
 @pytest.mark.parametrize("patch, call", [
     # v(Phi_1(lam)) below the tail bound 16, then above it although the
     # unit tail head forces equality
-    ("pa._sparse_eval = lambda view, R, terms, x: R.one()",
+    ("pa._sparse_eval = lambda R, terms, x: R.one()",
      "pa.bound_check_prime(spec, lam, 1, ring)"),
-    ("pa._sparse_eval = lambda view, R, terms, x: R.from_int(2 ** 17)",
+    ("pa._sparse_eval = lambda R, terms, x: R.from_int(2 ** 17)",
      "pa.bound_check_prime(spec, lam, 1, ring)"),
     # a certified candidate (v(B) = 1 < 16) whose P(lam) vanishes, then
     # one whose P(lam) has valuation above v(B)
@@ -386,23 +385,30 @@ _HENSEL = ('pa.hensel_lift(make_poly(make_ring("z", 2), [-17, 0, 1]), 1, 12, '
      "pa.certify_not_root(spec, lam, x, 1, ring)"),
     # the root lift: a derivative of valuation >= 1, an evaluation that
     # never vanishes, and f(x) = x - 1, whose lift converges to a unit
-    ("pa._sparse_eval = lambda view, R, terms, x: R.from_int(2)",
+    ("pa._sparse_eval = lambda R, terms, x: R.from_int(2)",
      "pa.small_root_of_gap(spec, 64)"),
-    ("pa._sparse_eval = lambda view, R, terms, x: R.one()",
+    ("pa._sparse_eval = lambda R, terms, x: R.one()",
      "pa.small_root_of_gap(spec, 64)"),
-    ("pa._sparse_eval = lambda view, R, terms, x: "
+    ("pa._sparse_eval = lambda R, terms, x: "
      "R.sub(x, R.one()) if terms[0][1] == 2 else R.one()",
      "pa.small_root_of_gap(spec, 64)"),
     # the Newton step on x^2 - 17 from 1: a derivative whose valuation
     # exceeds v(f(x)) = 4, an f(x) that never gains valuation, and one
     # that gains a unit of valuation per step without ever vanishing
-    ("real = pa._PolyFunc.deriv_eval\n"
-     "pa._PolyFunc.deriv_eval = lambda self, R, x, "
-     "c=__import__('itertools').count(): "
-     "real(self, R, x) if next(c) == 0 else R.from_int(2 ** 8)", _HENSEL),
-    ("pa._PolyFunc.eval = lambda self, R, x: R.from_int(8)", _HENSEL),
-    ("pa._PolyFunc.eval = lambda self, R, x, "
-     "c=__import__('itertools').count(3): 2 ** next(c) + 2 ** 200", _HENSEL),
+    # (f has degree 2 and f' degree 1, so the patched Poly.eval tells
+    # them apart)
+    ("real = pa.Poly.eval\n"
+     "pa.Poly.eval = lambda self, x, R=None, "
+     "c=__import__('itertools').count(): real(self, x, R) "
+     "if self.degree == 2 or next(c) == 0 else R.from_int(2 ** 8)", _HENSEL),
+    ("real = pa.Poly.eval\n"
+     "pa.Poly.eval = lambda self, x, R=None: "
+     "R.from_int(8) if self.degree == 2 else real(self, x, R)", _HENSEL),
+    ("real = pa.Poly.eval\n"
+     "pa.Poly.eval = lambda self, x, R=None, "
+     "c=__import__('itertools').count(3): "
+     "2 ** next(c) + 2 ** 200 if self.degree == 2 else real(self, x, R)",
+     _HENSEL),
     # the gap cofactor at K = 8, f = 2 + x + x^2 there: lam = 1 makes
     # U_0 = 2 a non-unit, and lam = 0 breaks (x - lam) * U = f at x^0
     ("pa.small_root_of_gap = lambda spec, K: 1",
@@ -558,7 +564,7 @@ def window_series(spec, K):
     kind = "zp" if spec.characteristic == "zero" else "fpt"
     ring = make_ring(kind, spec.p, K)
     dense = [ring.zero()] * K
-    for e, c in sparse_terms_upto(spec, K - 1):
+    for e, c in spec.sparse_terms_upto(K - 1):
         add = ring.from_int(c) if spec.characteristic == "zero" \
             else ring.from_digits(c)
         dense[e] = ring.add(dense[e], add)

@@ -27,6 +27,13 @@ def test_resultant_goldens():
     assert resultant(make_poly(Z, [1, 0, 1]), make_poly(Z, [1, 0, 1])) == 0
 
 
+def test_poly_deriv():
+    assert make_poly(Z, [5, -3, 0, 2]).deriv().coeffs == (-3, 0, 6)
+    assert make_poly(Z, [5]).deriv().coeffs == ()
+    # x^2 + t x over F_2[t]: 2x vanishes, so the derivative is t
+    assert make_poly(T2, [(), (0, 1), (1,)]).deriv().coeffs == ((0, 1),)
+
+
 def test_resultant_rejects_two_constants():
     with pytest.raises(BothConstant):
         resultant(make_poly(Z, [3]), make_poly(Z, [4]))

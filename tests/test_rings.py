@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from prepkit import BadPrecision, CompositeModulus, NotAUnit, make_ring, rings
+from prepkit import (BadPrecision, BudgetExceeded, CompositeModulus,
+                     NotAUnit, make_ring, rings)
 from prepkit.rings import (b2_deg, b2_divmod, b2_mul, digits_from_mask,
                            is_prime, mask_from_digits)
 
@@ -35,6 +36,13 @@ def test_make_ring_validation():
         make_ring("zmodpk", 2, -1)
     with pytest.raises(ValueError):
         make_ring("nope", 2, 2)
+    # past the size cap, before p^prec is computed
+    assert rings.check_prec("zp", rings.SIZE_CAP) == rings.SIZE_CAP
+    for kind in ("zp", "zmodpk", "fpt"):
+        with pytest.raises(BudgetExceeded) as e:
+            make_ring(kind, 3, rings.SIZE_CAP + 1)
+        assert e.value.data == {"needed": rings.SIZE_CAP + 1,
+                                "budget": rings.SIZE_CAP}
 
 
 def test_ring_equality_and_desc():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from prepkit import (BadPrecision, InsufficientXPrecision,
+from prepkit import (BadPrecision, BudgetExceeded, InsufficientXPrecision,
                      NonBinaryCoefficient, NonzeroConstantInner,
                      NotAUnitSeries, OracleSeries, PointNotSmall,
                      PrepkitError, WindowTooSmall, comp_inverse, compose,
@@ -16,6 +16,8 @@ from prepkit import (BadPrecision, InsufficientXPrecision,
                      hensel_lift, jsonio, make_ring, make_series, prepare,
                      series_add, series_invert, series_mul, series_sub,
                      strong_factor)
+from prepkit import rings
+from prepkit.series import check_x_prec
 
 Z4 = make_ring("zmodpk", 2, 2)
 F5 = make_ring("zp", 5, 1)
@@ -132,6 +134,29 @@ def _outcome(fn, *args):
         return "ok", fn(*args)
     except (PrepkitError, ValueError) as e:
         return type(e).__name__, str(e), getattr(e, "data", None)
+
+
+def test_x_prec_size_cap():
+    cap = rings.SIZE_CAP
+    assert check_x_prec(cap) == cap
+    for build in (lambda: make_series(Z, [1], cap + 1),
+                  lambda: OracleSeries(Z, lambda n: n, cap + 1)):
+        with pytest.raises(BudgetExceeded) as e:
+            build()
+        assert e.value.data == {"needed": cap + 1, "budget": cap}
+
+
+def test_deriv_and_eval():
+    R = make_ring("zp", 3, 4)
+    f = make_series(R, [5, 1, 2, 7], 4)
+    assert f.deriv().coeffs == (1, 4, 21)
+    assert make_series(R, [5], 1).deriv().coeffs == (0,)
+    orc = OracleSeries(R, lambda n: [5, 1, 2, 7][n], 4)
+    assert orc.deriv() == f.deriv()
+    low = R.at_prec(2)
+    for g in (f, orc):
+        assert g.eval(3) == evaluate(f, 3, 4)
+        assert g.eval(3, low) == evaluate(f, 3, 2) % 9
 
 
 def test_oracle_series_window_and_materialize():
