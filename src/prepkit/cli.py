@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import jsonio
-from .errors import IoError, PrepkitError, UsageError
+from .errors import BudgetExceeded, IoError, PrepkitError, UsageError
 from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, Inconclusive, LazyBP,
                   OverBudget, decision_probe, theta)
 from .padic_analysis import (bound_check_prime, certify_family,
@@ -77,7 +77,7 @@ def _read_json(path):
 def _ring_flag(value):
     try:
         return jsonio.parse_ring_flag(value)
-    except UsageError:
+    except (UsageError, BudgetExceeded):
         raise
     except PrepkitError as e:
         raise UsageError("--ring %s: %s" % (value, e))

@@ -353,7 +353,6 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
                 % (vf, "inf" if vd is None else 2 * vd), vf=vf, vd=vd)
         prev_vf = vf
         for _ in range(2 * K + 8):
-            dv = df.eval(lam, ring)
             v = ring.val(dv)
             if v is None:
                 raise ZeroAtPrecision("zero residue has no unit part at "
@@ -377,6 +376,7 @@ def hensel_lift(f, x0, K, ring=None, with_trace=False):
                 raise InvariantViolation("no valuation progress: v(f(x)) "
                                          "went from %d to %d" % (prev_vf, vf))
             prev_vf = vf
+            dv = df.eval(lam, ring)
         if not ring.is_zero(fv):
             raise InvariantViolation("lifting did not converge at precision "
                                      "%d" % K)

@@ -16,12 +16,16 @@ fpt_exact   polynomial ring F_p[t]    trimmed digit tuple, () is zero
 Convolution of coefficient lists is the single multiplication engine
 shared by all series operations, with a quadratic reference
 implementation for cross-checks. Large products take a float FFT
-while its proved rounding bound admits the sizes (_fft_convolve). Below
-its work threshold, or past the bound or the transform cap, zp, zmodpk
-and z take numpy's direct convolution while sums fit in int64 and
-Kronecker substitution through big-int multiplication otherwise; fpt
-packs its digit rows with Kronecker substitution, into 2-, 4- or 8-byte
-slots or, past 2^64, wide limbs. Both t-adic kinds multiply their
+while its proved rounding bound admits the sizes (_fft_convolve); past
+2^14 points the transform is sectioned into blocks that each meet the
+bound, and their products are added exactly. Below its work threshold,
+or past the bound, zp, zmodpk and z take numpy's direct convolution
+while sums fit in int64 and Kronecker substitution through big-int
+multiplication otherwise; fpt packs its digit rows with Kronecker
+substitution, into 2-, 4- or 8-byte slots or, past 2^64, wide limbs.
+The residual of a Weierstrass lifting step, Ring.lift_product, is one
+such product; fpt takes it from the product's digit array, before any
+row becomes a tuple. Both t-adic kinds multiply their
 elements through one F_p[t] product, which picks its own lane:
 schoolbook for small operands, bitmasks for p = 2, Kronecker packing
 with stdlib arrays while every output digit fits 4 bytes, numpy up to
@@ -209,12 +213,22 @@ def _kron_signed(a, b):
 # orders add a relative 10^-12 at most. The lane is taken only while
 # that stays below 1/4, so rounding is exact with a factor 2 to spare
 # for numpy's real-input transform, and the exact sum check catches a
-# single output rounded the wrong way. Transforms are powers of two up
-# to _FFT_MAX_SIZE, which bounds the temporaries: about four float
-# arrays of the transform length, 512 KiB at 2^14, and nothing is kept
-# between calls. On the series-wide benchmark (seed 5, 2 cores,
-# numpy 2.4) a cap of 2^15 raised peak RSS 0.9 MiB above a cap of
-# 2^14, for 1.5% more jobs per second.
+# single output rounded the wrong way.
+#
+# _FFT_MAX_SIZE is the block size. A product whose transform would be
+# longer is sectioned (overlap-add; Stockham, AFIPS 1966): each operand
+# is cut into row blocks whose pairwise product fits _FFT_MAX_SIZE
+# points, each block is transformed once, and the rounded block
+# products are added exactly into one int64 array. Every block pair
+# meets the bound and the sum check on its own, so the block size, not
+# the operand length, fixes the rounding error and the float
+# temporaries: about four arrays of 2^14 floats, 512 KiB, and one
+# spectrum per block of the second operand; nothing is kept between
+# calls. A block holds at least one row, so a row product of more
+# than 2^14 points gets one longer transform. On the series-wide
+# benchmark (seed 5, 2 cores, numpy 2.4) a single-transform cap of
+# 2^15 raised peak RSS 0.9 MiB above one of 2^14, for 1.5% more jobs
+# per second.
 
 _FFT_MAX_SIZE = 1 << 14
 
@@ -228,60 +242,122 @@ _FFT_INT_WORK = 1 << 17
 _FFT_KRON_WORK = 1 << 21
 
 
-def _fft_convolve(a, b, amax, bmax, k=None):
-    """The full convolution of integer sequences a and b (|a_i| <= amax,
-    |b_j| <= bmax) as a flat int64 array, or None when the rounding
-    bound or the size cap refuses it. With k, a and b hold rows of k
+def _fft_admits(x, y, d, amax, bmax, size):
+    """Percival's bound for x by y rows of d digits in a transform of
+    size points, checked in exact integers."""
+    lg = size.bit_length() - 1
+    return x * y * d * d * (amax * bmax) ** 2 * (13 * lg + 3) ** 2 < 1 << 102
+
+
+def _fft_spectrum(x, v, m, k):
+    """The transform of m terms of v, or of m rows of k digits laid out
+    with stride 2k - 1, through the float buffer x, and the exact sum
+    of v: an exact int64 copy of v gives both."""
+    import numpy as np
+    x[:] = 0
+    if k:
+        v = np.fromiter(chain.from_iterable(v), np.int64, m * k)
+        s = 2 * k - 1
+        x[:m * s].reshape(m, s)[:, :k] = v.reshape(m, k)
+    else:
+        v = np.array(v, dtype=np.int64)
+        x[:m] = v
+    return np.fft.rfft(x), int(v.sum())
+
+
+def _fft_rounded(c, sa, sb, what):
+    """The inverse transform c rounded to int64, or InvariantViolation
+    when its sum is not sa * sb, exactly modulo 2^64 as int64 sums
+    wrap."""
+    import numpy as np
+    out = np.rint(c, out=c).astype(np.int64)
+    if (sa * sb - int(out.sum())) % (1 << 64):
+        raise InvariantViolation("FFT convolution of %s fails its sum "
+                                 "check" % what)
+    return out
+
+
+def _fft_convolve(a, b, amax, bmax, k=None, rows=None):
+    """The convolution of nonempty integer sequences a and b
+    (|a_i| <= amax, |b_j| <= bmax) as a flat int64 array, or None when
+    the rounding bound refuses it. With k, a and b hold rows of k
     digits, laid out with stride 2k - 1 so that no row product spills
     into the next: row r of the result is out[r*(2k-1):(r+1)*(2k-1)].
-    Raises InvariantViolation when the output sum is not sum(a)*sum(b)."""
+    The array holds at least the first `rows` rows (all by default).
+    Raises InvariantViolation when the output sum is not sum(a)*sum(b),
+    or past _FFT_MAX_SIZE a block product's sum not the product of its
+    blocks' sums."""
     d = k or 1
     s = 2 * d - 1
     la, lb = len(a), len(b)
     n = (la + lb - 1) * s
     size = 1 << (n - 1).bit_length()
-    lg = size.bit_length() - 1
-    if (size > _FFT_MAX_SIZE or la * lb * d * d * (amax * bmax) ** 2
-            * (13 * lg + 3) ** 2 >= 1 << 102):
+    if size > _FFT_MAX_SIZE:
+        return _fft_blocked(a, b, amax, bmax, k, min(rows or n, la + lb - 1))
+    if not _fft_admits(la, lb, d, amax, bmax, size):
         return None
     import numpy as np
 
     x = np.zeros(size)
-
-    def transform(v, m):
-        # an exact int64 copy of v gives the float input and its sum
-        if k:
-            v = np.fromiter(chain.from_iterable(v), np.int64, m * k)
-        else:
-            v = np.array(v, dtype=np.int64)
-        x[:] = 0
-        if k:
-            x[:m * s].reshape(m, s)[:, :k] = v.reshape(m, k)
-        else:
-            x[:m] = v
-        return np.fft.rfft(x), int(v.sum())
-
-    fa, sa = transform(a, la)
-    fb, sb = transform(b, lb)
+    fa, sa = _fft_spectrum(x, a, la, k)
+    fb, sb = _fft_spectrum(x, b, lb, k)
     fa *= fb
     del x, fb
     c = np.fft.irfft(fa, size)[:n]
     del fa
-    out = np.rint(c, out=c).astype(np.int64)
-    # exact modulo 2^64, as int64 sums wrap
-    if (sa * sb - int(out.sum())) % (1 << 64):
-        raise InvariantViolation("FFT convolution of %d by %d terms fails "
-                                 "its sum check" % (la, lb))
+    return _fft_rounded(c, sa, sb, "%d by %d terms" % (la, lb))
+
+
+def _fft_blocked(a, b, amax, bmax, k, rows):
+    """_fft_convolve past _FFT_MAX_SIZE points: the first `rows` rows of
+    the product, by overlap-add of block products. Blocks of ba and bb
+    rows with ba + bb - 1 <= cap fill one transform; a short operand
+    stays one block. Block pairs whose first output row is at or past
+    `rows` are skipped."""
+    d = k or 1
+    s = 2 * d - 1
+    la, lb = len(a), len(b)
+    cap = max(_FFT_MAX_SIZE // s, 1)  # output rows per transform
+    bb = min(lb, max((cap + 1) // 2, cap + 1 - la))
+    ba = min(la, cap + 1 - bb)
+    size = 1 << ((ba + bb - 1) * s - 1).bit_length()
+    pairs = [(i, j) for i in range(0, min(la, rows), ba)
+             for j in range(0, min(lb, rows - i), bb)]
+    if not all(_fft_admits(min(ba, la - i), min(bb, lb - j), d, amax, bmax,
+                           size) for i, j in pairs):
+        return None
+    import numpy as np
+
+    x = np.zeros(size)
+    fbs = [_fft_spectrum(x, b[j:j + bb], min(bb, lb - j), k)
+           for j in range(0, min(lb, rows), bb)]
+    out = np.zeros(rows * s, dtype=np.int64)
+    for i, j in pairs:
+        xa, xb = min(ba, la - i), min(bb, lb - j)
+        if j == 0:
+            fa, sa = _fft_spectrum(x, a[i:i + ba], xa, k)
+        fb, sb = fbs[j // bb]
+        m = (xa + xb - 1) * s
+        blk = _fft_rounded(np.fft.irfft(fa * fb, size)[:m], sa, sb,
+                           "rows %d and %d of %d by %d" % (i, j, la, lb))
+        # an output is at most min(la, lb) * d * amax * bmax, and the
+        # bound keeps sqrt(xa * xb) * d * amax * bmax below 2^44, so the
+        # int64 sums could wrap only past min(la, lb) = 2^19 *
+        # sqrt(xa * xb): billions of digits
+        off = (i + j) * s
+        m = min(m, rows * s - off)
+        out[off:off + m] += blk[:m]
     return out
 
 
-def _int64_convolve(a, b, amax, bmax):
-    """The full convolution of nonempty integer sequences with
-    |a_i| <= amax and |b_j| <= bmax as an int64 array: the FFT lane
-    past _FFT_INT_WORK products, numpy's direct loop while every sum
-    fits int64; None when neither admits the sizes."""
+def _int64_convolve(a, b, amax, bmax, out_len):
+    """The convolution of nonempty integer sequences with |a_i| <= amax
+    and |b_j| <= bmax as an int64 array holding at least its first
+    out_len terms (all of them off the FFT lane): the FFT lane past
+    _FFT_INT_WORK products, numpy's direct loop while every sum fits
+    int64; None when neither admits the sizes."""
     if len(a) * len(b) >= _FFT_INT_WORK:
-        out = _fft_convolve(a, b, amax, bmax)
+        out = _fft_convolve(a, b, amax, bmax, rows=out_len)
         if out is not None:
             return out
     if amax * bmax * min(len(a), len(b)) < 2 ** 62:
@@ -420,6 +496,14 @@ class Ring:
     def convolve(self, a, b, out_len):
         return self.convolve_ref(a, b, out_len)
 
+    def lift_product(self, c, a, y, n, s):
+        """(c - x^-n * (a * y) - y) / pi^s on len(c) terms, over
+        at_prec(prec - s), for y of len(c) terms and c - x^-n * (a * y)
+        - y = 0 mod pi^s: the residual of one Weierstrass lifting step,
+        whose product needs only its first n + len(c) terms."""
+        return self.lift_residual(c, self.convolve(a, y, n + len(c))[n:],
+                                  y, s)
+
     def fraction_field(self):
         """The field that recurrence detection runs in, or None."""
         return FractionField(self) if self.is_exact else None
@@ -535,7 +619,7 @@ class IntModRing(Ring):
     def convolve(self, a, b, out_len):
         if not a or not b:
             return [0] * out_len
-        arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1)
+        arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, out_len)
         if arr is not None:
             return _pad((arr % self.mod).tolist(), out_len)
         return _pad(_kron_unsigned(a, b, self.mod), out_len)
@@ -662,17 +746,20 @@ class FpTRing(Ring):
             C[:, :, a:] += (FA[:, :, a] @ GB).reshape(r, m, K)[:, :, :K - a]
         return [[tuple(e) for e in row] for row in (C % p).tolist()]
 
-    def convolve(self, a, b, out_len):
-        """Rows of K digits multiply as polynomials over Z[t], packed
-        with a stride that no row product overflows: the FFT lane past
-        _FFT_KRON_WORK, Kronecker packing into 2-, 4- or 8-byte digit
-        slots below it, and wide Kronecker limbs once a digit sum
-        reaches 2^64."""
+    def _row_product(self, a, b, rows):
+        """The first min(rows, len(a) + len(b) - 1) rows of a * b as a
+        numpy array of K digits per row, reduced mod p: the one F_p[[t]]
+        product kernel. Rows of K digits multiply as polynomials over
+        Z[t], packed with a stride that no row product overflows: the
+        FFT lane past _FFT_KRON_WORK, Kronecker packing into 2-, 4- or
+        8-byte digit slots below it (unsigned arrays), and wide
+        Kronecker limbs once a digit sum reaches 2^64 (object arrays)."""
+        import numpy as np
         p, K = self.p, self.prec
-        if not a or not b:
-            return [self.zero()] * out_len
         la, lb = len(a), len(b)
-        rows = min(la + lb - 1, out_len)
+        if not a or not b:
+            return np.zeros((0, K), dtype=np.int64)
+        rows = min(la + lb - 1, rows)
         bound = min(la, lb) * K * (p - 1) ** 2
         w = (2 if bound < 1 << 16 else 4 if bound < 1 << 32
              else 8 if bound < 1 << 64 else None)
@@ -681,15 +768,14 @@ class FpTRing(Ring):
             pad = (0,) * (K - 1)
             flat = _kron_unsigned([d for r in a for d in r + pad],
                                   [d for r in b for d in r + pad], p)
-            out = [tuple(flat[r * s:r * s + K]) for r in range(rows)]
-            return out + [self.zero()] * (out_len - rows)
+            C = np.array(flat[:rows * s], dtype=object).reshape(rows, s)
+            return C[:, :K]
         C = None
         if la * lb * (2 * K * w) ** 2 >= _FFT_KRON_WORK:
-            C = _fft_convolve(a, b, p - 1, p - 1, K)
+            C = _fft_convolve(a, b, p - 1, p - 1, K, rows)
         if C is not None:
-            C = C.reshape(la + lb - 1, 2 * K - 1)
+            C = C.reshape(-1, 2 * K - 1)
         else:
-            import numpy as np
             dt = "<u%d" % w
             A = np.zeros((la, 2 * K), dtype=dt)
             A[:, :K] = np.asarray(a, dtype=dt)
@@ -699,8 +785,28 @@ class FpTRing(Ring):
                     * int.from_bytes(B.tobytes(), "little"))
             buf = cint.to_bytes((la + lb - 1) * 2 * K * w, "little")
             C = np.frombuffer(buf, dtype=dt).reshape(la + lb - 1, 2 * K)
-        out = [tuple(row) for row in (C[:rows, :K] % p).tolist()]
-        return out + [self.zero()] * (out_len - rows)
+        return C[:rows, :K] % p
+
+    def convolve(self, a, b, out_len):
+        rows = self._row_product(a, b, out_len).tolist()
+        out = [tuple(row) for row in rows]
+        return out + [self.zero()] * (out_len - len(out))
+
+    def lift_product(self, c, a, y, n, s):
+        """Ring.lift_product from the digit array of a * y: the residual
+        is taken before any product row becomes a tuple."""
+        import numpy as np
+        p, K, m = self.p, self.prec, len(c)
+        T = self._row_product(a, y, n + m)[n:, s:]
+        # Kronecker lanes give unsigned digits: subtract in int64
+        dt = object if T.dtype == object else np.int64
+
+        def digits(v):
+            return np.fromiter(chain.from_iterable(v), dt, m * K).reshape(m, K)
+
+        D = digits(c)[:, s:] - digits(y)[:, s:]
+        D[:len(T)] -= T.astype(dt, copy=False)
+        return [tuple(row) for row in (D % p).tolist()]
 
 
 class ExactZRing(Ring):
@@ -772,7 +878,8 @@ class ExactZRing(Ring):
     def convolve(self, a, b, out_len):
         if not any(a) or not any(b):
             return [0] * out_len
-        arr = _int64_convolve(a, b, max(map(abs, a)), max(map(abs, b)))
+        arr = _int64_convolve(a, b, max(map(abs, a)), max(map(abs, b)),
+                              out_len)
         if arr is not None:
             return _pad(arr.tolist(), out_len)
         return _pad(_kron_signed(a, b), out_len)

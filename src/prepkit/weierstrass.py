@@ -104,8 +104,8 @@ def _lift_solve(ring, c, gamma, n, m):
         k1 = (k + 1) // 2
         lo = solve(R.reduce(c, k1), k1)
         y1 = R.join(lo, None, k1)
-        t = R.convolve(gk, y1, m)[n:]
-        return R.join(lo, solve(R.lift_residual(c, t, y1, k1), k - k1), k1)
+        return R.join(lo, solve(R.lift_product(c, gk, y1, n, k1), k - k1),
+                      k1)
 
     return solve(c, ring.prec)
 

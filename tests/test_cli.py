@@ -719,12 +719,15 @@ def test_elem_json_guards():
 
 def test_size_cap_is_budget_exceeded(tmp_path):
     # a window or ring precision past rings.SIZE_CAP fails before any
-    # padding or p^prec
+    # padding or p^prec, with one error type whether the ring comes in
+    # the payload or from --ring
     cases = (("prepare", {"ring": {"kind": "zp", "p": 7, "prec": 1},
                           "coeffs": ["0"], "x_prec": 3000000}, "x_prec"),
              ("series invert", {"ring": {"kind": "zp", "p": 3,
                                          "prec": 3000000},
-                                "coeffs": ["1"]}, "prec"))
+                                "coeffs": ["1"]}, "prec"),
+             ("series invert --ring zp:3:3000000", {"coeffs": ["1"]},
+              "prec"))
     for verb, payload, what in cases:
         f = tmp_path / "f.json"
         f.write_text(json.dumps(payload))

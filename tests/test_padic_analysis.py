@@ -168,6 +168,24 @@ def test_hensel_golden_sqrt6():
     assert pow(16, 2, 125) == 6
 
 
+def test_hensel_evaluates_the_derivative_once_per_step(monkeypatch):
+    # the Hensel condition's f'(x0) is the first step's derivative: two
+    # steps evaluate f' twice and f three times (x0 and each step)
+    from prepkit.resultant import Poly
+    calls = {1: 0, 2: 0}
+    real = Poly.eval
+
+    def counted(self, x, ring=None):
+        calls[self.degree] += 1
+        return real(self, x, ring)
+    monkeypatch.setattr(Poly, "eval", counted)
+    f = make_poly(make_ring("z", 5), [-6, 0, 1])
+    root, trace = hensel_lift(f, 1, 3, ring=make_ring("zp", 5, 3),
+                              with_trace=True)
+    assert (root, trace) == (16, [1, 66, 16])
+    assert calls == {1: 2, 2: 3}
+
+
 def test_hensel_linear_and_failure():
     R = make_ring("zp", 5, 3)
     Z5 = make_ring("z", 5)

@@ -305,6 +305,36 @@ def test_lift_residual_matches_sub_and_split(kind, p, K):
         assert hi == R.reduce(e, K - s)
 
 
+@pytest.mark.parametrize("kind, p, K", [("zp", 2, 9), ("zp", 5, 6),
+                                        ("zmodpk", 3, 7), ("fpt", 2, 8),
+                                        ("fpt", 3, 5), ("fpt", 65537, 4),
+                                        ("fpt", 4294967311, 3)])
+def test_lift_product_matches_residual_of_convolve(kind, p, K):
+    # (c - x^-n * (a * y) - y) / pi^s against lift_residual of the cut
+    # product (Ring's route) and the digits put in; fpt takes its
+    # Kronecker lanes at 5 terms, the FFT lane at 90 and the blocked
+    # FFT at 600 (fpt:2:8), and wide limbs at p = 4294967311
+    rng = random.Random("lift%s%d" % (kind, p))
+    R = make_ring(kind, p, K)
+
+    def elems(n):
+        return [R.from_digits([rng.randrange(p) for _ in range(K)])
+                if kind == "fpt" else R.from_int(rng.randrange(p ** K))
+                for _ in range(n)]
+    sizes = [5, 90] + ([600] if (kind, p) == ("fpt", 2) else [])
+    for m in sizes:
+        for s in (1, K // 2, K - 1):
+            n = rng.randrange(1, 6)
+            a, y, e = elems(m), elems(m - n), elems(m - n)
+            t = R.convolve(a, y, m)[n:]
+            pis = R.pow(R.uniformizer(), s)
+            c = [R.add(R.add(u, z), R.mul(pis, d))
+                 for u, z, d in zip(t, y, e)]
+            got = R.lift_product(c, a, y, n, s)
+            assert got == rings.Ring.lift_product(R, c, a, y, n, s)
+            assert got == R.reduce(e, K - s)
+
+
 def test_exact_fpt_sub_monic_gcd():
     rng = random.Random(5)
     for p in (2, 3, 7):
@@ -386,17 +416,26 @@ def _spy_fft(monkeypatch):
     return taken
 
 
-# sizes past each kind's FFT work threshold, balanced and not
-FFT_CASES = [("fpt", 2, 8, [(48, 48), (200, 12), (7, 300)]),
-             ("fpt", 3, 4, [(96, 96), (300, 40)]),
+# sizes past each kind's FFT work threshold, balanced and not, and on
+# both sides of the 2^14-point block: one transform up to 546 rows of
+# fpt:2:8, 1,170 of fpt:3:4 and 8,192 terms of zp and z, blocks past
+# that; at fpt:2:8200 one row product exceeds the block
+FFT_CASES = [("fpt", 2, 8, [(48, 48), (200, 12), (7, 300), (546, 546),
+                            (547, 547), (1536, 1536)]),
+             ("fpt", 3, 4, [(96, 96), (300, 40), (1170, 1170),
+                            (1171, 1171)]),
              ("fpt", 65537, 3, [(32, 32), (90, 12)]),
-             ("zp", 2, 8, [(400, 400), (2000, 70)]),
+             ("fpt", 2, 8200, [(3, 3)]),
+             ("zp", 2, 8, [(400, 400), (2000, 70), (8192, 8192),
+                           (8193, 8193)]),
              ("zmodpk", 3, 5, [(400, 400), (66, 2000)]),
-             ("z", None, None, [(400, 400), (2000, 70)])]
+             ("z", None, None, [(400, 400), (2000, 70), (8192, 8192),
+                                (8193, 8193)])]
 
 
 @pytest.mark.parametrize("kind, p, K, sizes", FFT_CASES,
-                         ids=[c[0] + (":%s" % c[1] if c[1] else "")
+                         ids=["%s%s%s" % (c[0], ":%s" % c[1] if c[1] else "",
+                                          ":%s" % c[2] if c[2] == 8200 else "")
                               for c in FFT_CASES])
 def test_fft_lane_matches_reference(monkeypatch, kind, p, K, sizes):
     R = make_ring(kind, p, K)
@@ -404,9 +443,14 @@ def test_fft_lane_matches_reference(monkeypatch, kind, p, K, sizes):
     taken = _spy_fft(monkeypatch)
     for la, lb in sizes:
         a, b = _operands(R, la, rng), _operands(R, lb, rng)
+        if la * lb > 1 << 18:
+            # convolve_ref skips zero terms of a: keep 2^16 / lb of them,
+            # spread over every block, so the reference stays quick
+            keep = set(rng.sample(range(la), (1 << 16) // lb))
+            a = [x if i in keep else R.zero() for i, x in enumerate(a)]
         n = la + lb - 1
         want = R.convolve_ref(a, b, n + 5)
-        for out_len in (1, min(la, lb), n, n + 5):
+        for out_len in (1, min(la, lb), n // 2, n - 1, n, n + 5):
             taken.clear()
             assert R.convolve(a, b, out_len) == want[:out_len]
             assert taken == [True]
@@ -451,10 +495,13 @@ def test_matmul_generic_route_matches_lanes():
         assert R.matmul(A, B) == rings.Ring.matmul(R, A, B)
 
 
-def _largest_admitted(R, amax, k):
-    lo, hi = 1, 1 << 15  # admitted at lo, refused at hi
-    top = _operands(R, hi, None, top=True)
-    assert rings._fft_convolve(top, top, amax, amax, k) is None
+def _largest_admitted(R, amax, k, block):
+    """The largest L up to block whose L by L product at top magnitude
+    the bound admits."""
+    top = _operands(R, block, None, top=True)
+    if rings._fft_convolve(top, top, amax, amax, k) is not None:
+        return block
+    lo, hi = 1, block  # admitted at lo, refused at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         ok = rings._fft_convolve(top[:mid], top[:mid], amax, amax, k)
@@ -467,23 +514,36 @@ def _largest_admitted(R, amax, k):
     ("zmodpk", 3, 5), ("zp", 5, 8), ("z", None, None)])
 def test_fft_bound_holds_at_its_largest_admitted_size(kind, p, K):
     # every entry at its largest magnitude makes ||a|| * ||b|| as large
-    # as the admission bound allows; check the unreduced output exactly
-    # there, and that one more term is refused and takes the old lane
+    # as the admission bound allows. Check the unreduced output exactly
+    # at the largest size the bound admits in one transform of at most
+    # 2^14 points; where that is the whole block, also on three blocks
+    # by three; where the bound refuses first, check that one more term
+    # and a product past the block are refused and take the old lane
     R = make_ring(kind, p, K)
     k = K if kind == "fpt" else None
     amax = 2 ** 20 if kind == "z" else (p - 1 if kind == "fpt" else R.mod - 1)
-    L = _largest_admitted(R, amax, k)
-    top = _operands(R, L + 1, None, top=True)
-    got = rings._fft_convolve(top[:L], top[:L], amax, amax, k)
     d = k or 1
     s = 2 * d - 1
-    ones = [1 if i % s < d else 0 for i in range((L - 1) * s + d)]
-    assert got.tolist() == [amax * amax * c for c in self_convolution(ones)]
+    block = (rings._FFT_MAX_SIZE // s + 1) // 2
+    L = _largest_admitted(R, amax, k, block)
+    top = _operands(R, 3 * block, None, top=True)
+
+    def exact(n):
+        got = rings._fft_convolve(top[:n], top[:n], amax, amax, k)
+        ones = [1 if i % s < d else 0 for i in range((n - 1) * s + d)]
+        return got.tolist() == [amax * amax * c
+                                for c in self_convolution(ones)]
+    assert exact(L)
+    if L == block:
+        assert exact(3 * block)
+        return
+    assert rings._fft_convolve(top[:L + 1], top[:L + 1], amax, amax, k) is None
     assert rings._fft_convolve(top, top, amax, amax, k) is None
     if L < 200:
         # the refused size still multiplies right through the next lane
         b = _operands(R, L + 1, random.Random(L))
-        assert R.convolve(top, b, 2 * L + 1) == R.convolve_ref(top, b, 2 * L + 1)
+        assert (R.convolve(top[:L + 1], b, 2 * L + 1)
+                == R.convolve_ref(top[:L + 1], b, 2 * L + 1))
 
 
 def self_convolution(ones):
@@ -494,20 +554,26 @@ def self_convolution(ones):
     return np.convolve(v, v).tolist()
 
 
+# each product misrounds one output of its nth inverse transform: the
+# first for one transform, the second block pair of a blocked product
 _FFT_GUARD_CODE = (
     "import numpy as np\n"
     "from prepkit import InvariantViolation, make_ring\n"
     "irfft = np.fft.irfft\n"
     "def off_by_one(*args, **kw):\n"
     "    out = irfft(*args, **kw)\n"
-    "    out[%d] += 0.75\n"
+    "    calls.append(1)\n"
+    "    if len(calls) == nth:\n"
+    "        out[%d] += 0.75\n"
     "    return out\n"
     "np.fft.irfft = off_by_one\n"
-    "for R, a in ((make_ring('zp', 2, 8), [255] * 400),\n"
-    "             (make_ring('z'), [-7] * 400),\n"
-    "             (make_ring('fpt', 3, 4), [(2, 1, 0, 2)] * 200)):\n"
+    "for R, a, nth in ((make_ring('zp', 2, 8), [255] * 400, 1),\n"
+    "                  (make_ring('z'), [-7] * 400, 1),\n"
+    "                  (make_ring('fpt', 3, 4), [(2, 1, 0, 2)] * 200, 1),\n"
+    "                  (make_ring('zp', 2, 8), [255] * 9000, 2)):\n"
+    "    calls = []\n"
     "    try:\n"
-    "        R.convolve(a, a, 400)\n"
+    "        R.convolve(a, a, len(a) * 2)\n"
     "    except InvariantViolation:\n"
     "        print('raised')\n")
 
@@ -518,7 +584,7 @@ def test_fft_sum_check_catches_a_misrounded_output(flags, index):
     res = subprocess.run([sys.executable, *flags, "-c",
                           _FFT_GUARD_CODE % index],
                          capture_output=True, text=True)
-    assert (res.returncode, res.stdout) == (0, "raised\n" * 3), res.stderr
+    assert (res.returncode, res.stdout) == (0, "raised\n" * 4), res.stderr
 
 
 def test_kron_signed_overflow_check_survives_optimize_flag():
