@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
-from operator import index
+from itertools import chain
 
 from .errors import UsageError
 from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, make_dio, parse_dio_inline,
@@ -128,34 +128,50 @@ def elem_to_json(ring, x):
 
 
 def elem_from_json(ring, v):
-    return ring.canon(_elem_value(ring, v))
+    return ring.canon(_elem_values(ring, [v])[0])
 
 
-def _elem_value(ring, v):
-    """The element v decodes to, before ring.canon."""
-    if _is_tuple_kind(ring):
-        if not isinstance(v, (list, tuple)):
-            raise UsageError("element of %s must be a digit array" % ring.kind)
-        if bool not in map(type, v):
-            try:
-                return tuple(map(index, v))  # a float or a string raises
-            except TypeError:
-                pass
-        return tuple([_digit(ring.kind, d) for d in v])
-    return _decimal("element", v)
-
-
-def _digit(kind, d):
-    """The digit d, an int or a decimal string; a UsageError naming d
-    when it is neither, as a float or a bool is."""
-    if isinstance(d, bool) or not isinstance(d, (int, str)):
-        raise UsageError("digit %.40r of a %s element is not an integer or "
-                         "decimal string" % (d, kind))
+def _elem_values(ring, vs):
+    """The values of the JSON elements vs, before ring.canon: ints for
+    the integer kinds (JSON ints or decimal strings), digit tuples for
+    the digit kinds (arrays of ints or decimal strings). One scan of
+    the element types, and of the digit types, decodes the whole list;
+    when it refuses, _elem_error names the first bad element."""
     try:
-        return int(d)
-    except ValueError:
-        raise UsageError("digits of a %s element must be integers"
-                         % kind) from None
+        if _is_tuple_kind(ring):
+            if set(map(type, vs)) <= {list, tuple}:
+                digit_types = set(map(type, chain.from_iterable(vs)))
+                if digit_types <= {int}:
+                    return list(map(tuple, vs))
+                if digit_types <= {int, str}:
+                    return [tuple(map(int, v)) for v in vs]
+        elif set(map(type, vs)) <= {int, str}:
+            return list(map(dec_int, vs))
+    except ValueError:  # a malformed decimal string
+        pass
+    for v in vs:
+        _elem_error(ring, v)
+    raise UsageError("elements of %s must be integers, decimal strings or "
+                     "digit arrays" % ring.kind)
+
+
+def _elem_error(ring, v):
+    """A UsageError naming v, or its first bad digit, when v does not
+    decode as an element of ring; None when it does."""
+    if not _is_tuple_kind(ring):
+        _decimal("element", v)
+    elif not isinstance(v, (list, tuple)):
+        raise UsageError("element of %s must be a digit array" % ring.kind)
+    else:
+        for d in v:
+            if isinstance(d, bool) or not isinstance(d, (int, str)):
+                raise UsageError("digit %.40r of a %s element is not an "
+                                 "integer or decimal string" % (d, ring.kind))
+            try:
+                int(d)
+            except ValueError:
+                raise UsageError("digits of a %s element must be integers"
+                                 % ring.kind) from None
 
 
 # ---------------------------------------------------------------- series
@@ -178,7 +194,7 @@ def series_from_json(d):
     if not isinstance(coeffs, list):
         raise UsageError("series needs a coeffs array")
     # make_series canonicalizes each value
-    vals = [_elem_value(ring, c) for c in coeffs]
+    vals = _elem_values(ring, coeffs)
     x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]) if "x_prec" in d
                           else len(vals))
     return make_series(ring, vals, x_prec), None
@@ -194,7 +210,7 @@ def _series_from_oracle(d):
     x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
-        vals = [_elem_value(ring, c) for c in spec.get("coeffs", [])]
+        vals = _elem_values(ring, spec.get("coeffs", []))
         return make_series(ring, vals, x_prec), None
     if kind == "periodic":
         ring = ring_from_json(d.get("ring", {}))
@@ -236,7 +252,7 @@ def poly_from_json(d):
     if not isinstance(d, dict) or "coeffs" not in d:
         raise UsageError("polynomial payload needs ring and coeffs")
     ring = ring_from_json(d.get("ring", {}))
-    return make_poly(ring, [elem_from_json(ring, c) for c in d["coeffs"]])
+    return make_poly(ring, _elem_values(ring, d["coeffs"]))
 
 
 # -------------------------------------------------------------- gap specs
@@ -283,12 +299,11 @@ def gapspec_from_json(d):
     araw = d.get("a", {})
     a = {"kind": araw.get("kind")}
     if a["kind"] == "const_after":
-        a["a0"] = _elem_value(ring, araw["a0"])
-        a["rest"] = _elem_value(ring, araw["rest"])
+        a["a0"], a["rest"] = _elem_values(ring, [araw["a0"], araw["rest"]])
     elif a["kind"] == "explicit":
-        a["values"] = [_elem_value(ring, v) for v in araw["values"]]
+        a["values"] = _elem_values(ring, araw["values"])
         if "rest" in araw:
-            a["rest"] = _elem_value(ring, araw["rest"])
+            a["rest"], = _elem_values(ring, [araw["rest"]])
     else:
         raise UsageError("unknown coefficient rule %r" % a["kind"])
     return replace(spec, a_rule=a)

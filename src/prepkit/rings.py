@@ -15,8 +15,12 @@ fpt_exact   polynomial ring F_p[t]    trimmed digit tuple, () is zero
 
 Convolution of coefficient lists is the single multiplication engine
 shared by all series operations, with a quadratic reference
-implementation for cross-checks. Large products take a float FFT
-while its proved rounding bound admits the sizes (_fft_convolve); past
+implementation for cross-checks. Ring.convolve(a, b, hi, lo) returns
+the coefficients lo .. hi - 1 only, and each lane computes little
+else: a caller that would discard the low part asks for a middle
+product. Large products take a float FFT while its proved rounding
+bound admits the sizes (_fft_convolve), cyclic of max(hi, la + lb - 1
+- lo) rows so that only discarded rows take the wrapped outputs; past
 2^14 points the transform is sectioned into blocks that each meet the
 bound, and their products are added exactly. Below its work threshold,
 or past the bound, zp, zmodpk and z take numpy's direct convolution
@@ -24,8 +28,8 @@ while sums fit in int64 and Kronecker substitution through big-int
 multiplication otherwise; fpt packs its digit rows with Kronecker
 substitution, into 2-, 4- or 8-byte slots or, past 2^64, wide limbs.
 The residual of a Weierstrass lifting step, Ring.lift_product, is one
-such product; fpt takes it from the product's digit array, before any
-row becomes a tuple. Both t-adic kinds multiply their
+such middle product; fpt takes it from the product's digit array,
+before any row becomes a tuple. Both t-adic kinds multiply their
 elements through one F_p[t] product, which picks its own lane:
 schoolbook for small operands, bitmasks for p = 2, Kronecker packing
 with stdlib arrays while every output digit fits 4 bytes, numpy up to
@@ -148,34 +152,43 @@ def digits_from_mask(m, width=None):
 _LIMB_TYPES = tuple((array(code).itemsize, code) for code in "BHIQ")
 
 
-def _kron_unsigned(a, b, mod):
+def _kron_unsigned(a, b, mod, hi=None, lo=0):
+    """Terms lo .. hi - 1 of a * b (all by default), reduced mod mod,
+    for nonempty sequences of ints in [0, mod)."""
     bound = (mod - 1) ** 2 * min(len(a), len(b))
     w = (bound.bit_length() + 7) // 8
     n = len(a) + len(b) - 1
+    hi = n if hi is None else min(hi, n)
     for size, code in _LIMB_TYPES:
         if size >= w:
             cint = (int.from_bytes(array(code, a), sys.byteorder)
                     * int.from_bytes(array(code, b), sys.byteorder))
-            return [x % mod for x in
-                    array(code, cint.to_bytes(n * size, sys.byteorder))]
+            buf = cint.to_bytes(n * size, sys.byteorder)
+            return [x % mod for x in array(code, buf[lo * size:hi * size])]
     aint = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in a), "little")
     bint = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in b), "little")
     cint = aint * bint
     buf = cint.to_bytes(n * w, "little")
-    return [int.from_bytes(buf[i * w:(i + 1) * w], "little") % mod for i in range(n)]
+    return [int.from_bytes(buf[i * w:(i + 1) * w], "little") % mod
+            for i in range(lo, hi)]
 
 
-def _kron_signed(a, b):
+def _kron_signed(a, b, hi=None, lo=0):
+    """Terms lo .. hi - 1 of a * b (all by default) for nonempty
+    sequences of ints. Limbs are whole bytes: adding half a limb to
+    every limb of the product makes each one nonnegative, so one
+    to_bytes unpacks them all, and a product outside those n limbs
+    raises InvariantViolation."""
     ma = max(abs(x) for x in a)
     mb = max(abs(x) for x in b)
     n = len(a) + len(b) - 1
+    hi = n if hi is None else min(hi, n)
     if ma == 0 or mb == 0:
-        return [0] * n
+        return [0] * (hi - lo)
     bound = ma * mb * min(len(a), len(b))
-    w = bound.bit_length() + 2
-    full = 1 << w
-    half = full >> 1
-    mask = full - 1
+    nb = (bound.bit_length() + 9) // 8  # bytes per limb, with a sign bit
+    w = 8 * nb
+    half = 1 << (w - 1)
 
     def pack(v):
         pos = 0
@@ -187,18 +200,14 @@ def _kron_signed(a, b):
                 neg |= (-x) << (w * i)
         return pos - neg
 
-    cur = pack(a) * pack(b)
-    out = []
-    for _ in range(n):
-        limb = cur & mask
-        if limb >= half:
-            limb -= full
-        out.append(limb)
-        cur = (cur - limb) >> w
-    if cur:
+    # half in every one of the n limbs: half * (2^(wn) - 1) / (2^w - 1)
+    cur = pack(a) * pack(b) + ((1 << (w * n)) - 1) // ((1 << w) - 1) * half
+    if cur < 0 or cur >> (w * n):
         raise InvariantViolation("signed Kronecker product overflows its "
                                  "%d limbs of %d bits" % (n, w))
-    return out
+    buf = cur.to_bytes(n * nb, "little")
+    return [int.from_bytes(buf[i * nb:(i + 1) * nb], "little") - half
+            for i in range(lo, hi)]
 
 
 # Float-FFT convolution of integer sequences, rounded to the nearest
@@ -277,23 +286,34 @@ def _fft_rounded(c, sa, sb, what):
     return out
 
 
-def _fft_convolve(a, b, amax, bmax, k=None, rows=None):
-    """The convolution of nonempty integer sequences a and b
-    (|a_i| <= amax, |b_j| <= bmax) as a flat int64 array, or None when
-    the rounding bound refuses it. With k, a and b hold rows of k
-    digits, laid out with stride 2k - 1 so that no row product spills
-    into the next: row r of the result is out[r*(2k-1):(r+1)*(2k-1)].
-    The array holds at least the first `rows` rows (all by default).
-    Raises InvariantViolation when the output sum is not sum(a)*sum(b),
-    or past _FFT_MAX_SIZE a block product's sum not the product of its
-    blocks' sums."""
+def _fft_convolve(a, b, amax, bmax, k=None, hi=None, lo=0):
+    """Rows lo .. hi - 1 of the convolution of nonempty integer
+    sequences a and b (|a_i| <= amax, |b_j| <= bmax; hi defaults to
+    every row) as a flat int64 array, or None when the rounding bound
+    refuses it. With k, a and b hold rows of k digits, laid out with
+    stride 2k - 1 so that no row product spills into the next: row
+    lo + r of the result is out[r*(2k-1):(r+1)*(2k-1)]; a row is one
+    term without k.
+
+    The transform is cyclic, of at least max(hi, la + lb - 1 - lo) rows:
+    the outputs past its length wrap around onto rows below lo, which
+    are dropped, so a middle product that keeps the top half of a
+    2k-by-k product takes 2k points, not 4k. Percival's bound is checked
+    at that length, and the sum check runs over every cyclic output,
+    wrapped ones included, as they still sum to sum(a) * sum(b).
+    Raises InvariantViolation when that sum fails, or past _FFT_MAX_SIZE
+    a block product's sum is not the product of its blocks' sums."""
     d = k or 1
     s = 2 * d - 1
+    if hi is not None:
+        # rows past hi - 1 of an operand reach no kept row
+        a, b = a[:hi], b[:hi]
     la, lb = len(a), len(b)
-    n = (la + lb - 1) * s
+    hi = la + lb - 1 if hi is None else min(hi, la + lb - 1)
+    n = max(hi, la + lb - 1 - lo) * s
     size = 1 << (n - 1).bit_length()
     if size > _FFT_MAX_SIZE:
-        return _fft_blocked(a, b, amax, bmax, k, min(rows or n, la + lb - 1))
+        return _fft_blocked(a, b, amax, bmax, k, hi, lo)
     if not _fft_admits(la, lb, d, amax, bmax, size):
         return None
     import numpy as np
@@ -303,17 +323,18 @@ def _fft_convolve(a, b, amax, bmax, k=None, rows=None):
     fb, sb = _fft_spectrum(x, b, lb, k)
     fa *= fb
     del x, fb
-    c = np.fft.irfft(fa, size)[:n]
+    c = np.fft.irfft(fa, size)[:(la + lb - 1) * s]
     del fa
-    return _fft_rounded(c, sa, sb, "%d by %d terms" % (la, lb))
+    out = _fft_rounded(c, sa, sb, "%d by %d terms" % (la, lb))
+    return out[lo * s:hi * s]
 
 
-def _fft_blocked(a, b, amax, bmax, k, rows):
-    """_fft_convolve past _FFT_MAX_SIZE points: the first `rows` rows of
+def _fft_blocked(a, b, amax, bmax, k, hi, lo):
+    """_fft_convolve past _FFT_MAX_SIZE points: rows lo .. hi - 1 of
     the product, by overlap-add of block products. Blocks of ba and bb
     rows with ba + bb - 1 <= cap fill one transform; a short operand
     stays one block. Block pairs whose first output row is at or past
-    `rows` are skipped."""
+    hi, or whose last is below lo, are skipped."""
     d = k or 1
     s = 2 * d - 1
     la, lb = len(a), len(b)
@@ -321,22 +342,25 @@ def _fft_blocked(a, b, amax, bmax, k, rows):
     bb = min(lb, max((cap + 1) // 2, cap + 1 - la))
     ba = min(la, cap + 1 - bb)
     size = 1 << ((ba + bb - 1) * s - 1).bit_length()
-    pairs = [(i, j) for i in range(0, min(la, rows), ba)
-             for j in range(0, min(lb, rows - i), bb)]
+    pairs = [(i, j) for i in range(0, min(la, hi), ba)
+             for j in range(0, min(lb, hi - i), bb)
+             if i + j + min(ba, la - i) + min(bb, lb - j) - 2 >= lo]
     if not all(_fft_admits(min(ba, la - i), min(bb, lb - j), d, amax, bmax,
                            size) for i, j in pairs):
         return None
     import numpy as np
 
     x = np.zeros(size)
-    fbs = [_fft_spectrum(x, b[j:j + bb], min(bb, lb - j), k)
-           for j in range(0, min(lb, rows), bb)]
-    out = np.zeros(rows * s, dtype=np.int64)
+    fbs = {j: _fft_spectrum(x, b[j:j + bb], min(bb, lb - j), k)
+           for j in {j for _, j in pairs}}
+    out = np.zeros((hi - lo) * s, dtype=np.int64)
+    last = None
     for i, j in pairs:
         xa, xb = min(ba, la - i), min(bb, lb - j)
-        if j == 0:
+        if i != last:
             fa, sa = _fft_spectrum(x, a[i:i + ba], xa, k)
-        fb, sb = fbs[j // bb]
+            last = i
+        fb, sb = fbs[j]
         m = (xa + xb - 1) * s
         blk = _fft_rounded(np.fft.irfft(fa * fb, size)[:m], sa, sb,
                            "rows %d and %d of %d by %d" % (i, j, la, lb))
@@ -344,26 +368,38 @@ def _fft_blocked(a, b, amax, bmax, k, rows):
         # bound keeps sqrt(xa * xb) * d * amax * bmax below 2^44, so the
         # int64 sums could wrap only past min(la, lb) = 2^19 *
         # sqrt(xa * xb): billions of digits
-        off = (i + j) * s
-        m = min(m, rows * s - off)
-        out[off:off + m] += blk[:m]
+        off = (i + j - lo) * s
+        first, m = max(0, -off), min(m, (hi - lo) * s - off)
+        out[off + first:off + m] += blk[first:m]
     return out
 
 
-def _int64_convolve(a, b, amax, bmax, out_len):
-    """The convolution of nonempty integer sequences with |a_i| <= amax
-    and |b_j| <= bmax as an int64 array holding at least its first
-    out_len terms (all of them off the FFT lane): the FFT lane past
-    _FFT_INT_WORK products, numpy's direct loop while every sum fits
-    int64; None when neither admits the sizes."""
+def _int64_convolve(a, b, amax, bmax, hi, lo):
+    """Terms lo .. hi - 1 of the convolution of nonempty integer
+    sequences with |a_i| <= amax and |b_j| <= bmax as an int64 array:
+    the FFT lane past _FFT_INT_WORK products, numpy's direct loop while
+    every sum fits int64; None when neither admits the sizes. The
+    direct loop computes only the kept terms when they are fewer than
+    the longer operand: each from a window of the longer operand
+    against all of the shorter, in numpy's "valid" mode."""
     if len(a) * len(b) >= _FFT_INT_WORK:
-        out = _fft_convolve(a, b, amax, bmax, rows=out_len)
+        out = _fft_convolve(a, b, amax, bmax, hi=hi, lo=lo)
         if out is not None:
             return out
     if amax * bmax * min(len(a), len(b)) < 2 ** 62:
         import numpy as np
-        return np.convolve(np.array(a, dtype=np.int64),
-                           np.array(b, dtype=np.int64))
+        if len(a) < len(b):
+            a, b = b, a
+        la, lb = len(a), len(b)
+        hi = min(hi, la + lb - 1)
+        b = np.array(b, dtype=np.int64)
+        if hi - lo >= la:
+            return np.convolve(np.array(a, dtype=np.int64), b)[lo:hi]
+        # the window a[lo - lb + 1:hi], zero-filled outside a
+        start = lo - lb + 1
+        x = np.zeros(hi - start, dtype=np.int64)
+        x[max(0, -start):min(hi, la) - start] = a[max(0, start):hi]
+        return np.convolve(x, b, "valid")
     return None
 
 
@@ -479,8 +515,8 @@ class Ring:
             a = self.mul(a, a)
 
     def convolve_ref(self, a, b, out_len):
-        """Quadratic reference convolution; ground truth for the fast
-        kernels in property tests."""
+        """The first out_len terms of a * b by the quadratic loop: the
+        reference the fast kernels are tested against."""
         out = [self.zero()] * out_len
         for i, x in enumerate(a):
             if i >= out_len:
@@ -493,15 +529,19 @@ class Ring:
                 out[i + j] = self.add(out[i + j], self.mul(x, y))
         return out
 
-    def convolve(self, a, b, out_len):
-        return self.convolve_ref(a, b, out_len)
+    def convolve(self, a, b, hi, lo=0):
+        """Terms lo .. hi - 1 of a * b, zero past the product: the one
+        product kernel, which computes only the terms it returns where
+        its lane allows. A product whose low terms are not kept is a
+        middle product (Hanrot, Quercia and Zimmermann, AAECC 14, 2004)."""
+        return self.convolve_ref(a, b, hi)[lo:]
 
     def lift_product(self, c, a, y, n, s):
         """(c - x^-n * (a * y) - y) / pi^s on len(c) terms, over
         at_prec(prec - s), for y of len(c) terms and c - x^-n * (a * y)
         - y = 0 mod pi^s: the residual of one Weierstrass lifting step,
-        whose product needs only its first n + len(c) terms."""
-        return self.lift_residual(c, self.convolve(a, y, n + len(c))[n:],
+        whose product is needed at terms n .. n + len(c) - 1 only."""
+        return self.lift_residual(c, self.convolve(a, y, n + len(c), n),
                                   y, s)
 
     def fraction_field(self):
@@ -616,13 +656,13 @@ class IntModRing(Ring):
         C = np.array(A, dtype=dt) @ np.array(B, dtype=dt)
         return (C % self.mod).tolist()
 
-    def convolve(self, a, b, out_len):
-        if not a or not b:
-            return [0] * out_len
-        arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, out_len)
+    def convolve(self, a, b, hi, lo=0):
+        if not a or not b or lo >= len(a) + len(b) - 1:
+            return [0] * (hi - lo)
+        arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, hi, lo)
         if arr is not None:
-            return _pad((arr % self.mod).tolist(), out_len)
-        return _pad(_kron_unsigned(a, b, self.mod), out_len)
+            return _pad((arr % self.mod).tolist(), hi - lo)
+        return _pad(_kron_unsigned(a, b, self.mod, hi, lo), hi - lo)
 
 
 class FpTRing(Ring):
@@ -650,7 +690,7 @@ class FpTRing(Ring):
         return digits + (0,) * (self.prec - len(digits))
 
     def canon(self, r):
-        return self.from_digits(tuple(r))
+        return self.from_digits(r)
 
     def add(self, a, b):
         p = self.p
@@ -746,35 +786,36 @@ class FpTRing(Ring):
             C[:, :, a:] += (FA[:, :, a] @ GB).reshape(r, m, K)[:, :, :K - a]
         return [[tuple(e) for e in row] for row in (C % p).tolist()]
 
-    def _row_product(self, a, b, rows):
-        """The first min(rows, len(a) + len(b) - 1) rows of a * b as a
+    def _row_product(self, a, b, hi, lo=0):
+        """Rows lo .. min(hi, len(a) + len(b) - 1) - 1 of a * b as a
         numpy array of K digits per row, reduced mod p: the one F_p[[t]]
         product kernel. Rows of K digits multiply as polynomials over
         Z[t], packed with a stride that no row product overflows: the
         FFT lane past _FFT_KRON_WORK, Kronecker packing into 2-, 4- or
         8-byte digit slots below it (unsigned arrays), and wide
-        Kronecker limbs once a digit sum reaches 2^64 (object arrays)."""
+        Kronecker limbs once a digit sum reaches 2^64 (object arrays).
+        Only the kept rows are unpacked and reduced."""
         import numpy as np
         p, K = self.p, self.prec
         la, lb = len(a), len(b)
-        if not a or not b:
+        hi = min(la + lb - 1, hi)
+        if not a or not b or hi <= lo:
             return np.zeros((0, K), dtype=np.int64)
-        rows = min(la + lb - 1, rows)
         bound = min(la, lb) * K * (p - 1) ** 2
         w = (2 if bound < 1 << 16 else 4 if bound < 1 << 32
              else 8 if bound < 1 << 64 else None)
+        s = 2 * K - 1
         if w is None:
-            s = 2 * K - 1
             pad = (0,) * (K - 1)
             flat = _kron_unsigned([d for r in a for d in r + pad],
-                                  [d for r in b for d in r + pad], p)
-            C = np.array(flat[:rows * s], dtype=object).reshape(rows, s)
-            return C[:, :K]
+                                  [d for r in b for d in r + pad], p,
+                                  hi * s, lo * s)
+            return np.array(flat, dtype=object).reshape(hi - lo, s)[:, :K]
         C = None
         if la * lb * (2 * K * w) ** 2 >= _FFT_KRON_WORK:
-            C = _fft_convolve(a, b, p - 1, p - 1, K, rows)
+            C = _fft_convolve(a, b, p - 1, p - 1, K, hi, lo)
         if C is not None:
-            C = C.reshape(-1, 2 * K - 1)
+            C = C.reshape(-1, s)
         else:
             dt = "<u%d" % w
             A = np.zeros((la, 2 * K), dtype=dt)
@@ -784,20 +825,21 @@ class FpTRing(Ring):
             cint = (int.from_bytes(A.tobytes(), "little")
                     * int.from_bytes(B.tobytes(), "little"))
             buf = cint.to_bytes((la + lb - 1) * 2 * K * w, "little")
-            C = np.frombuffer(buf, dtype=dt).reshape(la + lb - 1, 2 * K)
-        return C[:rows, :K] % p
+            C = np.frombuffer(buf, dtype=dt, count=(hi - lo) * 2 * K,
+                              offset=lo * 2 * K * w).reshape(hi - lo, 2 * K)
+        return C[:, :K] % p
 
-    def convolve(self, a, b, out_len):
-        rows = self._row_product(a, b, out_len).tolist()
+    def convolve(self, a, b, hi, lo=0):
+        rows = self._row_product(a, b, hi, lo).tolist()
         out = [tuple(row) for row in rows]
-        return out + [self.zero()] * (out_len - len(out))
+        return out + [self.zero()] * (hi - lo - len(out))
 
     def lift_product(self, c, a, y, n, s):
         """Ring.lift_product from the digit array of a * y: the residual
         is taken before any product row becomes a tuple."""
         import numpy as np
         p, K, m = self.p, self.prec, len(c)
-        T = self._row_product(a, y, n + m)[n:, s:]
+        T = self._row_product(a, y, n + m, n)[:, s:]
         # Kronecker lanes give unsigned digits: subtract in int64
         dt = object if T.dtype == object else np.int64
 
@@ -875,14 +917,14 @@ class ExactZRing(Ring):
         import numpy as np
         return (np.array(A, dtype=object) @ np.array(B, dtype=object)).tolist()
 
-    def convolve(self, a, b, out_len):
-        if not any(a) or not any(b):
-            return [0] * out_len
+    def convolve(self, a, b, hi, lo=0):
+        if not any(a) or not any(b) or lo >= len(a) + len(b) - 1:
+            return [0] * (hi - lo)
         arr = _int64_convolve(a, b, max(map(abs, a)), max(map(abs, b)),
-                              out_len)
+                              hi, lo)
         if arr is not None:
-            return _pad(arr.tolist(), out_len)
-        return _pad(_kron_signed(a, b), out_len)
+            return _pad(arr.tolist(), hi - lo)
+        return _pad(_kron_signed(a, b, hi, lo), hi - lo)
 
 
 class ExactFpTRing(Ring):
@@ -910,7 +952,7 @@ class ExactFpTRing(Ring):
         return _trim([d % self.p for d in digits])
 
     def canon(self, r):
-        return self.from_digits(tuple(r))
+        return self.from_digits(r)
 
     def add(self, a, b):
         p = self.p

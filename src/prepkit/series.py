@@ -18,7 +18,10 @@ inverse, evaluation at a small point, and two rationality detectors
 ring.fraction_field() names).
 
 Every product is one Ring.convolve. Unit inversion is Newton doubling
-that solves only the unknown half of each window. Composition on a
+that solves only the unknown half of each window: from g = f^-1 mod x^k,
+e = coefficients k .. 2k - 1 of f·g is one middle product, which the
+ring computes without the low half it would discard, and g·e mod x^k
+gives the next k coefficients. Composition on a
 window of m is Brent and Kung's baby-step/giant-step algorithm (J. ACM
 25 (1978), Alg. 2.1): about 2*sqrt(m) products plus one block product,
 Ring.matmul, of f's coefficient chunks against g's baby powers. That
@@ -192,13 +195,13 @@ def series_invert(f):
 def _invert(ring, fc, inv0):
     """fc^-1 on its window, from inv0 = fc[0]^-1. If f·g = 1 + x^k·e
     mod x^2k, then f^-1 = g - x^k·g·e mod x^2k: each step finds only
-    the unknown half."""
+    the unknown half, and e is the middle product of f·g."""
     m = len(fc)
     g = [inv0]
     while len(g) < m:
         k = len(g)
         win = min(2 * k, m)
-        e = ring.convolve(fc[:win], g, win)[k:]
+        e = ring.convolve(fc[:win], g, win, k)
         g += [ring.neg(c) for c in ring.convolve(g[:win - k], e, win - k)]
     return g
 

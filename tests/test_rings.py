@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from prepkit import (BadPrecision, BudgetExceeded, CompositeModulus,
-                     NotAUnit, make_ring, rings)
+                     NotAUnit, make_ring, make_series, rings, series_invert)
 from prepkit.rings import (b2_deg, b2_divmod, b2_mul, digits_from_mask,
                            is_prime, mask_from_digits)
 
@@ -456,6 +456,96 @@ def test_fft_lane_matches_reference(monkeypatch, kind, p, K, sizes):
             assert taken == [True]
 
 
+# every FFT case, with operands on both sides of the FFT work
+# thresholds, and one ring for each lane those cases do not reach:
+# unsigned Kronecker (zp:2:128), signed Kronecker (z with entries of
+# 2^40), wide F_p[[t]] limbs and the generic element route
+MIDDLE_CASES = FFT_CASES + [
+    ("zp", 2, 8, [(512, 256), (511, 256)]),
+    ("fpt", 2, 8, [(64, 32), (63, 32)]),
+    ("zp", 2, 128, [(40, 30), (9, 70)]),
+    ("z", 2 ** 40, None, [(40, 30), (9, 70)]),
+    ("fpt", 4294967311, 3, [(12, 9), (3, 20)]),
+    ("fpt_exact", 3, None, [(12, 9), (3, 20)])]
+
+
+def _takes_fft(R, la, lb):
+    """Whether R.convolve of la by lb terms tries the FFT lane."""
+    if R.kind == "fpt":
+        bound = min(la, lb) * R.prec * (R.p - 1) ** 2
+        if bound >= 1 << 64:
+            return False
+        w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8
+        return la * lb * (2 * R.prec * w) ** 2 >= rings._FFT_KRON_WORK
+    return R.kind != "fpt_exact" and la * lb >= rings._FFT_INT_WORK
+
+
+@pytest.mark.parametrize("kind, p, K, sizes", MIDDLE_CASES,
+                         ids=["%s%s%s" % (c[0], ":%s" % c[1] if c[1] else "",
+                                          ":%s" % c[2] if c[2] else "")
+                              for c in MIDDLE_CASES])
+def test_middle_product_matches_reference(monkeypatch, kind, p, K, sizes):
+    # terms lo .. hi - 1 of every lane against the reference's, with lo
+    # at both ends and in the middle of the product and hi up to past
+    # its end; the FFT lane's cyclic transform wraps onto rows below lo
+    if kind == "z":
+        R, top = make_ring("z"), p
+    else:
+        R, top = make_ring(kind, p, K), None
+    rng = random.Random("middle" + str(R))
+    taken = _spy_fft(monkeypatch)
+    for la, lb in sizes:
+        if top:
+            a = [rng.randrange(-top, top) for _ in range(la)]
+            b = [rng.randrange(-top, top) for _ in range(lb)]
+        elif kind == "fpt_exact":
+            a, b = ([R.from_digits([rng.randrange(p) for _ in range(4)])
+                     for _ in range(n)] for n in (la, lb))
+        else:
+            a, b = _operands(R, la, rng), _operands(R, lb, rng)
+        if la * lb > 1 << 18:
+            keep = set(rng.sample(range(la), (1 << 16) // lb))
+            a = [x if i in keep else R.zero() for i, x in enumerate(a)]
+        n = la + lb - 1
+        want = R.convolve_ref(a, b, n + 5)
+        for lo in sorted({0, 1, min(la, lb) - 1, la - 1, (la + lb) // 2}):
+            for hi in sorted({lo + 1, la, n, n + 5}):
+                if hi <= lo:
+                    continue
+                taken.clear()
+                assert R.convolve(a, b, hi, lo) == want[lo:hi], (la, lb, lo,
+                                                                 hi)
+                assert taken == ([True] if _takes_fft(R, la, lb) else [])
+        # lo = hi - 1 at each hi
+        for hi in (1, la, n, n + 5):
+            assert R.convolve(a, b, hi, hi - 1) == want[hi - 1:hi]
+
+
+def test_series_invert_across_the_fft_block(monkeypatch):
+    # Newton's last step at m = 8,192 fits one transform for its middle
+    # and its full product; at 12,000 the middle product still fits one
+    # (a full 12,000 by 6,000 product would need blocks); at 16,385 the
+    # middle product needs blocks too. f = h^-1 for a dense h of 64
+    # terms is dense, and its inverse is h
+    R = make_ring("zp", 2, 8)
+    rng = random.Random(8192)
+    h = [rng.randrange(1, 256, 2)] + [rng.randrange(256) for _ in range(63)]
+    blocked = []
+    real = rings._fft_blocked
+
+    def spy(*args):
+        blocked.append(1)
+        return real(*args)
+    monkeypatch.setattr(rings, "_fft_blocked", spy)
+    for m, blocks in ((8192, False), (12000, False), (16385, True)):
+        f = oracles.pinv_series(h, m, 256)
+        blocked.clear()
+        got = series_invert(make_series(R, f, m)).coeffs
+        assert list(got) == h + [0] * (m - 64)
+        assert bool(blocked) == blocks
+        assert list(series_invert(make_series(R, h, m)).coeffs) == f
+
+
 @pytest.mark.parametrize("kind, p, K", [
     ("zp", 2, 31), ("zmodpk", 3, 19), ("fpt", 2147483647, 1),
     ("fpt", 2147483647, 2)])
@@ -555,7 +645,11 @@ def self_convolution(ones):
 
 
 # each product misrounds one output of its nth inverse transform: the
-# first for one transform, the second block pair of a blocked product
+# first for one transform, the second block pair of a blocked product.
+# The last two are middle products of 512 by 256 terms from term 256,
+# whose 512-point cyclic transform wraps terms 512 .. 766 onto slots
+# 0 .. 254: one misrounds a wrapped slot, which is dropped, the other
+# a kept one
 _FFT_GUARD_CODE = (
     "import numpy as np\n"
     "from prepkit import InvariantViolation, make_ring\n"
@@ -564,16 +658,21 @@ _FFT_GUARD_CODE = (
     "    out = irfft(*args, **kw)\n"
     "    calls.append(1)\n"
     "    if len(calls) == nth:\n"
-    "        out[%d] += 0.75\n"
+    "        out[slot] += 0.75\n"
     "    return out\n"
     "np.fft.irfft = off_by_one\n"
-    "for R, a, nth in ((make_ring('zp', 2, 8), [255] * 400, 1),\n"
-    "                  (make_ring('z'), [-7] * 400, 1),\n"
-    "                  (make_ring('fpt', 3, 4), [(2, 1, 0, 2)] * 200, 1),\n"
-    "                  (make_ring('zp', 2, 8), [255] * 9000, 2)):\n"
+    "zp = make_ring('zp', 2, 8)\n"
+    "for R, a, b, hi, lo, nth, slot in (\n"
+    "        (zp, [255] * 400, [255] * 400, 800, 0, 1, %d),\n"
+    "        (make_ring('z'), [-7] * 400, [-7] * 400, 800, 0, 1, %d),\n"
+    "        (make_ring('fpt', 3, 4), [(2, 1, 0, 2)] * 200,\n"
+    "         [(2, 1, 0, 2)] * 200, 400, 0, 1, %d),\n"
+    "        (zp, [255] * 9000, [255] * 9000, 18000, 0, 2, %d),\n"
+    "        (zp, [255] * 512, [255] * 256, 512, 256, 1, 10),\n"
+    "        (zp, [255] * 512, [255] * 256, 512, 256, 1, 300)):\n"
     "    calls = []\n"
     "    try:\n"
-    "        R.convolve(a, a, len(a) * 2)\n"
+    "        R.convolve(a, b, hi, lo)\n"
     "    except InvariantViolation:\n"
     "        print('raised')\n")
 
@@ -582,9 +681,9 @@ _FFT_GUARD_CODE = (
 @pytest.mark.parametrize("index", [0, 399])
 def test_fft_sum_check_catches_a_misrounded_output(flags, index):
     res = subprocess.run([sys.executable, *flags, "-c",
-                          _FFT_GUARD_CODE % index],
+                          _FFT_GUARD_CODE % ((index,) * 4)],
                          capture_output=True, text=True)
-    assert (res.returncode, res.stdout) == (0, "raised\n" * 4), res.stderr
+    assert (res.returncode, res.stdout) == (0, "raised\n" * 6), res.stderr
 
 
 def test_kron_signed_overflow_check_survives_optimize_flag():

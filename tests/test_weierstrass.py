@@ -212,9 +212,9 @@ def test_lifting_runs_few_full_precision_convolutions(monkeypatch,
     calls = []
     real = IntModRing.convolve
 
-    def counted(self, a, b, out_len):
+    def counted(self, a, b, hi, lo=0):
         calls.append(self.prec)
-        return real(self, a, b, out_len)
+        return real(self, a, b, hi, lo)
 
     monkeypatch.setattr(IntModRing, "convolve", counted)
     out = {}
@@ -238,10 +238,10 @@ def test_lifting_takes_one_product_per_level(monkeypatch, reference):
     calls, inside = [], []
     real_convolve, real_solve = IntModRing.convolve, weierstrass._lift_solve
 
-    def counted(self, a, b, out_len):
+    def counted(self, a, b, hi, lo=0):
         if inside:
             calls.append(self.prec)
-        return real_convolve(self, a, b, out_len)
+        return real_convolve(self, a, b, hi, lo)
 
     def solve(*args):
         inside.append(True)
