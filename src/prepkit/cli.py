@@ -23,7 +23,6 @@ from .padic_analysis import (bound_check_prime, certify_family,
                              reference_spec, small_root_of_gap,
                              VERDICT_INCONCLUSIVE)
 from .resultant import hadamard_check, make_poly, resultant, tdegree_check
-from .rings import make_ring
 from .series import (comp_inverse, compose, detect_periodic_01,
                      detect_recurrence, series_invert, series_mul)
 from .weierstrass import prepare, strong_factor
@@ -250,16 +249,16 @@ def _run_hensel(args):
     payload = _read_json(args.infile)
     if not isinstance(payload, dict) or "poly" not in payload or "x0" not in payload:
         raise UsageError("hensel needs {\"poly\":[...], \"x0\":...}")
-    exact = make_ring("fpt_exact" if ring.kind == "fpt" else "z", ring.p)
-    P = make_poly(exact, [jsonio.elem_from_json(exact, c)
-                          for c in payload["poly"]])
-    x0 = jsonio.elem_from_json(ring, payload["x0"])
+    exact = ring.exact()
+    P = make_poly(exact, exact.decode(payload["poly"], "hensel poly"))
+    # hensel_lift canonicalizes x0
+    x0, = ring.decode([payload["x0"]], "hensel x0")
     K = args.K if args.K is not None else ring.prec
     root, trace = hensel_lift(P, x0, K, ring=ring, with_trace=True)
     work = ring.at_prec(K)
     rep = {"ring": jsonio.ring_to_json(work),
-           "root": jsonio.elem_to_json(work, root),
-           "trace": [jsonio.elem_to_json(work, t) for t in trace],
+           "root": work.encode(root),
+           "trace": list(map(work.encode, trace)),
            "config": _config("hensel", None, args)}
     return rep, 0
 
@@ -279,7 +278,7 @@ def _run_gap(args):
         ring = spec.work_ring(args.K)
         lam = small_root_of_gap(spec, args.K)
         rep = {"ring": jsonio.ring_to_json(ring),
-               "lam": jsonio.elem_to_json(ring, lam),
+               "lam": ring.encode(lam),
                "config": _config("gap", "root", args, spec)}
         return rep, 0
     if args.op == "phi":
@@ -296,7 +295,7 @@ def _run_gap(args):
         lam = small_root_of_gap(spec, args.K)
         bc = bound_check_prime(spec, lam, args.N, ring)
         rep = jsonio.bound_check_to_json(bc)
-        rep["lam"] = jsonio.elem_to_json(ring, lam)
+        rep["lam"] = ring.encode(lam)
         rep["config"] = _config("gap", "bound", args, spec)
         return rep, 0
     if args.op == "certify":

@@ -6,23 +6,21 @@ valuations, margins) are exact decimal strings; t-digit expansions are
 arrays of small ints per the element schema; structural sizes that the
 input schemas fix as ints (precision, window, budget) stay ints.
 
-Every decimal field is read with dec_int and written with dec_str:
-str and int for as many digits as Python converts directly (4,300 by
-default), and the decimal module, which has no such limit, past that.
+Every decimal field is read with dec_int and written with dec_str (from
+rings, as are the element codecs: ring.decode and ring.encode). A list
+field must be a JSON array.
 """
 
 import json
-import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 
 from .errors import UsageError
 from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, make_dio, parse_dio_inline,
                   parse_dio_text)
 from .padic_analysis import GapSpec, build_gap_series
 from .resultant import make_poly
-from .rings import make_ring
+from .rings import _array, _decimal, dec_int, dec_str, make_ring
 from .series import OracleSeries, check_x_prec, make_series
 
 
@@ -30,41 +28,9 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# the text int() reads in base 10, ASCII digits only
-_DECIMAL = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
-
-
-def dec_str(n):
-    """The decimal string of the int n."""
-    try:
-        return str(n)
-    except ValueError:  # past Python's int/str digit limit
-        import decimal
-        return str(decimal.Decimal(n))
-
-
-def dec_int(s):
-    """The int that s, an int or a decimal string, names. Raises
-    ValueError on malformed text, as int does."""
-    try:
-        return int(s)
-    except ValueError:
-        if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
-            raise
-        import decimal
-        return int(decimal.Decimal(s))
-
-
-def _decimal(what, v):
-    """dec_int(v) for the payload value named what, which must be an int
-    or a decimal string; a UsageError naming what otherwise."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise UsageError("%s must be an integer or decimal string" % what)
-    try:
-        return dec_int(v)
-    except ValueError as e:
-        raise UsageError("%s %.40r does not decode: %s"
-                         % (what, v, e)) from None
+def _decimals(what, vs):
+    """The ints of the JSON array vs of decimal values named what."""
+    return [_decimal(what, v) for v in _array(what, vs)]
 
 
 def _fraction(what, v):
@@ -78,10 +44,6 @@ def _fraction(what, v):
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError("%s %.40r does not decode: %s"
                          % (what, v, e)) from None
-
-
-def _is_tuple_kind(ring):
-    return ring.kind in ("fpt", "fpt_exact")
 
 
 # ---------------------------------------------------------------- rings
@@ -119,67 +81,12 @@ def parse_ring_flag(text):
     return make_ring(kind, p, prec)
 
 
-# -------------------------------------------------------------- elements
-
-def elem_to_json(ring, x):
-    if _is_tuple_kind(ring):
-        return [int(d) for d in x]
-    return dec_str(x)
-
-
-def elem_from_json(ring, v):
-    return ring.canon(_elem_values(ring, [v])[0])
-
-
-def _elem_values(ring, vs):
-    """The values of the JSON elements vs, before ring.canon: ints for
-    the integer kinds (JSON ints or decimal strings), digit tuples for
-    the digit kinds (arrays of ints or decimal strings). One scan of
-    the element types, and of the digit types, decodes the whole list;
-    when it refuses, _elem_error names the first bad element."""
-    try:
-        if _is_tuple_kind(ring):
-            if set(map(type, vs)) <= {list, tuple}:
-                digit_types = set(map(type, chain.from_iterable(vs)))
-                if digit_types <= {int}:
-                    return list(map(tuple, vs))
-                if digit_types <= {int, str}:
-                    return [tuple(map(int, v)) for v in vs]
-        elif set(map(type, vs)) <= {int, str}:
-            return list(map(dec_int, vs))
-    except ValueError:  # a malformed decimal string
-        pass
-    for v in vs:
-        _elem_error(ring, v)
-    raise UsageError("elements of %s must be integers, decimal strings or "
-                     "digit arrays" % ring.kind)
-
-
-def _elem_error(ring, v):
-    """A UsageError naming v, or its first bad digit, when v does not
-    decode as an element of ring; None when it does."""
-    if not _is_tuple_kind(ring):
-        _decimal("element", v)
-    elif not isinstance(v, (list, tuple)):
-        raise UsageError("element of %s must be a digit array" % ring.kind)
-    else:
-        for d in v:
-            if isinstance(d, bool) or not isinstance(d, (int, str)):
-                raise UsageError("digit %.40r of a %s element is not an "
-                                 "integer or decimal string" % (d, ring.kind))
-            try:
-                int(d)
-            except ValueError:
-                raise UsageError("digits of a %s element must be integers"
-                                 % ring.kind) from None
-
-
 # ---------------------------------------------------------------- series
 
 def series_to_json(f):
     return {"ring": ring_to_json(f.ring),
             "x_prec": f.x_prec,
-            "coeffs": [elem_to_json(f.ring, c) for c in f.coeffs]}
+            "coeffs": list(map(f.ring.encode, f.coeffs))}
 
 
 def series_from_json(d):
@@ -194,7 +101,7 @@ def series_from_json(d):
     if not isinstance(coeffs, list):
         raise UsageError("series needs a coeffs array")
     # make_series canonicalizes each value
-    vals = _elem_values(ring, coeffs)
+    vals = ring.decode(coeffs, "series coeffs")
     x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]) if "x_prec" in d
                           else len(vals))
     return make_series(ring, vals, x_prec), None
@@ -210,12 +117,12 @@ def _series_from_oracle(d):
     x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]))
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
-        vals = _elem_values(ring, spec.get("coeffs", []))
+        vals = ring.decode(spec.get("coeffs", []), "oracle coeffs")
         return make_series(ring, vals, x_prec), None
     if kind == "periodic":
         ring = ring_from_json(d.get("ring", {}))
-        prefix = [_decimal("prefix", c) for c in spec.get("prefix", [])]
-        cycle = [_decimal("cycle", c) for c in spec.get("cycle", [])]
+        prefix = _decimals("prefix", spec.get("prefix", []))
+        cycle = _decimals("cycle", spec.get("cycle", []))
         if not cycle:
             raise UsageError("periodic oracle needs a nonempty cycle")
 
@@ -245,14 +152,14 @@ def _series_from_oracle(d):
 
 def poly_to_json(P):
     return {"ring": ring_to_json(P.ring),
-            "coeffs": [elem_to_json(P.ring, c) for c in P.coeffs]}
+            "coeffs": list(map(P.ring.encode, P.coeffs))}
 
 
 def poly_from_json(d):
     if not isinstance(d, dict) or "coeffs" not in d:
         raise UsageError("polynomial payload needs ring and coeffs")
     ring = ring_from_json(d.get("ring", {}))
-    return make_poly(ring, _elem_values(ring, d["coeffs"]))
+    return make_poly(ring, ring.decode(d["coeffs"], "polynomial coeffs"))
 
 
 # -------------------------------------------------------------- gap specs
@@ -262,12 +169,12 @@ def gapspec_to_json(spec):
     ring = spec.exact_ring()
     a = {"kind": spec.a_rule["kind"]}
     if a["kind"] == "const_after":
-        a["a0"] = elem_to_json(ring, spec.a_rule["a0"])
-        a["rest"] = elem_to_json(ring, spec.a_rule["rest"])
+        a["a0"] = ring.encode(spec.a_rule["a0"])
+        a["rest"] = ring.encode(spec.a_rule["rest"])
     else:
-        a["values"] = [elem_to_json(ring, v) for v in spec.a_rule["values"]]
+        a["values"] = list(map(ring.encode, spec.a_rule["values"]))
         if "rest" in spec.a_rule:
-            a["rest"] = elem_to_json(ring, spec.a_rule["rest"])
+            a["rest"] = ring.encode(spec.a_rule["rest"])
     b = {"kind": spec.b_rule["kind"]}
     if b["kind"] == "explicit":
         b["values"] = [int(v) for v in spec.b_rule["values"]]
@@ -279,13 +186,29 @@ def gapspec_to_json(spec):
     return out
 
 
+def _rule(d, name):
+    """The rule object of the gap spec d named name, {} when absent."""
+    rule = d.get(name, {})
+    if not isinstance(rule, dict):
+        raise UsageError("spec %s must be an object" % name)
+    return rule
+
+
+def _field(rule, name, key):
+    """rule[key] of the gap-spec rule named name; a UsageError naming
+    the field when it is absent."""
+    if key not in rule:
+        raise UsageError("spec %s.%s is missing" % (name, key))
+    return rule[key]
+
+
 def gapspec_from_json(d):
     if not isinstance(d, dict) or "char" not in d:
         raise UsageError("gap spec needs a char field")
-    braw = d.get("b", {})
+    braw = _rule(d, "b")
     b = {"kind": braw.get("kind")}
     if b["kind"] == "explicit":
-        b["values"] = [_decimal("spec b value", v) for v in braw["values"]]
+        b["values"] = _decimals("spec b.values", _field(braw, "b", "values"))
     elif b["kind"] != "pow2_nsq":
         raise UsageError("unknown exponent rule %r" % b["kind"])
     spec = GapSpec(d["char"], _decimal("spec p", d.get("p", 2)), {}, b,
@@ -296,14 +219,16 @@ def gapspec_from_json(d):
     # coefficients decode as elements of the spec's exact ring, kept as
     # given (before canon) so that the report echoes them
     ring = spec.exact_ring()
-    araw = d.get("a", {})
+    araw = _rule(d, "a")
     a = {"kind": araw.get("kind")}
     if a["kind"] == "const_after":
-        a["a0"], a["rest"] = _elem_values(ring, [araw["a0"], araw["rest"]])
+        a["a0"], a["rest"] = ring.decode([_field(araw, "a", "a0"),
+                                          _field(araw, "a", "rest")], "spec a")
     elif a["kind"] == "explicit":
-        a["values"] = _elem_values(ring, araw["values"])
+        a["values"] = ring.decode(_field(araw, "a", "values"),
+                                  "spec a.values")
         if "rest" in araw:
-            a["rest"], = _elem_values(ring, [araw["rest"]])
+            a["rest"], = ring.decode([araw["rest"]], "spec a.rest")
     else:
         raise UsageError("unknown coefficient rule %r" % a["kind"])
     return replace(spec, a_rule=a)
@@ -343,18 +268,18 @@ def wfact_to_json(wf):
     """Report of a factorization that prepare or strong_factor has
     already checked against its input."""
     return {"v": dec_str(wf.v), "n": dec_str(wf.n),
-            "P": [elem_to_json(wf.ring, c) for c in wf.P],
+            "P": list(map(wf.ring.encode, wf.P)),
             "U": series_to_json(wf.U),
             "check": "ok"}
 
 
 def resultant_to_json(ring, B):
-    return {"ring": ring_to_json(ring), "B": elem_to_json(ring, B)}
+    return {"ring": ring_to_json(ring), "B": ring.encode(B)}
 
 
 def bound_report_to_json(ring, rep):
     return {"which": rep.which,
-            "B": elem_to_json(ring, rep.B),
+            "B": ring.encode(rep.B),
             "lhs": dec_str(rep.lhs), "rhs": dec_str(rep.rhs),
             "bound_ok": rep.bound_ok}
 
@@ -374,10 +299,10 @@ def bound_check_to_json(bc):
 
 def cert_report_to_json(spec, rep):
     ring = spec.exact_ring()
-    return {"candidate": [elem_to_json(ring, c) for c in rep.candidate],
+    return {"candidate": list(map(ring.encode, rep.candidate)),
             "N": dec_str(rep.N), "b_next": dec_str(rep.b_next),
             "phi_val": dec_str(rep.phi_val),
-            "B": elem_to_json(ring, rep.B),
+            "B": ring.encode(rep.B),
             "B_val": None if rep.B_val is None else dec_str(rep.B_val),
             "p_at_lam_val": (None if rep.p_at_lam_val is None
                              else dec_str(rep.p_at_lam_val)),
@@ -399,23 +324,12 @@ def family_summary_to_json(spec, s):
             "margin": margin_to_json(s.margin)}
 
 
-def _q_entry(c):
-    # an int over F_p and on the periodic route; a FractionField
-    # (num, den) pair over Z or F_p[t]
-    if not isinstance(c, tuple):
-        return dec_str(c)
-    num, den = c
-    if isinstance(num, tuple):
-        return [list(num), list(den)]
-    return dec_str(num) if den == 1 else dec_str(num) + "/" + dec_str(den)
-
-
 def rationality_to_json(v):
     out = {"kind": v.kind, "budget": dec_str(v.budget)}
     if v.is_rational:
         out["d"] = dec_str(v.d)
         out["s"] = None if v.s is None else dec_str(v.s)
-        out["q"] = None if v.q is None else [_q_entry(c) for c in v.q]
+        out["q"] = None if v.q is None else list(map(v.q_ring.encode, v.q))
     return out
 
 

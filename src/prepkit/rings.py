@@ -2,16 +2,21 @@
 
 Five kinds share one element protocol. Elements are plain canonical
 Python values (ints for p-adic and integer kinds, digit tuples for
-t-adic kinds), so the series, polynomial, gap and Hensel layers never
-inspect representations; rings own arithmetic, valuation, unit
-inversion, and bulk convolution.
+t-adic kinds), so the series, polynomial, gap, Hensel and JSON layers
+never inspect representations; rings own arithmetic, valuation, unit
+inversion, bulk convolution, and the JSON form of their elements.
 
-kind        ring                      element encoding
-zp          p-adic ints mod p^K       int in [0, p^K)
-zmodpk      Z/p^k, Artinian local     int in [0, p^k)  (one class with zp)
-fpt         F_p[[t]] mod t^K          tuple of K digits in [0, p)
-z           rational integers         int
-fpt_exact   polynomial ring F_p[t]    trimmed digit tuple, () is zero
+kind       ring                    element                     JSON
+zp         p-adic ints mod p^K     int in [0, p^K)             "n"
+zmodpk     Z/p^k, Artinian local   int in [0, p^k)             "n"
+fpt        F_p[[t]] mod t^K        K digits in [0, p)          [d, ...]
+z          rational integers       int                         "n"
+fpt_exact  polynomial ring F_p[t]  trimmed digits, () is zero  [d, ...]
+
+zp and zmodpk are one class. ring.encode writes an element's JSON and
+ring.decode reads a list of them: "n" is a decimal string, and decode
+also takes JSON ints, and digits as decimal strings. ring.exact() is
+the exact ring that a finite kind truncates.
 
 Convolution of coefficient lists is the single multiplication engine
 shared by all series operations, with a quadratic reference
@@ -44,6 +49,7 @@ int64 matmul over zp, zmodpk and fpt while no sum can reach 2^63, and
 object ints past that and over z.
 """
 
+import re
 import sys
 from array import array
 from itertools import chain, zip_longest
@@ -55,6 +61,7 @@ from .errors import (
     CompositeModulus,
     InvariantViolation,
     NotAUnit,
+    UsageError,
     ZeroInput,
 )
 
@@ -63,6 +70,55 @@ from .errors import (
 # BudgetExceeded; 2^20 is far past every job of the tests and the
 # benchmark (the largest is a gap root at K = 14,300).
 SIZE_CAP = 1 << 20
+
+# Every decimal field is read with dec_int and written with dec_str:
+# str and int for as many digits as Python converts directly (4,300 by
+# default), and the decimal module, which has no such limit, past that.
+
+# the text int() reads in base 10, ASCII digits only
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
+
+
+def dec_str(n):
+    """The decimal string of the int n."""
+    try:
+        return str(n)
+    except ValueError:  # past Python's int/str digit limit
+        import decimal
+        return str(decimal.Decimal(n))
+
+
+def dec_int(s):
+    """The int that s, an int or a decimal string, names. Raises
+    ValueError on malformed text, as int does."""
+    try:
+        return int(s)
+    except ValueError:
+        if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
+            raise
+        import decimal
+        return int(decimal.Decimal(s))
+
+
+def _decimal(what, v):
+    """dec_int(v) for the payload value named what, which must be an int
+    or a decimal string; a UsageError naming what otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise UsageError("%s must be an integer or decimal string" % what)
+    try:
+        return dec_int(v)
+    except ValueError as e:
+        raise UsageError("%s %.40r does not decode: %s"
+                         % (what, v, e)) from None
+
+
+def _array(what, vs):
+    """vs, or a UsageError naming what when vs is not a JSON array (a
+    string or an object would be read one character or key at a time)."""
+    if not isinstance(vs, list):
+        raise UsageError("%s must be an array" % what)
+    return vs
+
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -175,10 +231,12 @@ def _kron_unsigned(a, b, mod, hi=None, lo=0):
 
 def _kron_signed(a, b, hi=None, lo=0):
     """Terms lo .. hi - 1 of a * b (all by default) for nonempty
-    sequences of ints. Limbs are whole bytes: adding half a limb to
-    every limb of the product makes each one nonnegative, so one
-    to_bytes unpacks them all, and a product outside those n limbs
-    raises InvariantViolation."""
+    sequences of ints. Limbs are whole bytes, so each operand packs in
+    linear time as two byte joins, of its positive terms and of its
+    negated negative ones. Adding half a limb to every limb of the
+    product makes each one nonnegative, so one to_bytes unpacks them
+    all. An operand term or a product outside its limbs raises
+    InvariantViolation."""
     ma = max(abs(x) for x in a)
     mb = max(abs(x) for x in b)
     n = len(a) + len(b) - 1
@@ -189,16 +247,18 @@ def _kron_signed(a, b, hi=None, lo=0):
     nb = (bound.bit_length() + 9) // 8  # bytes per limb, with a sign bit
     w = 8 * nb
     half = 1 << (w - 1)
+    zero = bytes(nb)
 
     def pack(v):
-        pos = 0
-        neg = 0
-        for i, x in enumerate(v):
-            if x > 0:
-                pos |= x << (w * i)
-            elif x < 0:
-                neg |= (-x) << (w * i)
-        return pos - neg
+        try:
+            pos = b"".join(x.to_bytes(nb, "little") if x > 0 else zero
+                           for x in v)
+            neg = b"".join((-x).to_bytes(nb, "little") if x < 0 else zero
+                           for x in v)
+        except OverflowError:
+            raise InvariantViolation("signed Kronecker operand overflows "
+                                     "its limbs of %d bits" % w) from None
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
     # half in every one of the n limbs: half * (2^(wn) - 1) / (2^w - 1)
     cur = pack(a) * pack(b) + ((1 << (w * n)) - 1) // ((1 << w) - 1) * half
@@ -467,8 +527,9 @@ def _int_val(r, p):
 
 
 class Ring:
-    """Shared protocol; concrete kinds override everything that
-    touches the element encoding."""
+    """Shared protocol, with the JSON codec of the integer kinds; the
+    concrete kinds override everything else that touches the element
+    encoding."""
 
     kind = None
     is_exact = False
@@ -488,14 +549,29 @@ class Ring:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def from_digits(self, digits):
-        raise NotImplementedError(self.kind)
+    def decode(self, vs, what):
+        """The values before canon of vs, the JSON array of elements
+        named what: ints, from JSON ints or decimal strings. One scan of
+        the element types decodes the list; when it refuses, the
+        element-wise route names the first bad element."""
+        if set(map(type, _array(what, vs))) <= {int, str}:
+            try:
+                return list(map(dec_int, vs))
+            except ValueError:  # a malformed decimal string
+                pass
+        return [_decimal("element", v) for v in vs]
+
+    def encode(self, x):
+        """The JSON form of the element x: its decimal string."""
+        return dec_str(x)
+
+    def exact(self):
+        """The exact ring that this one truncates, or itself."""
+        return self
 
     def uniformizer(self):
-        """The element generating the maximal ideal: p for p-adic and
-        integer kinds, t for the t-adic kinds."""
-        if self.kind in ("fpt", "fpt_exact"):
-            return self.from_digits((0, 1))
+        """The element generating the maximal ideal: p for the p-adic
+        and integer kinds."""
         if self.p is None:
             raise ValueError("this ring has no designated prime")
         return self.from_int(self.p)
@@ -617,6 +693,9 @@ class IntModRing(Ring):
     def fraction_field(self):
         return self if self.prec == 1 else None  # Z/p is a field
 
+    def exact(self):
+        return ExactZRing(self.p)
+
     # The pi-adic digit split behind Weierstrass lifting and strong
     # factorization: every element is lo + p^s * hi, lo < p^s.
 
@@ -657,7 +736,7 @@ class IntModRing(Ring):
         return (C % self.mod).tolist()
 
     def convolve(self, a, b, hi, lo=0):
-        if not a or not b or lo >= len(a) + len(b) - 1:
+        if not a or not b or lo >= min(hi, len(a) + len(b) - 1):
             return [0] * (hi - lo)
         arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, hi, lo)
         if arr is not None:
@@ -665,7 +744,61 @@ class IntModRing(Ring):
         return _pad(_kron_unsigned(a, b, self.mod, hi, lo), hi - lo)
 
 
-class FpTRing(Ring):
+class _DigitRing(Ring):
+    """The t-adic kinds: elements are tuples of digits in [0, p),
+    ascending in t, whose JSON form is an array of digits."""
+
+    def decode(self, vs, what):
+        """Ring.decode for elements that are arrays of digits, ints or
+        decimal strings: one scan of the element types and one of the
+        digit types, or the element-wise route, which names the first
+        bad element or digit."""
+        if set(map(type, _array(what, vs))) <= {list, tuple}:
+            digit_types = set(map(type, chain.from_iterable(vs)))
+            if digit_types <= {int}:
+                return list(map(tuple, vs))
+            if digit_types <= {int, str}:
+                try:
+                    return [tuple(map(int, v)) for v in vs]
+                except ValueError:  # a malformed digit string
+                    pass
+        return [self._digits(v) for v in vs]
+
+    def _digits(self, v):
+        if not isinstance(v, (list, tuple)):
+            raise UsageError("element of %s must be a digit array"
+                             % self.kind)
+        out = []
+        for d in v:
+            if isinstance(d, bool) or not isinstance(d, (int, str)):
+                raise UsageError("digit %.40r of a %s element is not an "
+                                 "integer or decimal string" % (d, self.kind))
+            try:
+                out.append(int(d))
+            except ValueError:
+                raise UsageError("digits of a %s element must be integers"
+                                 % self.kind) from None
+        return tuple(out)
+
+    def encode(self, x):
+        """The JSON form of the element x: its array of digits."""
+        return [int(d) for d in x]
+
+    def canon(self, r):
+        return self.from_digits(r)
+
+    def val(self, r):
+        for i, d in enumerate(r):
+            if d:
+                return i
+        return None
+
+    def uniformizer(self):
+        """t, which generates the maximal ideal."""
+        return self.from_digits((0, 1))
+
+
+class FpTRing(_DigitRing):
     """Truncated power series F_p[[t]] mod t^K; elements are tuples of
     exactly K digits, ascending in t."""
 
@@ -689,9 +822,6 @@ class FpTRing(Ring):
         digits = tuple([d % self.p for d in digits[:self.prec]])
         return digits + (0,) * (self.prec - len(digits))
 
-    def canon(self, r):
-        return self.from_digits(r)
-
     def add(self, a, b):
         p = self.p
         return tuple([(x + y) % p for x, y in zip(a, b)])
@@ -712,11 +842,8 @@ class FpTRing(Ring):
     def is_zero(self, a):
         return not any(a)
 
-    def val(self, r):
-        for i, d in enumerate(r):
-            if d:
-                return i
-        return None
+    def exact(self):
+        return ExactFpTRing(self.p)
 
     def invert_unit(self, r):
         p = self.p
@@ -909,6 +1036,10 @@ class ExactZRing(Ring):
     def unit_part(self, r):
         return -1 if r < 0 else 1
 
+    def encode_fraction(self, num, den):
+        """The JSON form of num / den: "n" or "n/d"."""
+        return dec_str(num) if den == 1 else dec_str(num) + "/" + dec_str(den)
+
     def pow(self, a, e):
         return a ** e
 
@@ -918,7 +1049,7 @@ class ExactZRing(Ring):
         return (np.array(A, dtype=object) @ np.array(B, dtype=object)).tolist()
 
     def convolve(self, a, b, hi, lo=0):
-        if not any(a) or not any(b) or lo >= len(a) + len(b) - 1:
+        if not any(a) or not any(b) or lo >= min(hi, len(a) + len(b) - 1):
             return [0] * (hi - lo)
         arr = _int64_convolve(a, b, max(map(abs, a)), max(map(abs, b)),
                               hi, lo)
@@ -927,7 +1058,7 @@ class ExactZRing(Ring):
         return _pad(_kron_signed(a, b, hi, lo), hi - lo)
 
 
-class ExactFpTRing(Ring):
+class ExactFpTRing(_DigitRing):
     """Polynomial ring F_p[t]; elements are trimmed digit tuples and the
     empty tuple is zero. Units are the nonzero constants."""
 
@@ -951,9 +1082,6 @@ class ExactFpTRing(Ring):
     def from_digits(self, digits):
         return _trim([d % self.p for d in digits])
 
-    def canon(self, r):
-        return self.from_digits(r)
-
     def add(self, a, b):
         p = self.p
         return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
@@ -973,12 +1101,6 @@ class ExactFpTRing(Ring):
 
     def is_zero(self, a):
         return len(a) == 0
-
-    def val(self, r):
-        for i, d in enumerate(r):
-            if d:
-                return i
-        return None
 
     def deg(self, r):
         return len(r) - 1
@@ -1017,6 +1139,10 @@ class ExactFpTRing(Ring):
     def unit_part(self, r):
         return (r[-1],) if r else self.one()
 
+    def encode_fraction(self, num, den):
+        """The JSON form of num / den: [num, den] as digit arrays."""
+        return [self.encode(num), self.encode(den)]
+
     def monic(self, a):
         """a scaled to leading digit 1; zero stays zero."""
         if not a or a[-1] == 1:
@@ -1036,7 +1162,8 @@ class FractionField:
     lowest terms, den unit-normal (positive over Z, monic over F_p[t]),
     so equal fractions are equal pairs. It answers the Ring names that
     recurrence detection uses, from R's gcd, exact_div, invert_unit,
-    mul and unit_part alone; R.gcd must be unit-normal."""
+    mul and unit_part alone; R.gcd must be unit-normal. R writes a
+    fraction's JSON form."""
 
     def __init__(self, R):
         self.R, self._r1 = R, R.one()
@@ -1059,6 +1186,9 @@ class FractionField:
 
     def canon(self, c):
         return (self.R.canon(c), self._r1)
+
+    def encode(self, c):
+        return self.R.encode_fraction(*c)
 
     def is_zero(self, a):
         return self.R.is_zero(a[0])

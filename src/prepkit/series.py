@@ -33,7 +33,7 @@ that composition, g <- g - (f(g) - x)/f'(g), doubling the window each
 step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
 
@@ -51,7 +51,7 @@ from .errors import (
     RingMismatch,
     WindowTooSmall,
 )
-from .rings import SIZE_CAP, Ring
+from .rings import SIZE_CAP, Ring, make_ring
 
 
 def check_x_prec(x_prec):
@@ -314,6 +314,8 @@ class RationalityVerdict:
     s: int = None
     q: tuple = None
     budget: int = None
+    # the ring or field that q's entries lie in, whose encode writes them
+    q_ring: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_rational(self):
@@ -338,7 +340,8 @@ def detect_periodic_01(ring, vals):
             if all(vals[i] == vals[i + d] for i in range(s, budget - d)):
                 q = (1,) + (0,) * (d - 1) + (-1,)
                 return RationalityVerdict("rational", d=d, s=s, q=q,
-                                          budget=budget)
+                                          budget=budget,
+                                          q_ring=make_ring("z"))
     return RationalityVerdict("irrational_at_budget", budget=budget)
 
 
@@ -392,4 +395,4 @@ def detect_recurrence(f, max_order):
             shift += 1
     d = max(L, 1)
     q = tuple(C) + (F.zero(),) * (d + 1 - len(C))
-    return RationalityVerdict("rational", d=d, s=0, q=q, budget=m)
+    return RationalityVerdict("rational", d=d, s=0, q=q, budget=m, q_ring=F)

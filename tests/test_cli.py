@@ -642,7 +642,27 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
      "spec kappa"),
     # a float digit of a char-p spec coefficient
     (["gap", "root", "--K", "10", "--spec", "digit.json"], None, "digit 1.5"),
-], ids=["argv%d" % i for i in range(28)])
+    # a list field given as a string or an object, which would be read
+    # one character or key at a time
+    (["hensel", "--ring", "zp:2:10", "--in", "hpoly.json"], None,
+     "hensel poly"),
+    (["series", "invert", "--in", "ocoeffs.json"], None, "oracle coeffs"),
+    (["resultant", "compute", "--ring", "z", "--in", "rcoeffs.json"], None,
+     "polynomial coeffs"),
+    (["series", "rationality", "--in", "sprefix.json"], None, "prefix"),
+    (["series", "rationality", "--in", "scycle.json"], None, "cycle"),
+    (["gap", "root", "--K", "10", "--spec", "bvalues.json"], None,
+     "spec b.values"),
+    (["gap", "root", "--K", "10", "--spec", "avalues.json"], None,
+     "spec a.values"),
+    # a gap-spec rule that is not an object, or lacks a field
+    (["gap", "root", "--K", "10", "--spec", "norest.json"], None,
+     "spec a.rest"),
+    (["gap", "root", "--K", "10", "--spec", "nobvalues.json"], None,
+     "spec b.values"),
+    (["gap", "root", "--K", "10", "--spec", "astr.json"], None, "spec a"),
+    (["gap", "root", "--K", "10", "--spec", "bint.json"], None, "spec b"),
+], ids=["argv%d" % i for i in range(39)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     zp = {"kind": "zp", "p": 3, "prec": 2}
@@ -654,6 +674,17 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
             ("cycle", {"ring": zp, "x_prec": 4, "oracle": {
                 "kind": "periodic", "prefix": [], "cycle": [[1]]}})):
         (tmp_path / (name + ".json")).write_text(json.dumps(payload))
+    periodic = {"kind": "periodic", "prefix": ["1"], "cycle": ["0", "1"]}
+    for name, payload in (
+            ("hpoly", {"poly": {"-17": 1, "1": 2}, "x0": "1"}),
+            ("ocoeffs", {"ring": zp, "x_prec": 2, "oracle": {
+                "kind": "explicit", "coeffs": "12"}}),
+            ("rcoeffs", {"f": {"coeffs": "12"}, "g": {"coeffs": "12"}}),
+            ("sprefix", {"ring": zp, "x_prec": 8,
+                         "oracle": dict(periodic, prefix="1")}),
+            ("scycle", {"ring": zp, "x_prec": 8,
+                        "oracle": dict(periodic, cycle="01")})):
+        (tmp_path / (name + ".json")).write_text(json.dumps(payload))
     (tmp_path / "terms.json").write_text('{"d":1,"terms":[[1]]}')
     ref = {"char": "zero", "p": 2, "b": {"kind": "pow2_nsq"},
            "a": {"kind": "const_after", "a0": "2", "rest": "1"}}
@@ -662,7 +693,16 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
                        ("kappa_zero", dict(ref, kappa="1/0")),
                        ("digit", dict(ref, char="p", a={
                            "kind": "const_after", "a0": [0, 1],
-                           "rest": [1.5]}))):
+                           "rest": [1.5]})),
+                       ("bvalues", dict(ref, b={"kind": "explicit",
+                                                "values": "1234"})),
+                       ("avalues", dict(ref, a={"kind": "explicit",
+                                                "values": "12"})),
+                       ("norest", dict(ref, a={"kind": "const_after",
+                                               "a0": "2"})),
+                       ("nobvalues", dict(ref, b={"kind": "explicit"})),
+                       ("astr", dict(ref, a="x")),
+                       ("bint", dict(ref, b=5))):
         (tmp_path / (name + ".json")).write_text(json.dumps(spec))
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
     (tmp_path / "r3.json").write_text('["1","2","3"]')
@@ -696,25 +736,33 @@ def test_h10_infile_text_format(tmp_path):
 
 def test_elem_json_guards():
     ring = make_ring("zp", 5, 3)
-    with pytest.raises(UsageError):
-        jsonio.elem_from_json(ring, 1.5)
-    with pytest.raises(UsageError):
-        jsonio.elem_from_json(ring, True)
     T = make_ring("fpt", 2, 4)
+
+    def elem(R, v):
+        return R.canon(R.decode([v], "element")[0])
+
     with pytest.raises(UsageError):
-        jsonio.elem_from_json(T, "3")
+        elem(ring, 1.5)
     with pytest.raises(UsageError):
-        jsonio.elem_from_json(T, [1, [0]])
+        elem(ring, True)
     with pytest.raises(UsageError):
-        jsonio.elem_from_json(T, [1, "1x"])
+        elem(T, "3")
     with pytest.raises(UsageError):
-        jsonio.elem_from_json(ring, [1])
+        elem(T, [1, [0]])
+    with pytest.raises(UsageError):
+        elem(T, [1, "1x"])
+    with pytest.raises(UsageError):
+        elem(ring, [1])
     # a float or bool digit is refused, not truncated by int()
     for digit in (1.7, True):
         with pytest.raises(UsageError, match="digit %s " % digit):
-            jsonio.elem_from_json(T, [digit, 0])
-    assert jsonio.elem_from_json(T, [1, 0, 1]) == (1, 0, 1, 0)
-    assert jsonio.elem_from_json(T, ["1", 0, "01"]) == (1, 0, 1, 0)
+            elem(T, [digit, 0])
+    assert elem(T, [1, 0, 1]) == (1, 0, 1, 0)
+    assert elem(T, ["1", 0, "01"]) == (1, 0, 1, 0)
+    # a list of elements must be a JSON array, which the error names
+    for R, vs in ((ring, "12"), (ring, {"1": 2}), (T, "12"), (T, {"1": [1]})):
+        with pytest.raises(UsageError, match="^coeffs must be an array$"):
+            R.decode(vs, "coeffs")
 
 
 def test_size_cap_is_budget_exceeded(tmp_path):

@@ -686,6 +686,84 @@ def test_fft_sum_check_catches_a_misrounded_output(flags, index):
     assert (res.returncode, res.stdout) == (0, "raised\n" * 6), res.stderr
 
 
+def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
+    # With the lane thresholds cut small, every product lane runs on
+    # operands of at most 60 terms, and each result is checked against
+    # convolve_ref with schoolbook element products: zp:3:4 takes
+    # numpy's direct loop, the FFT and the blocked FFT, and zp:2:24 the
+    # direct loop past the FFT's rounding bound; zmodpk:2:31 array
+    # Kronecker limbs and zp:5:30 wide ones; z the FFT (entries up to
+    # 100), the direct loop (2^24) and signed Kronecker (2^40); fpt its
+    # Kronecker slots, FFT and blocked FFT, and wide limbs at p =
+    # 4294967311; the F_p[t] element product (fpt and fpt_exact) its
+    # schoolbook, mask, array, numpy and wide lanes. lift_product is
+    # checked on the same products. Half the lengths are at most 6, so
+    # that the lanes below the work thresholds run too.
+    rng = random.Random(2126)
+    cases = [(make_ring(*d), lim) for d, lim in (
+        (("zp", 3, 4), 60), (("zp", 2, 24), 40), (("zmodpk", 2, 31), 40),
+        (("zp", 5, 30), 40),
+        (("z",), 60), (("fpt", 3, 3), 40), (("fpt", 2, 5), 30),
+        (("fpt", 65537, 2), 20), (("fpt", 4294967311, 2), 20),
+        (("fpt_exact", 2), 12), (("fpt_exact", 3), 12),
+        (("fpt_exact", 65537), 12))]
+    ran = set()
+    for name in ("_fft_convolve", "_fft_blocked", "_kron_signed",
+                 "_kron_unsigned", "b2_mul"):
+        def spy(*args, _f=getattr(rings, name), _name=name, **kw):
+            ran.add(_name)
+            return _f(*args, **kw)
+        monkeypatch.setattr(rings, name, spy)
+
+    def elems(R, n, top):
+        if R.kind == "z":
+            return [rng.randint(-top, top) for _ in range(n)]
+        if R.prec is None:
+            return [R.from_digits([rng.randrange(R.p)
+                                   for _ in range(rng.randrange(7))])
+                    for _ in range(n)]
+        if R.kind == "fpt":
+            return [R.from_digits([rng.randrange(R.p)
+                                   for _ in range(R.prec)])
+                    for _ in range(n)]
+        return [R.from_int(rng.randrange(R.mod)) for _ in range(n)]
+
+    def reference(R, a, b, hi):
+        with monkeypatch.context() as mp:
+            mp.setattr(rings, "_SCHOOLBOOK_WORK", 10 ** 9)
+            return R.convolve_ref(a, b, hi)
+
+    monkeypatch.setattr(rings, "_FFT_MAX_SIZE", 64)
+    monkeypatch.setattr(rings, "_FFT_INT_WORK", 24)
+    monkeypatch.setattr(rings, "_FFT_KRON_WORK", 1 << 11)
+    monkeypatch.setattr(rings, "_SCHOOLBOOK_WORK", 2)
+    for R, lim in cases:
+        for _ in range(30):
+            top = rng.choice((100, 1 << 24, 1 << 40))
+            la, lb = (rng.randint(0, rng.choice((6, lim))) for _ in "ab")
+            a, b = elems(R, la, top), elems(R, lb, top)
+            hi = rng.randint(1, la + lb + 2)
+            lo = rng.randint(0, hi)
+            want = reference(R, a, b, hi)[lo:]
+            assert R.convolve(a, b, hi, lo) == want, (R, la, lb, hi, lo)
+            assert R.convolve_ref(a, b, hi)[lo:] == want
+            if R.prec is None or not la:
+                continue
+            # the residual of a lifting step whose product a * y is
+            # needed at terms n .. n + m - 1
+            n = rng.randint(0, la - 1)
+            m = rng.randint(1, lim)
+            y, e = elems(R, m, top), elems(R, m, top)
+            s = rng.randint(1, R.prec - 1)
+            pis = R.pow(R.uniformizer(), s)
+            t = reference(R, a, y, n + m)[n:]
+            c = [R.add(R.add(u, z), R.mul(pis, d))
+                 for u, z, d in zip(t, y, e)]
+            assert R.lift_product(c, a, y, n, s) == R.reduce(e, R.prec - s)
+    assert ran == {"_fft_convolve", "_fft_blocked", "_kron_signed",
+                   "_kron_unsigned", "b2_mul"}
+
+
 def test_kron_signed_overflow_check_survives_optimize_flag():
     # an operand whose abs() understates it gets limbs too narrow for
     # its products; the leftover high part must raise, not be dropped

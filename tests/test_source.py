@@ -51,3 +51,35 @@ def test_no_product_is_cut_below():
                 if isinstance(cuts[0], ast.Slice) and cuts[0].lower:
                     found.append("%s:%d" % (name, node.lineno))
     assert not found, found
+
+
+RING_KINDS = {"zp", "zmodpk", "fpt", "z", "fpt_exact"}
+
+
+def test_no_ring_kind_is_compared_by_name():
+    # only the ring knows how its elements are laid out, so no code
+    # compares an X.kind attribute with a ring kind name; make_ring,
+    # which builds a ring from its kind, compares a plain name
+    root = os.path.dirname(os.path.abspath(prepkit.__file__))
+
+    def names(node):
+        elts = (node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                else [node])
+        return {e.value for e in elts if isinstance(e, ast.Constant)}
+
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(root, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Attribute) and x.attr == "kind"
+                    for x in sides)
+                    and any(names(x) & RING_KINDS for x in sides)):
+                found.append("%s:%d" % (name, node.lineno))
+    assert not found, found
