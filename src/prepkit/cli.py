@@ -6,6 +6,10 @@ resolved configuration, so identical commands give byte-identical
 output. Exit codes: 0 for success or a certified/conclusive verdict,
 2 for inconclusive-at-budget verdicts, 1 for every error, which is
 reported as one JSON line on stderr.
+
+main turns parsed flags into a report: it checks --in and --spec, loads
+the gap spec, runs the verb and attaches the config echo, _config. The
+flags each gap and h10 op needs live in one table, _NEEDS.
 """
 
 import argparse
@@ -39,7 +43,7 @@ def _at_least(flag, value, least):
 
 
 def _bit_budget(args):
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return _at_least("--budget", args.budget, 1)
     raw = os.environ.get("PREPKIT_BUDGET_BITS", "")
     if not raw.strip():
@@ -65,8 +69,11 @@ def _read_text(path):
         raise IoError("cannot read %s: %s" % (path, e), path=path)
 
 
-def _read_json(path):
-    text = _read_text(path)
+def _read_json(path, text=None):
+    """The JSON value in the file at path, or in text already read from
+    it; a UsageError naming the file when it is not JSON."""
+    if text is None:
+        text = _read_text(path)
     try:
         return json.loads(text)
     except ValueError as e:
@@ -78,9 +85,7 @@ def _ring_flag(value):
         return jsonio.parse_ring_flag(value)
     except (UsageError, BudgetExceeded):
         raise
-    except PrepkitError as e:
-        raise UsageError("--ring %s: %s" % (value, e))
-    except ValueError as e:
+    except (PrepkitError, ValueError) as e:
         raise UsageError("--ring %s: %s" % (value, e))
 
 
@@ -93,13 +98,6 @@ def _load_spec(value):
                      "reference description)" % value)
 
 
-def _inject_ring(payload, ring):
-    if isinstance(payload, dict) and "ring" not in payload and ring is not None:
-        payload = dict(payload)
-        payload["ring"] = jsonio.ring_to_json(ring)
-    return payload
-
-
 def _load(decode, payload, ring):
     """decode(payload) for a series or polynomial payload: a bare list
     takes its ring from --ring and an object without a ring gets it.
@@ -109,7 +107,9 @@ def _load(decode, payload, ring):
         if ring is None:
             raise UsageError("bare coefficient lists need --ring")
         payload = {"coeffs": payload}
-    out = decode(_inject_ring(payload, ring))
+    if isinstance(payload, dict) and "ring" not in payload and ring is not None:
+        payload = dict(payload, ring=jsonio.ring_to_json(ring))
+    out = decode(payload)
     if ring is not None and out[0].ring != ring:
         raise UsageError("--ring disagrees with the input's embedded ring")
     return out
@@ -120,25 +120,39 @@ def _poly_pair(d):
 
 
 def _load_dio(args):
-    if getattr(args, "expr", None):
+    if args.expr:
         return jsonio.dio_from_json(args.expr)
-    if getattr(args, "infile", None):
-        text = _read_text(args.infile)
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return jsonio.dio_from_json(json.loads(text))
-        return jsonio.dio_from_json(text)
-    raise UsageError("give a polynomial inline or via --in")
+    if not args.infile:
+        raise UsageError("give a polynomial inline or via --in")
+    text = _read_text(args.infile)
+    if text.lstrip().startswith("{"):
+        return jsonio.dio_from_json(_read_json(args.infile, text))
+    return jsonio.dio_from_json(text)
 
 
-def _config(verb, op, args, spec=None, extra=None):
-    cfg = {"verb": verb, "flag_grammar": FLAG_GRAMMAR}
-    if op:
-        cfg["op"] = op
-    if getattr(args, "ring", None):
-        cfg["ring"] = args.ring
-    if getattr(args, "infile", None):
-        cfg["in"] = args.infile
+# The flags each gap and h10 op needs, checked after the op's own input
+# checks: "gap bound needs --N and --K".
+_NEEDS = {"root": ("K",), "phi": ("N",), "bound": ("N", "K"),
+          "certify": ("N", "K"), "sweep": ("N", "K"), "theta": ("N",),
+          "bp": ("N",), "encode": ()}
+
+
+def _need(args, what, *flags):
+    if any(getattr(args, flag) is None for flag in flags):
+        raise UsageError("%s needs %s"
+                         % (what, " and ".join("--" + f for f in flags)))
+
+
+def _config(args, spec):
+    """The resolved configuration every report echoes: the verb and op,
+    --ring, --in, the loaded gap spec and each integer flag given, as a
+    string. --out is never echoed, so the bytes do not depend on it."""
+    cfg = {"verb": args.verb, "flag_grammar": FLAG_GRAMMAR}
+    for key, value in (("op", getattr(args, "op", None)),
+                       ("ring", getattr(args, "ring", None)),
+                       ("in", args.infile)):
+        if value:
+            cfg[key] = value
     if spec is not None:
         cfg["spec"] = jsonio.gapspec_to_json(spec)
     for name in ("N", "K", "budget", "degree_cap", "height_cap",
@@ -146,8 +160,6 @@ def _config(verb, op, args, spec=None, extra=None):
         v = getattr(args, name, None)
         if v is not None:
             cfg[name.replace("_", "-")] = str(v)
-    if extra:
-        cfg.update(extra)
     return cfg
 
 
@@ -157,10 +169,7 @@ def _run_prepare(args, strong):
     ring = _ring_flag(args.ring) if args.ring else None
     f, _ = _load(jsonio.series_from_json, _read_json(args.infile), ring)
     wf = strong_factor(f) if strong else prepare(f)
-    rep = jsonio.wfact_to_json(wf)
-    rep["config"] = _config("strong-factor" if strong else "prepare",
-                            None, args)
-    return rep, 0
+    return jsonio.wfact_to_json(wf), 0
 
 
 def _run_series(args):
@@ -173,21 +182,13 @@ def _run_series(args):
         f, _ = _load(jsonio.series_from_json, payload["f"], ring)
         g, _ = _load(jsonio.series_from_json, payload["g"], ring)
         out = series_mul(f, g) if op == "mul" else compose(f, g)
-        rep = jsonio.series_to_json(out)
-        rep["config"] = _config("series", op, args)
-        return rep, 0
+        return jsonio.series_to_json(out), 0
     single = payload.get("f", payload) if isinstance(payload, dict) else payload
     f, okind = _load(jsonio.series_from_json, single, ring)
-    if op == "invert":
-        rep = jsonio.series_to_json(series_invert(f))
-    elif op == "comp-inverse":
-        rep = jsonio.series_to_json(comp_inverse(f))
-    elif op == "rationality":
+    if op == "rationality":
         return _run_rationality(args, f, okind)
-    else:
-        raise UsageError("unknown series op %r" % op)
-    rep["config"] = _config("series", op, args)
-    return rep, 0
+    out = series_invert(f) if op == "invert" else comp_inverse(f)
+    return jsonio.series_to_json(out), 0
 
 
 def _run_rationality(args, f, okind):
@@ -217,7 +218,6 @@ def _run_rationality(args, f, okind):
     rep = jsonio.rationality_to_json(verdict)
     rep["route"] = route
     rep["offset"] = str(offset)
-    rep["config"] = _config("series", "rationality", args)
     return rep, 0 if verdict.is_rational else 2
 
 
@@ -229,15 +229,9 @@ def _run_resultant(args):
     f, _ = _load(_poly_pair, payload["f"], ring)
     g, _ = _load(_poly_pair, payload["g"], ring)
     if args.op == "compute":
-        rep = jsonio.resultant_to_json(f.ring, resultant(f, g))
-    elif args.op == "hadamard":
-        rep = jsonio.bound_report_to_json(f.ring, hadamard_check(f, g))
-    elif args.op == "tdegree":
-        rep = jsonio.bound_report_to_json(f.ring, tdegree_check(f, g))
-    else:
-        raise UsageError("unknown resultant op %r" % args.op)
-    rep["config"] = _config("resultant", args.op, args)
-    return rep, 0
+        return jsonio.resultant_to_json(f.ring, resultant(f, g)), 0
+    check = hadamard_check if args.op == "hadamard" else tdegree_check
+    return jsonio.bound_report_to_json(f.ring, check(f, g)), 0
 
 
 def _run_hensel(args):
@@ -256,125 +250,89 @@ def _run_hensel(args):
     K = args.K if args.K is not None else ring.prec
     root, trace = hensel_lift(P, x0, K, ring=ring, with_trace=True)
     work = ring.at_prec(K)
-    rep = {"ring": jsonio.ring_to_json(work),
-           "root": work.encode(root),
-           "trace": list(map(work.encode, trace)),
-           "config": _config("hensel", None, args)}
-    return rep, 0
+    return {"ring": jsonio.ring_to_json(work), "root": work.encode(root),
+            "trace": list(map(work.encode, trace))}, 0
 
 
-def _run_gap(args):
-    spec = _load_spec(args.spec) if args.op != "probe" else None
-    if args.op == "probe":
-        return _run_probe(args, "gap")
-    if args.op in ("root", "bound") and args.budget is not None:
+def _run_gap(args, spec):
+    op = args.op
+    if op == "probe":
+        return _run_probe(args)
+    if op in ("root", "bound") and args.budget is not None:
         raise UsageError("gap %s builds no Phi_N, so --budget does not "
-                         "apply" % args.op)
-    if args.N is not None and args.op != "root":
+                         "apply" % op)
+    if args.N is not None and op != "root":
         _at_least("--N", args.N, 0)
-    if args.op == "root":
-        if args.K is None:
-            raise UsageError("gap root needs --K")
-        ring = spec.work_ring(args.K)
-        lam = small_root_of_gap(spec, args.K)
-        rep = {"ring": jsonio.ring_to_json(ring),
-               "lam": ring.encode(lam),
-               "config": _config("gap", "root", args, spec)}
-        return rep, 0
-    if args.op == "phi":
-        if args.N is None:
-            raise UsageError("gap phi needs --N")
+    _need(args, "gap " + op, *_NEEDS[op])
+    if op == "phi":
         P = phi_truncation(spec, args.N, args.budget)
-        rep = jsonio.poly_to_json(P)
-        rep["config"] = _config("gap", "phi", args, spec)
-        return rep, 0
-    if args.op == "bound":
-        if args.N is None or args.K is None:
-            raise UsageError("gap bound needs --N and --K")
-        ring = spec.work_ring(args.K)
-        lam = small_root_of_gap(spec, args.K)
-        bc = bound_check_prime(spec, lam, args.N, ring)
-        rep = jsonio.bound_check_to_json(bc)
-        rep["lam"] = ring.encode(lam)
-        rep["config"] = _config("gap", "bound", args, spec)
-        return rep, 0
-    if args.op == "certify":
-        if args.N is None or args.K is None:
-            raise UsageError("gap certify needs --N and --K")
+        return jsonio.poly_to_json(P), 0
+    if op == "certify":
         if not args.infile:
             raise UsageError("gap certify needs --in with a candidate")
         payload = _read_json(args.infile)
         has_ring = isinstance(payload, dict) and "ring" in payload
         P, _ = _load(_poly_pair, payload,
                      None if has_ring else spec.exact_ring())
-        ring = spec.work_ring(args.K)
-        lam = small_root_of_gap(spec, args.K)
-        rep_obj = certify_not_root(spec, lam, P, args.N, ring, args.budget)
-        rep = jsonio.cert_report_to_json(spec, rep_obj)
-        rep["config"] = _config("gap", "certify", args, spec)
-        return rep, 0 if rep_obj.verdict != VERDICT_INCONCLUSIVE else 2
-    if args.op == "sweep":
-        if args.N is None or args.K is None:
-            raise UsageError("gap sweep needs --N and --K")
+    if op == "sweep":
         D = args.degree_cap if args.degree_cap is not None else 2
         H = args.height_cap if args.height_cap is not None else 5
         _at_least("--degree-cap", D, 0)
         _at_least("--height-cap", H, 0)
-        ring = spec.work_ring(args.K)
-        lam = small_root_of_gap(spec, args.K)
-        summary = certify_family(spec, lam, D, H, args.N, ring, args.budget)
-        rep = jsonio.family_summary_to_json(spec, summary)
-        rep["config"] = _config("gap", "sweep", args, spec)
-        return rep, 0 if summary.n_inconclusive == 0 else 2
-    raise UsageError("unknown gap op %r" % args.op)
+    # every op from here starts from the small root of the gap series
+    ring = spec.work_ring(args.K)
+    lam = small_root_of_gap(spec, args.K)
+    if op == "root":
+        return {"ring": jsonio.ring_to_json(ring), "lam": ring.encode(lam)}, 0
+    if op == "bound":
+        rep = jsonio.bound_check_to_json(
+            bound_check_prime(spec, lam, args.N, ring))
+        rep["lam"] = ring.encode(lam)
+        return rep, 0
+    if op == "certify":
+        cert = certify_not_root(spec, lam, P, args.N, ring, args.budget)
+        return (jsonio.cert_report_to_json(spec, cert),
+                0 if cert.verdict != VERDICT_INCONCLUSIVE else 2)
+    summary = certify_family(spec, lam, D, H, args.N, ring, args.budget)
+    return (jsonio.family_summary_to_json(spec, summary),
+            0 if summary.n_inconclusive == 0 else 2)
 
 
-def _run_probe(args, verb):
+def _run_probe(args):
     P = _load_dio(args)
-    points = (100 if getattr(args, "N", None) is None
-              else _at_least("--N", args.N, 0))
+    points = 100 if args.N is None else _at_least("--N", args.N, 0)
     verdict = decision_probe(P, points=points, bits=_bit_budget(args))
     rep = jsonio.probe_to_json(verdict)
     rep["poly"] = jsonio.dio_to_json(P)
-    rep["config"] = _config(verb, "probe", args)
     return rep, 2 if isinstance(verdict, Inconclusive) else 0
 
 
 def _run_h10(args):
-    if args.op == "probe":
-        return _run_probe(args, "h10")
-    if args.op == "theta":
-        if args.N is None:
-            raise UsageError("h10 theta needs --N")
+    op = args.op
+    if op == "probe":
+        return _run_probe(args)
+    P = _load_dio(args) if op != "theta" else None
+    _need(args, "h10 " + op, *_NEEDS[op])
+    if op == "theta":
         d = _at_least("--d", args.d, 1) if args.d is not None else 2
         pt = theta(_at_least("--N", args.N, 0), d)
-        rep = {"n": str(args.N), "d": str(d),
-               "point": [str(c) for c in pt],
-               "config": _config("h10", "theta", args)}
-        return rep, 0
-    P = _load_dio(args)
-    if args.op == "bp":
-        if args.N is None:
-            raise UsageError("h10 bp needs --N")
+        return {"n": str(args.N), "d": str(d),
+                "point": [str(c) for c in pt]}, 0
+    if op == "bp":
         bp = LazyBP(P, _bit_budget(args))
         res = bp.value(_at_least("--N", args.N, 0))
         values, over = bp.exact_prefix()
         if not isinstance(res, OverBudget):
             over = None
         rep = jsonio.bp_to_json(values[:args.N + 1], over)
-        rep["poly"] = jsonio.dio_to_json(P)
-        rep["config"] = _config("h10", "bp", args)
-        return rep, 0
-    if args.op == "encode":
+    else:
         count = args.N if args.N is not None else 32
         a0 = args.base_prime if args.base_prime is not None else 2
         orc = FPOracle(P, a0, _bit_budget(args))
         rep = jsonio.series_to_json(orc.series(count))
         rep["a0"] = str(a0)
-        rep["poly"] = jsonio.dio_to_json(P)
-        rep["config"] = _config("h10", "encode", args)
-        return rep, 0
-    raise UsageError("unknown h10 op %r" % args.op)
+    rep["poly"] = jsonio.dio_to_json(P)
+    return rep, 0
 
 
 # ------------------------------------------------------------------ wiring
@@ -387,13 +345,11 @@ def build_parser():
     sub = top.add_subparsers(dest="verb")
     sub.required = True
 
-    def common(p, ring=True, infile=True, out=True):
+    def common(p, ring=True):
         if ring:
             p.add_argument("--ring", help="ring flag, grammar %s" % FLAG_GRAMMAR)
-        if infile:
-            p.add_argument("--in", dest="infile", help="input file")
-        if out:
-            p.add_argument("--out", help="write the report here instead of stdout")
+        p.add_argument("--in", dest="infile", help="input file")
+        p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("prepare")
     common(p)
@@ -439,24 +395,6 @@ def build_parser():
     return top
 
 
-def run(args):
-    if args.verb == "prepare":
-        return _run_prepare(args, strong=False)
-    if args.verb == "strong-factor":
-        return _run_prepare(args, strong=True)
-    if args.verb == "series":
-        return _run_series(args)
-    if args.verb == "resultant":
-        return _run_resultant(args)
-    if args.verb == "hensel":
-        return _run_hensel(args)
-    if args.verb == "gap":
-        return _run_gap(args)
-    if args.verb == "h10":
-        return _run_h10(args)
-    raise UsageError("unknown verb %r" % args.verb)
-
-
 def _emit(text, out):
     if out:
         try:
@@ -469,16 +407,32 @@ def _emit(text, out):
 
 
 def main(argv=None):
+    """Parse argv, run its verb and write the report with its config
+    echo; every failure leaves as one JSON line on stderr."""
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if not getattr(args, "infile", None) and args.verb in (
-                "prepare", "strong-factor", "series", "resultant", "hensel"):
-            raise UsageError("%s needs --in" % args.verb)
-        if args.verb == "gap" and args.op != "probe" and not args.spec:
-            raise UsageError("gap %s needs --spec" % args.op)
-        report, code = run(args)
-        _emit(jsonio.dumps(report), getattr(args, "out", None))
+        args = build_parser().parse_args(argv)
+        verb, op = args.verb, getattr(args, "op", None)
+        if not args.infile and verb not in ("gap", "h10"):
+            raise UsageError("%s needs --in" % verb)
+        spec = None
+        if verb == "gap" and op != "probe":
+            if not args.spec:
+                raise UsageError("gap %s needs --spec" % op)
+            spec = _load_spec(args.spec)
+        if verb in ("prepare", "strong-factor"):
+            report, code = _run_prepare(args, verb == "strong-factor")
+        elif verb == "series":
+            report, code = _run_series(args)
+        elif verb == "resultant":
+            report, code = _run_resultant(args)
+        elif verb == "hensel":
+            report, code = _run_hensel(args)
+        elif verb == "gap":
+            report, code = _run_gap(args, spec)
+        else:
+            report, code = _run_h10(args)
+        report["config"] = _config(args, spec)
+        _emit(jsonio.dumps(report), args.out)
         return code
     except Exception as e:  # every failure leaves as one JSON line
         err = {"error": {"type": type(e).__name__, "message": str(e)}}

@@ -45,6 +45,11 @@ from .resultant import Poly, make_poly, resultant
 from .series import OracleSeries, Series
 from .weierstrass import WFactorization
 
+# The most candidates a sweep may certify; a larger family fails fast
+# with BudgetExceeded. 2^24 is 64 times the largest family of the tests
+# and the benchmark (262,080: degree 2, height 5 over F_2[t]).
+FAMILY_CAP = 1 << 24
+
 VERDICT_CERTIFIED = "certified_not_root"
 VERDICT_SHARED = "shared_factor"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -231,6 +236,13 @@ def phi_truncation(spec, N, budget=None):
     """The polynomial Phi_N: all terms with exponent <= b(N), as a
     dense exact polynomial. Materialization is refused past the
     budget (BudgetExceeded carries the needed size)."""
+    bN = _phi_degree(spec, N, budget)
+    ring = spec.exact_ring()
+    return make_poly(ring, _dense(ring, spec.sparse_terms_upto(bN), bN + 1))
+
+
+def _phi_degree(spec, N, budget=None):
+    """b(N), the degree of Phi_N, or BudgetExceeded past the budget."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     bN = spec.b(N)
@@ -238,8 +250,7 @@ def phi_truncation(spec, N, budget=None):
     if bN > cap:
         raise BudgetExceeded("Phi_%d needs degree %d, budget is %d"
                              % (N, bN, cap), needed=bN, budget=cap)
-    ring = spec.exact_ring()
-    return make_poly(ring, _dense(ring, spec.sparse_terms_upto(bN), bN + 1))
+    return bN
 
 
 def _dense(ring, terms, n):
@@ -552,12 +563,35 @@ def _certify(spec, lam, P, N, ring, truncation):
                              pl_val, verdict, margin)
 
 
+def _family_L(spec, D, H):
+    """The worst-case candidate size L of _candidate_L in the family."""
+    return (D + 1) * H * H if spec.characteristic == "zero" else H
+
+
 def family_margin(spec, D, H, N, lam_val=1):
     """Family-level margin with the worst-case candidate size cap:
     L = (D + 1) * H^2 in characteristic zero, coefficient t-degree H
     in characteristic p. Needs only the exponent rule."""
-    L = (D + 1) * H * H if spec.characteristic == "zero" else H
-    return _margin(spec, N, lam_val)(L, D)
+    return _margin(spec, N, lam_val)(_family_L(spec, D, H), D)
+
+
+def family_size(spec, D, H):
+    """The number of candidates, in closed form: the sum over d <= D of
+    |lows|^d * |leads|, with |lows| = p^(H+1) and |leads| = |lows| - 1
+    in characteristic p, 2H + 1 and H in characteristic zero. The sum
+    stops past FAMILY_CAP, where it is a lower bound, so sizing a huge
+    family costs a few products."""
+    charp = spec.characteristic == "p"
+    # p^(H+1) is past the cap once H + 1 reaches the cap's bit length
+    lows = (spec.p ** min(H + 1, FAMILY_CAP.bit_length()) if charp
+            else 2 * H + 1)
+    size, term = 0, lows - 1 if charp else H
+    for _ in range(D):
+        term *= lows
+        size += term
+        if size > FAMILY_CAP:
+            break
+    return size
 
 
 def _family_coeffs(spec, H):
@@ -634,21 +668,30 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
     needs only v(P(lambda)), summed from tables of c * lambda^i, and
     exact resultants run on the sample alone. Every other family is
     certified candidate by candidate. budget caps Phi_N's degree as in
-    phi_truncation."""
+    phi_truncation. A family of more than FAMILY_CAP candidates is
+    refused with BudgetExceeded before any candidate is built, and an
+    empty one checks Phi_N's budget alone."""
     spec.validate_core()
-    lows, leads = _family_coeffs(spec, H)
-    total = sum(len(lows) ** d * len(leads) for d in range(1, D + 1))
-    fam_margin = family_margin(spec, D, H, N,
-                               ring.val(lam) if total else 1)
+    total = family_size(spec, D, H)
+    if total > FAMILY_CAP:
+        raise BudgetExceeded(
+            "a sweep of degree <= %d and height <= %d has at least %d "
+            "candidates, budget is %d" % (D, H, total, FAMILY_CAP),
+            needed=total, budget=FAMILY_CAP)
     if total == 0:
+        _phi_degree(spec, N, budget)
         return FamilySummary(0, 0, 0, 0, "empty", 0, None, None, (),
-                             fam_margin)
-    stride = max(total // 16, 1)
+                             family_margin(spec, D, H, N))
+    # Phi_N's budget and the precision gate run before the margin, whose
+    # characteristic-zero half grows as p^(2 v(lambda) b(N+1))
     truncation = _truncation_data(spec, lam, N, ring, budget)
+    fam_margin = truncation[2](_family_L(spec, D, H), D)
+    stride = max(total // 16, 1)
     bN = spec.b(N)
     structural = (spec.characteristic == "p" and fam_margin.flipped
                   and D < bN and _structural_charp_certificate(spec, N))
     if structural:
+        lows, _ = _family_coeffs(spec, H)
         # bound is the family margin's right side; the soundness gate
         # on K keeps bound + 2 <= K
         bound = H * bN + _phi_tdegree(spec, N) * D

@@ -6,6 +6,7 @@ documented exit codes (0 conclusive, 2 inconclusive at budget,
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -17,6 +18,10 @@ from prepkit import cli, jsonio, make_ring, make_series
 from prepkit.errors import UsageError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _limit_address_space(limit=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def run_cli(*args, env=None):
@@ -446,13 +451,22 @@ def test_gap_phi_budget_exit(tmp_path):
     (["sweep", "--N", "1", "--K", "17", "--degree-cap", "1",
       "--height-cap", "1"], "BudgetExceeded"),
     # root and bound build no Phi_N
+    # Phi_5 needs degree 2^25, and the sweep's margin would hold
+    # 2^(2^37): the budget is checked first, for an empty family too
+    (["sweep", "--N", "5", "--K", "40"], "BudgetExceeded"),
+    (["sweep", "--N", "5", "--K", "40", "--degree-cap", "0"],
+     "BudgetExceeded"),
     (["root", "--K", "17"], "UsageError"),
     (["bound", "--N", "1", "--K", "17"], "UsageError"),
-], ids=["certify", "sweep", "root", "bound"])
+], ids=["certify", "sweep", "sweep-N5", "sweep-N5-empty", "root", "bound"])
 def test_gap_budget_bounds_phi_or_is_refused(tmp_path, argv, error):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    res = run_cli("gap", *argv, "--spec", "zero", "--budget", "1")
+    # a child that runs out of memory fails with MemoryError, not the host
+    res = subprocess.run(
+        [sys.executable, "-m", "prepkit", "gap", *argv, "--spec", "zero",
+         "--budget", "1"], capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
     assert (res.returncode, res.stdout) == (1, "")
     lines = res.stderr.splitlines()
     assert len(lines) == 1
@@ -662,7 +676,13 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
      "spec b.values"),
     (["gap", "root", "--K", "10", "--spec", "astr.json"], None, "spec a"),
     (["gap", "root", "--K", "10", "--spec", "bint.json"], None, "spec b"),
-], ids=["argv%d" % i for i in range(39)])
+    # a polynomial file that starts with { is read as JSON
+    (["h10", "bp", "--in", "bad.json", "--N", "2"], None,
+     "bad.json is not JSON"),
+    (["h10", "encode", "--in", "bad.json"], None, "bad.json is not JSON"),
+    (["h10", "probe", "--in", "bad.json"], None, "bad.json is not JSON"),
+    (["gap", "probe", "--in", "bad.json"], None, "bad.json is not JSON"),
+], ids=["argv%d" % i for i in range(43)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     zp = {"kind": "zp", "p": 3, "prec": 2}
@@ -686,6 +706,7 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
                         "oracle": dict(periodic, cycle="01")})):
         (tmp_path / (name + ".json")).write_text(json.dumps(payload))
     (tmp_path / "terms.json").write_text('{"d":1,"terms":[[1]]}')
+    (tmp_path / "bad.json").write_text('{"d":1,"terms":')
     ref = {"char": "zero", "p": 2, "b": {"kind": "pow2_nsq"},
            "a": {"kind": "const_after", "a0": "2", "rest": "1"}}
     for name, spec in (("c_abc", dict(ref, C="abc")),
@@ -931,3 +952,182 @@ def test_gap_and_rationality_never_load_numpy(tmp_path):
     codes, seen = json.loads(res.stdout)
     assert all(c in (0, 2) for c in codes), codes
     assert seen == [False, False]
+
+
+# ------------------------------------------------ flag checks and config
+
+def _in_process(capsys, argv):
+    code = cli.main(argv)
+    got = capsys.readouterr()
+    return code, got.out, got.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prepare"], "prepare needs --in"),
+    (["strong-factor", "--ring", "zp:5:3"], "strong-factor needs --in"),
+    (["series", "invert"], "series needs --in"),
+    (["series", "rationality", "--ring", "zp:7:1"], "series needs --in"),
+    (["resultant", "compute"], "resultant needs --in"),
+    (["hensel", "--ring", "zp:5:3"], "hensel needs --in"),
+    (["hensel", "--in", "h.json"], "hensel needs --ring"),
+    (["gap", "root", "--K", "20"], "gap root needs --spec"),
+    (["gap", "phi", "--N", "1"], "gap phi needs --spec"),
+    (["gap", "bound", "--N", "1", "--K", "40"], "gap bound needs --spec"),
+    (["gap", "certify", "--N", "1", "--K", "40", "--in", "cand.json"],
+     "gap certify needs --spec"),
+    (["gap", "sweep", "--N", "1", "--K", "40"], "gap sweep needs --spec"),
+    (["gap", "root", "--spec", "zero"], "gap root needs --K"),
+    (["gap", "root", "--spec", "zero", "--N", "1"], "gap root needs --K"),
+    (["gap", "phi", "--spec", "zero", "--K", "40"], "gap phi needs --N"),
+    (["gap", "bound", "--spec", "zero", "--K", "40"],
+     "gap bound needs --N and --K"),
+    (["gap", "bound", "--spec", "zero", "--N", "1"],
+     "gap bound needs --N and --K"),
+    (["gap", "certify", "--spec", "zero", "--K", "40", "--in", "cand.json"],
+     "gap certify needs --N and --K"),
+    (["gap", "certify", "--spec", "zero", "--N", "1", "--in", "cand.json"],
+     "gap certify needs --N and --K"),
+    (["gap", "certify", "--spec", "zero", "--N", "1", "--K", "40"],
+     "gap certify needs --in with a candidate"),
+    (["gap", "sweep", "--spec", "zero", "--K", "40"],
+     "gap sweep needs --N and --K"),
+    (["gap", "sweep", "--spec", "p", "--N", "1", "--degree-cap", "1"],
+     "gap sweep needs --N and --K"),
+    (["h10", "theta"], "h10 theta needs --N"),
+    (["h10", "theta", "--d", "2"], "h10 theta needs --N"),
+    (["h10", "bp", "x^2+1"], "h10 bp needs --N"),
+    (["h10", "bp", "--N", "2"], "give a polynomial inline or via --in"),
+    (["h10", "bp"], "give a polynomial inline or via --in"),
+    (["h10", "encode", "--N", "4"], "give a polynomial inline or via --in"),
+    (["h10", "probe"], "give a polynomial inline or via --in"),
+    (["gap", "probe", "--spec", "zero"],
+     "give a polynomial inline or via --in"),
+    # each op's own input checks come before its missing flags
+    (["gap", "bound", "--spec", "zero", "--N", "-1"],
+     "--N must be at least 0, got -1"),
+    (["gap", "root", "--spec", "zero", "--budget", "9"],
+     "gap root builds no Phi_N, so --budget does not apply"),
+    (["gap", "bound", "--spec", "zero", "--budget", "9"],
+     "gap bound builds no Phi_N, so --budget does not apply"),
+    (["gap", "sweep", "--spec", "zero", "--N", "1", "--K", "40",
+      "--height-cap", "-1"], "--height-cap must be at least 0, got -1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_flag_check_is_one_usage_error(tmp_path, capsys, argv,
+                                            message):
+    (tmp_path / "h.json").write_text('{"poly":["-6","0","1"],"x0":"1"}')
+    (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = _in_process(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == jsonio.dumps(
+        {"error": {"type": "UsageError", "message": message}})
+
+
+def _spec_echo(name):
+    return json.loads(jsonio.dumps(jsonio.gapspec_to_json(
+        prepkit.padic_analysis.reference_spec(name))))
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["prepare", "--ring", "zp:5:3", "--in", "f.json"],
+     {"ring": "zp:5:3", "in": "f.json"}),
+    (["strong-factor", "--ring", "zmodpk:2:3", "--in", "g.json"],
+     {"ring": "zmodpk:2:3", "in": "g.json"}),
+    (["series", "mul", "--ring", "zp:7:2", "--in", "fg.json"],
+     {"op": "mul", "ring": "zp:7:2", "in": "fg.json"}),
+    (["series", "invert", "--in", "s.json", "--budget", "7"],
+     {"op": "invert", "in": "s.json", "budget": "7"}),
+    (["series", "compose", "--ring", "zp:7:2", "--in", "fg.json"],
+     {"op": "compose", "ring": "zp:7:2", "in": "fg.json"}),
+    (["series", "comp-inverse", "--ring", "zp:7:2", "--in", "g.json"],
+     {"op": "comp-inverse", "ring": "zp:7:2", "in": "g.json"}),
+    (["series", "rationality", "--in", "fib.json", "--degree-cap", "3"],
+     {"op": "rationality", "in": "fib.json", "degree-cap": "3"}),
+    (["resultant", "compute", "--in", "pair.json"],
+     {"op": "compute", "in": "pair.json"}),
+    (["resultant", "hadamard", "--ring", "z", "--in", "pair.json"],
+     {"op": "hadamard", "ring": "z", "in": "pair.json"}),
+    (["resultant", "tdegree", "--in", "tpair.json"],
+     {"op": "tdegree", "in": "tpair.json"}),
+    (["hensel", "--ring", "zp:5:3", "--in", "h.json", "--K", "2"],
+     {"ring": "zp:5:3", "in": "h.json", "K": "2"}),
+    (["gap", "root", "--spec", "zero", "--K", "20"],
+     {"op": "root", "spec": "zero", "K": "20"}),
+    (["gap", "phi", "--spec", "zero", "--N", "1", "--budget", "5"],
+     {"op": "phi", "spec": "zero", "N": "1", "budget": "5"}),
+    (["gap", "bound", "--spec", "p", "--N", "1", "--K", "40"],
+     {"op": "bound", "spec": "p", "N": "1", "K": "40"}),
+    (["gap", "certify", "--spec", "zero", "--N", "1", "--K", "64",
+      "--in", "cand.json"],
+     {"op": "certify", "spec": "zero", "N": "1", "K": "64",
+      "in": "cand.json"}),
+    (["gap", "sweep", "--spec", "zero", "--N", "1", "--K", "40",
+      "--degree-cap", "1", "--height-cap", "1"],
+     {"op": "sweep", "spec": "zero", "N": "1", "K": "40",
+      "degree-cap": "1", "height-cap": "1"}),
+    # a probe loads no spec, so none is echoed
+    (["gap", "probe", "x-3", "--spec", "zero", "--N", "5"],
+     {"op": "probe", "N": "5"}),
+    (["h10", "theta", "--N", "9", "--d", "2"],
+     {"op": "theta", "N": "9", "d": "2"}),
+    (["h10", "bp", "x^2+1", "--N", "2", "--budget", "1000"],
+     {"op": "bp", "N": "2", "budget": "1000"}),
+    (["h10", "encode", "x^2+1", "--N", "6", "--base-prime", "3"],
+     {"op": "encode", "N": "6", "base-prime": "3"}),
+    (["h10", "probe", "--in", "p.dio", "--N", "10"],
+     {"op": "probe", "in": "p.dio", "N": "10"}),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+def test_config_echoes_the_parsed_flags(tmp_path, capsys, argv, extra):
+    for name, text in (
+            ("f.json", "[5,1,1]"), ("g.json", '["0","1","3"]'),
+            ("fg.json", '{"f":["1","2","3"],"g":["0","1","5"]}'),
+            ("s.json", '{"ring":{"kind":"zp","p":7,"prec":2},'
+                       '"coeffs":["1","3","2","6"]}'),
+            ("fib.json", '{"ring":{"kind":"zp","p":7,"prec":1},"coeffs":'
+                         '["1","1","2","3","5","1","6","0","6","6"]}'),
+            ("pair.json", '{"f":{"ring":{"kind":"z"},"coeffs":["1","0","1"]},'
+                          '"g":{"ring":{"kind":"z"},"coeffs":["-1","1"]}}'),
+            ("tpair.json", '{"f":{"ring":{"kind":"fpt_exact","p":2},'
+                           '"coeffs":[[0,1],[1]]},"g":{"ring":{"kind":'
+                           '"fpt_exact","p":2},"coeffs":[[0,0,1],[1]]}}'),
+            ("h.json", '{"poly":["-6","0","1"],"x0":"1"}'),
+            ("cand.json", '{"coeffs":["-2","1"]}'), ("p.dio", "1:2\n1:0\n")):
+        (tmp_path / name).write_text(text)
+    if argv[0] == "strong-factor":
+        (tmp_path / "g.json").write_text("[4,2,0,0,0]")
+    argv = [str(tmp_path / a) if a.endswith((".json", ".dio")) else a
+            for a in argv]
+    out_path = tmp_path / "report.json"
+    code, out, err = _in_process(capsys, argv + ["--out", str(out_path)])
+    assert code in (0, 2) and (out, err) == ("", "")
+    want = {"verb": argv[0], "flag_grammar": "kind:p:prec"}
+    want.update(extra)
+    if "in" in want:
+        want["in"] = str(tmp_path / want["in"])
+    if "spec" in want:
+        want["spec"] = _spec_echo(want["spec"])
+    assert json.loads(out_path.read_text())["config"] == want
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 67,100,672 candidates, past the family budget of 2^24
+    (["--spec", "p", "--N", "1", "--K", "40", "--degree-cap", "1",
+      "--height-cap", "12"], 1),
+    # an empty family builds no candidate list, however high
+    (["--spec", "p", "--N", "1", "--K", "40", "--degree-cap", "0",
+      "--height-cap", "26"], 0),
+], ids=["p-past-cap", "p-empty-H26"])
+def test_sweeps_past_a_budget_fail_fast(argv, code):
+    res = subprocess.run([sys.executable, "-m", "prepkit", "gap", "sweep",
+                          *argv], capture_output=True, text=True,
+                         timeout=60, preexec_fn=_limit_address_space)
+    assert res.returncode == code
+    if code == 0:
+        rep = report_of(res)
+        assert (rep["route"], rep["total"]) == ("empty", "0")
+        return
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "BudgetExceeded"
+

@@ -4,6 +4,7 @@ the one-sweep linear factorization."""
 
 import json
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from prepkit import (BudgetExceeded, CompositeModulus, DegreeAboveOne,
                      gap_linear_factor, hensel_lift, make_poly, make_ring,
                      make_series, phi_truncation, prepare,
                      resultant_generic, small_root_of_gap)
+from prepkit import padic_analysis
 from prepkit.padic_analysis import (VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
                                     VERDICT_SHARED, reference_spec)
 from prepkit.rings import mask_from_digits
@@ -490,13 +492,15 @@ def test_family_margin_charp_matches_oracle():
 # ----------------------------------------------------------------- family
 
 def test_enumerate_family_sizes():
-    assert len(list(enumerate_family(REF0, 1, 3))) == 21
-    assert len(list(enumerate_family(REF0, 2, 5))) == 660
-    assert len(list(enumerate_family(REFP, 2, 5))) == 262080
-    assert list(enumerate_family(REF0, 0, 5)) == []
-    # c0 in F_3, c1 in F_3^*; then digits of t-degree <= 1
-    assert len(list(enumerate_family(C3, 1, 0))) == 6
-    assert len(list(enumerate_family(C3, 1, 1))) == 72
+    # family_size counts the enumeration in closed form
+    for spec, D, H, n in (
+            (REF0, 1, 3, 21), (REF0, 2, 5, 660), (REFP, 2, 5, 262080),
+            (REF0, 0, 5, 0), (REF0, 2, 0, 0), (REFP, 0, 2, 0),
+            (REFP, 2, 1, 60),
+            # c0 in F_3, c1 in F_3^*; then digits of t-degree <= 1
+            (C3, 1, 0, 6), (C3, 1, 1, 72)):
+        assert len(list(enumerate_family(spec, D, H))) == n
+        assert padic_analysis.family_size(spec, D, H) == n
 
 
 def test_enumerate_family_order_is_deterministic():
@@ -575,6 +579,70 @@ def test_certify_family_charp_fallback_route():
     # Phi_1 = t + x + x^2 sits inside this family, hence one shared hit
     assert (s.n_certified, s.n_shared) == (s.total - 1, 1)
 
+
+
+@pytest.mark.parametrize("spec, D, H, size", [
+    # the largest family of each shape within the cap, then one past it
+    (REFP, 1, 11, 2 ** 12 * (2 ** 12 - 1)),
+    (REFP, 2, 7, 2 ** 8 * (2 ** 8 - 1) * (1 + 2 ** 8)),
+    (REF0, 1, 2896, 5793 * 2896),
+], ids=["p-D1", "p-D2", "zero-D1"])
+def test_family_cap_is_the_largest_family_allowed(spec, D, H, size):
+    cap = padic_analysis.FAMILY_CAP
+    assert padic_analysis.family_size(spec, D, H) == size <= cap
+    assert padic_analysis.family_size(spec, D, H + 1) > cap
+
+
+_BUDGETS_IN_A_CHILD = """
+from prepkit import BudgetExceeded, certify_family, make_ring
+from prepkit import small_root_of_gap
+from prepkit.padic_analysis import reference_spec
+# the smallest (D, H) past the family cap for the F_2[t] reference spec,
+# and an empty family over Z whose Phi_5 has degree 2^25, past the
+# spec's budget, and whose margin would hold 2^(2^37)
+for name, D, H, N in (("p", 1, 12, 1), ("zero", 0, 5, 5)):
+    spec = reference_spec(name)
+    lam = small_root_of_gap(spec, 40)
+    try:
+        certify_family(spec, lam, D, H, N, spec.work_ring(40))
+    except BudgetExceeded as e:
+        print(e.data["needed"], e.data["budget"], e)
+"""
+
+
+def _limit_address_space(limit=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+def test_sweep_budgets_are_checked_first(optimize):
+    # both checks are real ones, so python -O keeps them; a child that
+    # runs out of memory fails with MemoryError, not the host
+    res = subprocess.run([sys.executable, *optimize, "-c",
+                          _BUDGETS_IN_A_CHILD], capture_output=True,
+                         text=True, timeout=60,
+                         preexec_fn=_limit_address_space)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "67100672 16777216 a sweep of degree <= 1 and height <= 12 has at "
+        "least 67100672 candidates, budget is 16777216",
+        "33554432 65536 Phi_5 needs degree 33554432, budget is 65536"]
+
+
+def test_family_size_stops_past_the_cap():
+    # a family far past the cap is sized by a few products, not by
+    # p^(H+1) or D terms
+    cap = padic_analysis.FAMILY_CAP
+    for spec in (REF0, REFP, C3):
+        assert cap < padic_analysis.family_size(spec, 10 ** 9, 10 ** 9)
+
+
+def test_empty_family_report():
+    ring = make_ring("zp", 2, 40)
+    lam = small_root_of_gap(REF0, 40)
+    s = certify_family(REF0, lam, 0, 5, 1, ring)
+    assert (s.route, s.total) == ("empty", 0)
+    assert s.margin == family_margin(REF0, 0, 5, 1)
 
 # ------------------------------------------------------------ linear factor
 

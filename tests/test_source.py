@@ -83,3 +83,28 @@ def test_no_ring_kind_is_compared_by_name():
                     and any(names(x) & RING_KINDS for x in sides)):
                 found.append("%s:%d" % (name, node.lineno))
     assert not found, found
+
+
+def test_cli_states_the_config_once():
+    # main attaches the config echo to every report, so no runner builds
+    # it; argparse's choices refuse an unknown verb or op before any
+    # runner sees it, so no runner names one
+    path = os.path.join(os.path.dirname(os.path.abspath(prepkit.__file__)),
+                        "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    calls, unknown = [], []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if name == "_config":
+                calls.append(fn.name)
+            if (name == "UsageError" and node.args
+                    and "unknown" in ast.unparse(node.args[0])):
+                unknown.append("cli.py:%d" % node.lineno)
+    assert calls == ["main"], calls
+    assert not unknown, unknown
