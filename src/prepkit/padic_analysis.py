@@ -27,7 +27,8 @@ OracleSeries).
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from math import prod
 
 from .errors import (
     BudgetExceeded,
@@ -168,12 +169,16 @@ class GapSpec:
         if n >= 1 and val is not None:
             bn = self.b(n)
             if self.characteristic == "zero":
-                lhs = abs(v) * self.kappa.denominator * self.C.denominator ** bn
-                rhs = self.kappa.numerator * self.C.numerator ** bn
+                # C^b(n) has b(n) digits and more; _exceeds builds it
+                # only when bit lengths cannot settle the comparison
+                over = _exceeds(((abs(v), 1), (self.kappa.denominator, 1),
+                                 (self.C.denominator, bn)),
+                                ((self.kappa.numerator, 1),
+                                 (self.C.numerator, bn)))
             else:
-                lhs = exact.deg(v) * self.C.denominator
-                rhs = self.C.numerator * bn
-            if lhs > rhs:
+                over = (exact.deg(v) * self.C.denominator
+                        > self.C.numerator * bn)
+            if over:
                 raise SpecViolation(
                     "coefficient a_%d breaks the growth cap" % n,
                     condition=3, index=n)
@@ -198,6 +203,30 @@ class GapSpec:
             terms.append((self.b(m), self.a(m)))
             m += 1
         return [(e, c) for e, c in terms if not self._exact.is_zero(c)]
+
+
+def _exceeds(lhs, rhs):
+    """Whether the product of x^e over the (x, e) pairs of lhs exceeds
+    that over rhs, for ints x >= 1 and e >= 0. Bit lengths bound both
+    products, and the powers are built only when those bounds overlap."""
+    (llo, lhi), (rlo, rhi) = _log2_bounds(lhs), _log2_bounds(rhs)
+    if llo > rhi:
+        return True
+    if lhi <= rlo:
+        return False
+    return prod(x ** e for x, e in lhs) > prod(x ** e for x, e in rhs)
+
+
+def _log2_bounds(factors):
+    """(lo, hi) with 2^lo <= the product of x^e <= 2^hi over factors:
+    an x of b bits lies in [2^(b-1), 2^b), and is 2^(b-1) when it is a
+    power of two."""
+    lo = hi = 0
+    for x, e in factors:
+        b = x.bit_length() - 1
+        lo += b * e
+        hi += (b if x & (x - 1) == 0 else b + 1) * e
+    return lo, hi
 
 
 def reference_spec(characteristic="zero"):
@@ -469,17 +498,20 @@ def _margin(spec, N, lam_val):
         return margin
     kn, kd = spec.kappa.numerator, spec.kappa.denominator
     cn, cd = spec.C.numerator, spec.C.denominator
-    head = kd * kd * (cn * cn - cd * cd)
-    lhs = spec.p ** (2 * lam_val * bN1) * head * cd ** (2 * bN)
-    lf = ((str(spec.p), str(2 * lam_val * bN1)),
-          (str(head), "1"),
-          (str(cd), str(2 * bN)))
-    rf0, rf2 = (str(kn * kn * cn * cn), "1"), (str(cn), str(2 * bN))
-    rhs_rest = kn * kn * cn * cn * cn ** (2 * bN)
+    # p^(2 v(lambda) b(N+1)) has b(N+1) digits and more: _exceeds
+    # builds it only when bit lengths cannot settle the comparison
+    lhs = ((spec.p, 2 * lam_val * bN1),
+           (kd * kd * (cn * cn - cd * cd), 1),
+           (cd, 2 * bN))
+    rest = ((kn * kn * cn * cn, 1), (cn, 2 * bN))
+    lf = tuple((str(x), str(e)) for x, e in lhs)
+    rf0, rf2 = ((str(x), str(e)) for x, e in rest)
 
+    @cache  # a family's candidates share few sizes L
     def margin(L, deg):
+        # L = 0 (height 0) makes the right side 0
         return MarginReport("char0", lf, (rf0, (str(L), str(bN)), rf2),
-                            lhs > rhs_rest * L ** bN)
+                            L == 0 or _exceeds(lhs, rest + ((L, bN),)))
     return margin
 
 
@@ -516,10 +548,12 @@ def _p_at_lam_val(P, lam, ring):
 def _truncation_data(spec, lam, N, ring, budget=None):
     """What every candidate's certificate shares: Phi_N (BudgetExceeded
     past the budget, the spec's unless given), the valuation of
-    Phi_N(lambda), and the margin with its family-constant half."""
-    phi = phi_truncation(spec, N, budget)
+    Phi_N(lambda), and the margin with its family-constant half. The
+    budget and then the precision gate are checked before Phi_N is
+    built, as its b(N) + 1 dense terms may not fit in memory."""
+    _phi_degree(spec, N, budget)
     phi_val, _, _, vlam = _phi_val_at(spec, lam, N, ring)
-    return phi, phi_val, _margin(spec, N, vlam)
+    return phi_truncation(spec, N, budget), phi_val, _margin(spec, N, vlam)
 
 
 def certify_not_root(spec, lam, P, N, ring, budget=None):
@@ -682,8 +716,7 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
         _phi_degree(spec, N, budget)
         return FamilySummary(0, 0, 0, 0, "empty", 0, None, None, (),
                              family_margin(spec, D, H, N))
-    # Phi_N's budget and the precision gate run before the margin, whose
-    # characteristic-zero half grows as p^(2 v(lambda) b(N+1))
+    # Phi_N's budget and the precision gate run before the margin
     truncation = _truncation_data(spec, lam, N, ring, budget)
     fam_margin = truncation[2](_family_L(spec, D, H), D)
     stride = max(total // 16, 1)

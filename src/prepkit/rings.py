@@ -6,17 +6,25 @@ t-adic kinds), so the series, polynomial, gap, Hensel and JSON layers
 never inspect representations; rings own arithmetic, valuation, unit
 inversion, bulk convolution, and the JSON form of their elements.
 
-kind       ring                    element                     JSON
-zp         p-adic ints mod p^K     int in [0, p^K)             "n"
-zmodpk     Z/p^k, Artinian local   int in [0, p^k)             "n"
-fpt        F_p[[t]] mod t^K        K digits in [0, p)          [d, ...]
-z          rational integers       int                         "n"
-fpt_exact  polynomial ring F_p[t]  trimmed digits, () is zero  [d, ...]
+kind       ring                    element                     JSON      bulk
+zp         p-adic ints mod p^K     int in [0, p^K)             "n"       int64*
+zmodpk     Z/p^k, Artinian local   int in [0, p^k)             "n"       int64*
+fpt        F_p[[t]] mod t^K        K digits in [0, p)          [d, ...]  list
+z          rational integers       int                         "n"       list
+fpt_exact  polynomial ring F_p[t]  trimmed digits, () is zero  [d, ...]  list
 
 zp and zmodpk are one class. ring.encode writes an element's JSON and
 ring.decode reads a list of them: "n" is a decimal string, and decode
 also takes JSON ints, and digits as decimal strings. ring.exact() is
 the exact ring that a finite kind truncates.
+
+A vector's bulk form is what ring.bulk(xs) makes of a list of elements
+and ring.elements(v) turns back into one: the form that reduce, join,
+lift_residual, lift_product and convolve keep, so that Weierstrass
+lifting and Newton inversion convert once each way and not at every
+product. (*) zp and zmodpk keep a numpy int64 array while p^K < 2^62,
+where c - t - y and lo + p^s * hi stay inside int64, and a list of ints
+from 2^62 on; such a ring takes arrays given to it as their ints.
 
 Convolution of coefficient lists is the single multiplication engine
 shared by all series operations, with a quadratic reference
@@ -329,7 +337,7 @@ def _fft_spectrum(x, v, m, k):
         s = 2 * k - 1
         x[:m * s].reshape(m, s)[:, :k] = v.reshape(m, k)
     else:
-        v = np.array(v, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
         x[:m] = v
     return np.fft.rfft(x), int(v.sum())
 
@@ -452,9 +460,9 @@ def _int64_convolve(a, b, amax, bmax, hi, lo):
             a, b = b, a
         la, lb = len(a), len(b)
         hi = min(hi, la + lb - 1)
-        b = np.array(b, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         if hi - lo >= la:
-            return np.convolve(np.array(a, dtype=np.int64), b)[lo:hi]
+            return np.convolve(np.asarray(a, dtype=np.int64), b)[lo:hi]
         # the window a[lo - lb + 1:hi], zero-filled outside a
         start = lo - lb + 1
         x = np.zeros(hi - start, dtype=np.int64)
@@ -467,6 +475,19 @@ def _pad(coeffs, out_len):
     if len(coeffs) < out_len:
         coeffs = coeffs + [0] * (out_len - len(coeffs))
     return coeffs[:out_len]
+
+
+# Below this modulus an IntModRing's bulk form is an int64 array: a sum
+# c - t - y of three residues, and lo + p^s * hi, stay inside int64.
+_ARRAY_MOD = 1 << 62
+
+
+_LISTS = (list, tuple)
+
+
+def _ints(v):
+    """The vector v as a sequence of Python ints: an array's tolist."""
+    return v if isinstance(v, _LISTS) else v.tolist()
 
 
 def _trim(digits):
@@ -612,6 +633,16 @@ class Ring:
         middle product (Hanrot, Quercia and Zimmermann, AAECC 14, 2004)."""
         return self.convolve_ref(a, b, hi)[lo:]
 
+    def bulk(self, xs):
+        """The sequence of elements xs in this ring's bulk form, the
+        vector that reduce, join, lift_product and convolve keep through
+        a loop: a list, unless the kind has a faster one."""
+        return xs if isinstance(xs, list) else list(xs)
+
+    def elements(self, v):
+        """The list of elements that the bulk vector v holds."""
+        return list(v)
+
     def lift_product(self, c, a, y, n, s):
         """(c - x^-n * (a * y) - y) / pi^s on len(c) terms, over
         at_prec(prec - s), for y of len(c) terms and c - x^-n * (a * y)
@@ -650,6 +681,7 @@ class IntModRing(Ring):
         self.p = p
         self.prec = prec
         self.mod = p ** prec
+        self._arrays = self.mod < _ARRAY_MOD
 
     def zero(self):
         return 0
@@ -696,6 +728,33 @@ class IntModRing(Ring):
     def exact(self):
         return ExactZRing(self.p)
 
+    # Bulk form: reduce, join, lift_residual and convolve give lists for
+    # lists, and arrays for arrays while the result's ring takes them,
+    # lists of ints otherwise. A list among the vectors of one call
+    # sends it down the list route.
+
+    def bulk(self, xs):
+        """Ring.bulk: an int64 array while p^K < 2^62, ints past it."""
+        if not self._arrays:
+            return Ring.bulk(self, _ints(xs))
+        if isinstance(xs, _LISTS):
+            import numpy as np
+            return np.array(xs, dtype=np.int64)
+        return xs
+
+    def elements(self, v):
+        return list(_ints(v))
+
+    def _keeps(self, *vs):
+        """Whether an array stays one over this ring next to the vectors
+        vs: p^K < 2^62, and none of vs is a list."""
+        if not self._arrays:
+            return False
+        for v in vs:
+            if isinstance(v, _LISTS):
+                return False
+        return True
+
     # The pi-adic digit split behind Weierstrass lifting and strong
     # factorization: every element is lo + p^s * hi, lo < p^s.
 
@@ -706,7 +765,9 @@ class IntModRing(Ring):
     def reduce(self, xs, k):
         """xs mod p^k, over at_prec(k)."""
         mod = self.p ** k
-        return [x % mod for x in xs]
+        if isinstance(xs, _LISTS) or mod >= _ARRAY_MOD:
+            return [x % mod for x in _ints(xs)]
+        return xs % mod
 
     def split(self, xs, s):
         """(lo, hi) with x = lo + p^s * hi, over at_prec(s) and
@@ -717,15 +778,20 @@ class IntModRing(Ring):
     def join(self, lo, hi, s):
         """lo + p^s * hi over this ring; hi None lifts lo unchanged."""
         if hi is None:
-            return list(lo)
+            return list(lo) if isinstance(lo, _LISTS) else self.bulk(lo)
         ps = self.p ** s
-        return [a + ps * b for a, b in zip(lo, hi)]
+        if isinstance(lo, _LISTS) or not self._keeps(hi):
+            return [a + ps * b for a, b in zip(_ints(lo), _ints(hi))]
+        return lo + ps * hi
 
     def lift_residual(self, c, t, y, s):
         """(c - t - y) / p^s over at_prec(prec - s), termwise, for
         c - t - y = 0 mod p^s."""
         mod, ps = self.mod, self.p ** s
-        return [(x - u - z) % mod // ps for x, u, z in zip(c, t, y)]
+        if isinstance(c, _LISTS) or not self._keeps(t, y):
+            return [(x - u - z) % mod // ps
+                    for x, u, z in zip(_ints(c), _ints(t), _ints(y))]
+        return (c - t - y) % mod // ps
 
     def matmul(self, A, B):
         """A numpy int64 matmul while len(B) * (mod - 1)^2 < 2^63, where
@@ -736,12 +802,22 @@ class IntModRing(Ring):
         return (C % self.mod).tolist()
 
     def convolve(self, a, b, hi, lo=0):
-        if not a or not b or lo >= min(hi, len(a) + len(b) - 1):
-            return [0] * (hi - lo)
-        arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, hi, lo)
-        if arr is not None:
-            return _pad((arr % self.mod).tolist(), hi - lo)
-        return _pad(_kron_unsigned(a, b, self.mod, hi, lo), hi - lo)
+        """Ring.convolve in the form given: the int64 lanes hand their
+        array on, and Kronecker substitution takes the arrays' ints."""
+        keep = not isinstance(a, _LISTS) and self._keeps(b)
+        n = hi - lo
+        if not len(a) or not len(b) or lo >= min(hi, len(a) + len(b) - 1):
+            out = [0] * n
+        else:
+            arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, hi, lo)
+            if arr is None:
+                out = _pad(_kron_unsigned(_ints(a), _ints(b), self.mod,
+                                          hi, lo), n)
+            elif keep and len(arr) == n:
+                return arr % self.mod
+            else:
+                out = _pad((arr % self.mod).tolist(), n)
+        return self.bulk(out) if keep else out
 
 
 class _DigitRing(Ring):

@@ -21,13 +21,15 @@ Every product is one Ring.convolve. Unit inversion is Newton doubling
 that solves only the unknown half of each window: from g = f^-1 mod x^k,
 e = coefficients k .. 2k - 1 of f·g is one middle product, which the
 ring computes without the low half it would discard, and g·e mod x^k
-gives the next k coefficients. Composition on a
-window of m is Brent and Kung's baby-step/giant-step algorithm (J. ACM
-25 (1978), Alg. 2.1): about 2*sqrt(m) products plus one block product,
-Ring.matmul, of f's coefficient chunks against g's baby powers. That
-block product is a numpy int64 matmul over zp and zmodpk while
-k*(p^K - 1)^2 < 2^63 and over fpt while k*K*(p - 1)^2 < 2^63, for
-k = ceil(sqrt(m)) baby powers, and runs on object ints past those
+gives the next k coefficients. The steps run on the ring's bulk form
+(Ring.bulk), an int64 array over zp and zmodpk while p^K < 2^62: -f
+and g are converted once, and g back into elements once. Composition
+on a window of m is Brent and Kung's baby-step/giant-step algorithm
+(J. ACM 25 (1978), Alg. 2.1): about 2*sqrt(m) products plus one block
+product, Ring.matmul, of f's coefficient chunks against g's baby
+powers. That block product is a numpy int64 matmul over zp and zmodpk
+while k*(p^K - 1)^2 < 2^63 and over fpt while k*K*(p - 1)^2 < 2^63,
+for k = ceil(sqrt(m)) baby powers, and runs on object ints past those
 bounds and over z. The compositional inverse is Newton reversion on
 that composition, g <- g - (f(g) - x)/f'(g), doubling the window each
 step.
@@ -195,15 +197,19 @@ def series_invert(f):
 def _invert(ring, fc, inv0):
     """fc^-1 on its window, from inv0 = fc[0]^-1. If f·g = 1 + x^k·e
     mod x^2k, then f^-1 = g - x^k·g·e mod x^2k: each step finds only
-    the unknown half, and e is the middle product of f·g."""
+    the unknown half, and -e is the middle product of -f·g. The steps
+    run on the ring's bulk form (Ring.bulk): -f and g are converted
+    once, and g back into elements once."""
     m = len(fc)
-    g = [inv0]
-    while len(g) < m:
-        k = len(g)
+    h = ring.bulk([ring.neg(c) for c in fc])
+    g = ring.bulk([inv0] + [ring.zero()] * (m - 1))
+    k = 1
+    while k < m:
         win = min(2 * k, m)
-        e = ring.convolve(fc[:win], g, win, k)
-        g += [ring.neg(c) for c in ring.convolve(g[:win - k], e, win - k)]
-    return g
+        e = ring.convolve(h[:win], g[:k], win, k)
+        g[k:win] = ring.convolve(g[:win - k], e, win - k)
+        k = win
+    return ring.elements(g)
 
 
 def _compose(ring, outers, g):

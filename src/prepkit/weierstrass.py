@@ -20,10 +20,13 @@ the same q. It is computed level by level in the pi-adic precision: y
 mod pi^k comes from y mod pi^ceil(k/2) and one correction solved at
 the remaining precision, one product gamma * y per level, so most of
 the arithmetic runs at a fraction of the ring's precision (Dixon's
-p-adic lifting, as Newton-Hensel lifting). The reference route, which
-iterates the contraction in q itself, lives in the tests; they put it
-in place of `_quotient`, so both quotients pass the same checks and
-must agree bit for bit.
+p-adic lifting, as Newton-Hensel lifting). Each node works on its
+ring's bulk form (Ring.bulk), over Z/p^k an int64 array below p^k =
+2^62: a vector becomes an array where the tree first drops below that
+bound, stays one down to the leaves, and the root's result becomes ints
+once. The reference route, which iterates the contraction in q itself,
+lives in the tests; they put it in place of `_quotient`, so both
+quotients pass the same checks and must agree bit for bit.
 
 Strong factorization splits f = pi^v * P * U with P a monic
 distinguished polynomial (non-leading coefficients of positive
@@ -89,25 +92,29 @@ def _lift_solve(ring, c, gamma, n, m):
     k1 = ceil(k/2), solves the same system at precision k1, and
     y2 = (y - y1) / pi^k1 solves it at precision k - k1 with constant
     term (c + L(y1) - y1) / pi^k1. Each node above precision 1 makes
-    one product, gamma * y1 at its precision k: K - 1 in all."""
+    one product, gamma * y1 at its precision k: K - 1 in all. Each node
+    works on its ring's bulk form (Ring.bulk), and the root's result is
+    turned back into elements once."""
     levels = {}
 
     def level(k):
         if k not in levels:
-            levels[k] = (ring.at_prec(k), ring.reduce(gamma, k))
+            R = ring.at_prec(k)
+            levels[k] = (R, R.bulk(ring.reduce(gamma, k)))
         return levels[k]
 
     def solve(c, k):
         if k == 1:
             return c
         R, gk = level(k)
+        c = R.bulk(c)
         k1 = (k + 1) // 2
         lo = solve(R.reduce(c, k1), k1)
         y1 = R.join(lo, None, k1)
         return R.join(lo, solve(R.lift_product(c, gk, y1, n, k1), k - k1),
                       k1)
 
-    return solve(c, ring.prec)
+    return ring.elements(solve(c, ring.prec))
 
 
 def _quotient(ring, g, alpha, binv, n, m):

@@ -544,6 +544,32 @@ def test_gap_certify_exit_codes(tmp_path):
     assert report_of(res2)["verdict"] == "inconclusive"
 
 
+def test_gap_raised_budget_fails_fast_at_the_gate(tmp_path):
+    # a budget past b(5) = 2^25 lets Phi_5 through, but K = 40 fails the
+    # precision gate of N = 5 and the empty family needs no power of
+    # b(6) = 2^36: both runs end at once, well inside 1 GiB
+    cand = tmp_path / "c.json"
+    cand.write_text('{"coeffs":["1","2"]}')
+
+    def run(op, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "prepkit", "gap", op, "--spec", "zero",
+             "--N", "5", "--K", "40", "--budget", "40000000", *args],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+    res = run("certify", "--in", str(cand))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert len(res.stderr.splitlines()) == 1
+    assert json.loads(res.stderr)["error"]["type"] == "PrecisionTooLow"
+    res = run("sweep", "--degree-cap", "0")
+    assert res.returncode == 0, res.stdout + res.stderr
+    rep = report_of(res)
+    assert (rep["route"], rep["total"], rep["margin"]["flipped"]) == (
+        "empty", "0", True)
+
+
 def test_gap_spec_file_roundtrip(tmp_path):
     from prepkit.padic_analysis import reference_spec
     spec = reference_spec("p")

@@ -629,6 +629,91 @@ def test_sweep_budgets_are_checked_first(optimize):
         "33554432 65536 Phi_5 needs degree 33554432, budget is 65536"]
 
 
+_GATES_IN_A_CHILD = """
+import time
+from prepkit import PrecisionTooLow, certify_family, certify_not_root
+from prepkit import make_poly, small_root_of_gap
+from prepkit.padic_analysis import reference_spec
+# with the budget raised past b(5) = 2^25, Phi_5 fits it, but K = 40
+# fails the precision gate of N = 5 (K > b(6) = 2^36); a_6's growth cap
+# compares against C^b(6), and the empty family's margin holds
+# 2^(2 b(6)): none of them may be built
+spec = reference_spec("zero")
+ring = spec.work_ring(40)
+lam = small_root_of_gap(spec, 40)
+t0 = time.perf_counter()
+print(spec.a(6))
+try:
+    certify_not_root(spec, lam, make_poly(spec.exact_ring(), [1, 2]), 5,
+                     ring, 40000000)
+except PrecisionTooLow as e:
+    print(e.data["required"], e.data["have"])
+s = certify_family(spec, lam, 0, 5, 5, ring, 40000000)
+print(s.route, s.total, s.margin.flipped, *s.margin.lhs_factors[0])
+print(time.perf_counter() - t0 < 1)
+"""
+
+
+def test_gates_run_before_any_power_of_b_next_is_built():
+    res = subprocess.run([sys.executable, "-c", _GATES_IN_A_CHILD],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_address_space)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "1", "68719476737 40", "empty 0 True 2 137438953472", "True"]
+
+
+def test_precision_gate_runs_before_phi_is_built(monkeypatch):
+    # Phi_N is built only once the budget and the precision gate pass;
+    # the budget is checked first, so it still wins over the gate
+    def refuse(*args):
+        raise AssertionError("Phi_N is built before the precision gate")
+
+    monkeypatch.setattr(padic_analysis, "phi_truncation", refuse)
+    ring = make_ring("zp", 2, 10)
+    lam = small_root_of_gap(REF0, 10)
+    x = make_poly(Z2, [0, 1])
+    with pytest.raises(PrecisionTooLow) as ei:
+        certify_not_root(REF0, lam, x, 1, ring)
+    assert ei.value.data["required"] == 17
+    with pytest.raises(PrecisionTooLow):
+        certify_family(REF0, lam, 1, 1, 1, ring)
+    with pytest.raises(BudgetExceeded):
+        certify_not_root(REF0, lam, x, 5, ring)
+
+
+def test_margin_and_growth_cap_match_the_exact_products():
+    # bit lengths settle both comparisons where they can, and exact
+    # powers the rest: the verdicts are those of the full products, on
+    # C and kappa with and without powers of two in them
+    rng = random.Random(23)
+    for C, kappa, p in ((Fraction(2), Fraction(2), 2),
+                        (Fraction(3, 2), Fraction(5, 3), 3),
+                        (Fraction(4), Fraction(9, 8), 5),
+                        (Fraction(7, 4), Fraction(3), 2)):
+        spec = GapSpec("zero", p, {"kind": "const_after", "a0": p,
+                                   "rest": 1},
+                       {"kind": "pow2_nsq"}, C, kappa)
+        for N in range(4):
+            bN, bN1 = 2 ** (N * N), 2 ** ((N + 1) ** 2)
+            for lam_val, D, H in ((1, 2, 5), (2, 0, 3), (1, 1, 0),
+                                  (1, 3, 40), (3, 1, 1000)):
+                rep = family_margin(spec, D, H, N, lam_val)
+                want = oracles.margin_char0(
+                    p, lam_val, bN, bN1, kappa.numerator, kappa.denominator,
+                    C.numerator, C.denominator, (D + 1) * H * H)
+                assert (*margin_products(rep), rep.flipped) == want
+    for _ in range(2000):
+        sides = [[(rng.choice((1, 2, 3, 4, 5, 8, 255, 256, 257)),
+                   rng.randrange(6)) for _ in range(rng.randrange(4))]
+                 for _ in "lr"]
+        prods = [1, 1]
+        for i, side in enumerate(sides):
+            for x, e in side:
+                prods[i] *= x ** e
+        assert padic_analysis._exceeds(*sides) == (prods[0] > prods[1])
+
+
 def test_family_size_stops_past_the_cap():
     # a family far past the cap is sized by a few products, not by
     # p^(H+1) or D terms

@@ -313,7 +313,8 @@ def test_lift_product_matches_residual_of_convolve(kind, p, K):
     # (c - x^-n * (a * y) - y) / pi^s against lift_residual of the cut
     # product (Ring's route) and the digits put in; fpt takes its
     # Kronecker lanes at 5 terms, the FFT lane at 90 and the blocked
-    # FFT at 600 (fpt:2:8), and wide limbs at p = 4294967311
+    # FFT at 600 (fpt:2:8), and wide limbs at p = 4294967311. zp and
+    # zmodpk run again on int64 arrays, which give an int64 array.
     rng = random.Random("lift%s%d" % (kind, p))
     R = make_ring(kind, p, K)
 
@@ -331,8 +332,12 @@ def test_lift_product_matches_residual_of_convolve(kind, p, K):
             c = [R.add(R.add(u, z), R.mul(pis, d))
                  for u, z, d in zip(t, y, e)]
             got = R.lift_product(c, a, y, n, s)
+            assert type(got) is list
             assert got == rings.Ring.lift_product(R, c, a, y, n, s)
             assert got == R.reduce(e, K - s)
+            if kind != "fpt":
+                arr = R.lift_product(*map(R.bulk, (c, a, y)), n, s)
+                assert arr.dtype.name == "int64" and arr.tolist() == got
 
 
 def test_exact_fpt_sub_monic_gcd():
@@ -698,22 +703,37 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
     # 4294967311; the F_p[t] element product (fpt and fpt_exact) its
     # schoolbook, mask, array, numpy and wide lanes. lift_product is
     # checked on the same products. Half the lengths are at most 6, so
-    # that the lanes below the work thresholds run too.
+    # that the lanes below the work thresholds run too. Below p^K = 2^62
+    # (zp:3:4, zp:2:24, zmodpk:2:31 and zp:2:60, which takes wide
+    # Kronecker limbs) both kernels run again on int64 arrays, and
+    # must give int64 arrays of the same values, from every lane.
+    import numpy as np
     rng = random.Random(2126)
     cases = [(make_ring(*d), lim) for d, lim in (
         (("zp", 3, 4), 60), (("zp", 2, 24), 40), (("zmodpk", 2, 31), 40),
-        (("zp", 5, 30), 40),
+        (("zp", 2, 60), 40), (("zp", 5, 30), 40),
         (("z",), 60), (("fpt", 3, 3), 40), (("fpt", 2, 5), 30),
         (("fpt", 65537, 2), 20), (("fpt", 4294967311, 2), 20),
         (("fpt_exact", 2), 12), (("fpt_exact", 3), 12),
         (("fpt_exact", 65537), 12))]
-    ran = set()
+    log = []
     for name in ("_fft_convolve", "_fft_blocked", "_kron_signed",
                  "_kron_unsigned", "b2_mul"):
         def spy(*args, _f=getattr(rings, name), _name=name, **kw):
-            ran.add(_name)
+            log.append(_name)
             return _f(*args, **kw)
         monkeypatch.setattr(rings, name, spy)
+    array_lanes = set()
+
+    def on_arrays(R, kernel, vectors, want):
+        # kernel on the int64 arrays of vectors, as a list, and the
+        # lanes it took: "direct" when none of the spied kernels ran
+        start = len(log)
+        got = kernel(*map(R.bulk, vectors))
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == want
+        array_lanes.update((R.prec, lane)
+                           for lane in set(log[start:]) or {"direct"})
 
     def elems(R, n, top):
         if R.kind == "z":
@@ -745,8 +765,13 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
             hi = rng.randint(1, la + lb + 2)
             lo = rng.randint(0, hi)
             want = reference(R, a, b, hi)[lo:]
-            assert R.convolve(a, b, hi, lo) == want, (R, la, lb, hi, lo)
+            got = R.convolve(a, b, hi, lo)
+            assert type(got) is list and got == want, (R, la, lb, hi, lo)
             assert R.convolve_ref(a, b, hi)[lo:] == want
+            arrays = isinstance(R, rings.IntModRing) and R.mod < 1 << 62
+            if arrays and la and lb and lo < min(hi, la + lb - 1):
+                on_arrays(R, lambda a, b: R.convolve(a, b, hi, lo), (a, b),
+                          want)
             if R.prec is None or not la:
                 continue
             # the residual of a lifting step whose product a * y is
@@ -759,9 +784,50 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
             t = reference(R, a, y, n + m)[n:]
             c = [R.add(R.add(u, z), R.mul(pis, d))
                  for u, z, d in zip(t, y, e)]
-            assert R.lift_product(c, a, y, n, s) == R.reduce(e, R.prec - s)
-    assert ran == {"_fft_convolve", "_fft_blocked", "_kron_signed",
-                   "_kron_unsigned", "b2_mul"}
+            want = R.reduce(e, R.prec - s)
+            assert R.lift_product(c, a, y, n, s) == want
+            if arrays:
+                on_arrays(R, lambda c, a, y: R.lift_product(c, a, y, n, s),
+                          (c, a, y), want)
+    assert set(log) == {"_fft_convolve", "_fft_blocked", "_kron_signed",
+                        "_kron_unsigned", "b2_mul"}
+    assert array_lanes >= {(4, "direct"), (4, "_fft_convolve"),
+                           (4, "_fft_blocked"), (24, "direct"),
+                           (31, "_kron_unsigned"), (60, "_kron_unsigned")}
+
+
+# int64 arrays given to a ring of p^K >= 2^62, whose bulk form is a
+# list: each kernel takes the list route on the arrays' ints or raises
+# InvariantViolation, so no sum wraps in int64 (join(v, v, 2) would
+# reach 5 * 2^62)
+_WIDE_ARRAYS_CODE = (
+    "import numpy as np\n"
+    "from prepkit import InvariantViolation, make_ring\n"
+    "R = make_ring('zp', 2, 64)\n"
+    "a = [2 ** 62 + 12345 * i for i in range(40)]\n"
+    "for kernel in (lambda v: R.convolve(v, v, 60, 10),\n"
+    "               lambda v: R.join(v, v, 2),\n"
+    "               lambda v: R.join(v, None, 2),\n"
+    "               lambda v: R.lift_residual(v, v, v, 0),\n"
+    "               lambda v: R.lift_product(v, v, v, 3, 0),\n"
+    "               lambda v: R.reduce(v, 63),\n"
+    "               R.bulk):\n"
+    "    want = kernel(a)\n"
+    "    try:\n"
+    "        got = kernel(np.array(a, dtype=np.int64))\n"
+    "    except InvariantViolation:\n"
+    "        print('raised')\n"
+    "        continue\n"
+    "    print('list' if type(got) is list and got == want\n"
+    "          and all(type(x) is int for x in got) else got)\n")
+
+
+def test_wide_ring_takes_arrays_on_the_list_route_under_optimize_flag():
+    res = subprocess.run([sys.executable, "-O", "-c", _WIDE_ARRAYS_CODE],
+                         capture_output=True, text=True)
+    lines = res.stdout.splitlines()
+    assert res.returncode == 0 and len(lines) == 7, res.stderr
+    assert set(lines) <= {"list", "raised"}, lines
 
 
 def test_kron_signed_overflow_check_survives_optimize_flag():

@@ -108,3 +108,34 @@ def test_cli_states_the_config_once():
                 unknown.append("cli.py:%d" % node.lineno)
     assert calls == ["main"], calls
     assert not unknown, unknown
+
+
+def test_division_and_series_leave_the_bulk_form_to_the_ring():
+    # the lifting tree and Newton inversion hand vectors to Ring.bulk
+    # and Ring.elements: they read no modulus, probe no attribute, test
+    # no ring class and call no numpy, so the ring alone picks the form
+    root = os.path.dirname(os.path.abspath(prepkit.__file__))
+    found = []
+    for name in ("weierstrass.py", "series.py"):
+        path = os.path.join(root, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            where = "%s:%d" % (name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.Call):
+                fn = ast.unparse(node.func)
+                args = [ast.unparse(a) for a in node.args]
+                if (fn == "hasattr"
+                        or fn == "getattr" and "'mod'" in args[1:2]
+                        or fn == "isinstance" and "IntModRing" in
+                        "".join(args[1:])):
+                    found.append(where)
+            elif isinstance(node, ast.Attribute):
+                if (node.attr == "mod"
+                        or ast.unparse(node.value) in ("np", "numpy")):
+                    found.append(where)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if any("numpy" in (a.name or "") for a in node.names) or (
+                        "numpy" in (getattr(node, "module", None) or "")):
+                    found.append(where)
+    assert not found, found

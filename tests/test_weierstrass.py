@@ -12,8 +12,8 @@ import pytest
 import oracles
 from prepkit import (InvariantViolation, NoUnitCoefficient, RingMismatch,
                      ZeroAtPrecision, cli, make_ring, make_series, prepare,
-                     reduction_index, series_mul, strong_factor,
-                     weierstrass_divide)
+                     reduction_index, series_invert, series_mul,
+                     strong_factor, weierstrass_divide)
 from prepkit import weierstrass
 from prepkit.rings import IntModRing
 from prepkit.series import Series
@@ -256,6 +256,41 @@ def test_lifting_takes_one_product_per_level(monkeypatch, reference):
     assert len(calls) == 127
     assert calls.count(128) == 1
     assert out == reference(weierstrass_divide, xn, f)
+
+
+@pytest.mark.parametrize("kind, p, K", [
+    ("zp", 2, 61), ("zp", 2, 62), ("zp", 2, 63), ("zp", 2, 128),
+    ("zp", 3, 39), ("zp", 3, 40), ("zmodpk", 5, 26), ("zmodpk", 5, 27)])
+def test_lifting_across_the_array_bound_matches_reference(monkeypatch,
+                                                           reference, kind,
+                                                           p, K):
+    # a node of the precision tree works on int64 arrays below p^k =
+    # 2^62 and on lists of ints from there on; on either side of the
+    # bound the lifted quotient is the contraction's bit for bit, and
+    # every coefficient that leaves the library is a Python int
+    ring = make_ring(kind, p, K)
+    rng = random.Random("bound%s%d%d" % (kind, p, K))
+    digits = [rng.randrange(1 << 70) for _ in range(40)]
+    f = make_series(ring, [p * d + (i == 3) if i <= 3 else d
+                           for i, d in enumerate(digits)], 40)
+    assert reduction_index(f) == 3
+    g = _random_series(rng, ring, 40, 0)
+    forms = set()
+    real = IntModRing.lift_product
+
+    def spy(self, c, a, y, n, s):
+        forms.add((self.p ** self.prec >= 1 << 62, type(c) is list))
+        return real(self, c, a, y, n, s)
+
+    monkeypatch.setattr(IntModRing, "lift_product", spy)
+    for fn, args in ((weierstrass_divide, (g, f)), (prepare, (f,))):
+        assert fn(*args) == reference(fn, *args)
+    assert forms == ({(True, True)} if p ** K >= 1 << 62 else set()) | {
+        (False, False)}
+    q, r = weierstrass_divide(g, f)
+    wf = prepare(f)
+    for out in (q.coeffs, r, wf.P, wf.U.coeffs, series_invert(g).coeffs):
+        assert all(type(c) is int for c in out)
 
 
 @pytest.mark.parametrize("kind, p, K", [("zp", 3, 6), ("fpt", 2, 5),
