@@ -103,7 +103,7 @@ def series_from_json(d):
     # make_series canonicalizes each value
     vals = ring.decode(coeffs, "series coeffs")
     x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]) if "x_prec" in d
-                          else len(vals))
+                          else len(vals), ring)
     return make_series(ring, vals, x_prec), None
 
 

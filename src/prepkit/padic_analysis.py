@@ -41,10 +41,16 @@ from .errors import (
     SpecViolation,
     ZeroAtPrecision,
 )
-from .rings import check_prec, is_prime, make_ring
+from .rings import check_prec, dec_str, is_prime, make_ring
 from .resultant import Poly, make_poly, resultant
 from .series import OracleSeries, Series
 from .weierstrass import WFactorization
+
+# A message prints a number below 10^4300, which Python's int/str limit
+# allows by default, in decimal, and a larger one by its bit length;
+# 10^4300 < 2^14285, so a b(n) of more bits is never built to print it.
+_SHOWN = 10 ** 4300
+_SHOWN_BITS = _SHOWN.bit_length()
 
 # The most candidates a sweep may certify; a larger family fails fast
 # with BudgetExceeded. 2^24 is 64 times the largest family of the tests
@@ -130,6 +136,27 @@ class GapSpec:
                                     condition="b", index=m)
             bs.append(v)
         return bs[n]
+
+    def b_shown(self, n, v=1, c=0):
+        """(text, x) for x = v * b(n) + c, with v >= 1 and 0 <= c < b(n):
+        x in decimal below 10^4300 and by its bit length past that, as
+        messages print it. The power rule's b(n) = 2^(n^2) is not built
+        past that size, and x is None then: it has n^2 + bit_length(v)
+        bits. An explicit rule's b(n) is its input, and b(n) raises
+        what it raises."""
+        if self.b_rule["kind"] == "pow2_nsq" and n * n >= _SHOWN_BITS:
+            return "of %d bits" % (n * n + v.bit_length()), None
+        x = v * self.b(n) + c
+        return (dec_str(x) if x < _SHOWN
+                else "of %d bits" % x.bit_length()), x
+
+    def b_past(self, n, cap):
+        """Whether b(n) > cap. b increases, so the first m <= n with
+        b(m) > cap settles it, and no b past that m is built."""
+        m = 0
+        while m < n and self.b(m) <= cap:
+            m += 1
+        return self.b(m) > cap
 
     def a(self, n):
         """The coefficient a_n in the exact ring, checked against
@@ -271,15 +298,17 @@ def phi_truncation(spec, N, budget=None):
 
 
 def _phi_degree(spec, N, budget=None):
-    """b(N), the degree of Phi_N, or BudgetExceeded past the budget."""
+    """b(N), the degree of Phi_N, or BudgetExceeded past the budget,
+    which is decided before any b past the first one over it is built
+    (needed is None when b(N) is too long to print)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    bN = spec.b(N)
     cap = spec.budget if budget is None else budget
-    if bN > cap:
-        raise BudgetExceeded("Phi_%d needs degree %d, budget is %d"
-                             % (N, bN, cap), needed=bN, budget=cap)
-    return bN
+    if spec.b_past(N, cap):
+        text, bN = spec.b_shown(N)
+        raise BudgetExceeded("Phi_%d needs degree %s, budget is %d"
+                             % (N, text, cap), needed=bN, budget=cap)
+    return spec.b(N)
 
 
 def _dense(ring, terms, n):
@@ -439,18 +468,20 @@ def _phi_val_at(spec, lam, N, ring):
     vlam = ring.val(lam)
     if vlam is None or vlam < 1:
         raise PointNotSmall("the root must have positive valuation")
-    bN1 = spec.b(N + 1)
+    spec.b_shown(N + 1)  # b(N+1)'s errors come before a(N+1)'s, as ever
     va = spec.exact_ring().val(spec.a(N + 1))
     if va is None:
         raise SpecViolation("the tail head a_%d vanishes; the bound needs "
                             "it nonzero" % (N + 1), condition="tail",
                             index=N + 1)
-    lower = bN1 * vlam + va
-    required = lower + 1
-    if ring.prec < required:
+    # K < b(N+1) * vlam + va + 1 exactly when b(N+1) passes this cap
+    if spec.b_past(N + 1, (ring.prec - va - 1) // vlam):
+        text, required = spec.b_shown(N + 1, vlam, va + 1)
         raise PrecisionTooLow(
-            "need precision %d for a sound comparison, have %d"
-            % (required, ring.prec), required=required, have=ring.prec)
+            "need precision %s for a sound comparison, have %d"
+            % (text, ring.prec), required=required, have=ring.prec)
+    lower = spec.b(N + 1) * vlam + va
+    required = lower + 1
     phi = _sparse_eval(ring, spec.sparse_terms_upto(spec.b(N)), lam)
     pv = ring.val(phi)
     if pv is None:

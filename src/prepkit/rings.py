@@ -32,14 +32,13 @@ implementation for cross-checks. Ring.convolve(a, b, hi, lo) returns
 the coefficients lo .. hi - 1 only, and each lane computes little
 else: a caller that would discard the low part asks for a middle
 product. Large products take a float FFT while its proved rounding
-bound admits the sizes (_fft_convolve), cyclic of max(hi, la + lb - 1
-- lo) rows so that only discarded rows take the wrapped outputs; past
-2^14 points the transform is sectioned into blocks that each meet the
-bound, and their products are added exactly. Below its work threshold,
-or past the bound, zp, zmodpk and z take numpy's direct convolution
-while sums fit in int64 and Kronecker substitution through big-int
-multiplication otherwise; fpt packs its digit rows with Kronecker
-substitution, into 2-, 4- or 8-byte slots or, past 2^64, wide limbs.
+bound admits the sizes (_fft_convolve; see the account above it).
+Below its work threshold, or past the bound, zp, zmodpk and z take
+numpy's direct convolution while sums fit in int64 and Kronecker
+substitution through big-int multiplication otherwise; fpt lays its
+digit rows out once per product at stride 2K - 1 (_rows) and packs
+that array with Kronecker substitution into 2-, 4- or 8-byte slots,
+or, past 2^64, its digits as Python ints into wide limbs.
 The residual of a Weierstrass lifting step, Ring.lift_product, is one
 such middle product; fpt takes it from the product's digit array,
 before any row becomes a tuple. Both t-adic kinds multiply their
@@ -292,20 +291,24 @@ def _kron_signed(a, b, hi=None, lo=0):
 # for numpy's real-input transform, and the exact sum check catches a
 # single output rounded the wrong way.
 #
-# _FFT_MAX_SIZE is the block size. A product whose transform would be
-# longer is sectioned (overlap-add; Stockham, AFIPS 1966): each operand
-# is cut into row blocks whose pairwise product fits _FFT_MAX_SIZE
-# points, each block is transformed once, and the rounded block
-# products are added exactly into one int64 array. Every block pair
-# meets the bound and the sum check on its own, so the block size, not
-# the operand length, fixes the rounding error and the float
-# temporaries: about four arrays of 2^14 floats, 512 KiB, and one
-# spectrum per block of the second operand; nothing is kept between
-# calls. A block holds at least one row, so a row product of more
-# than 2^14 points gets one longer transform. On the series-wide
-# benchmark (seed 5, 2 cores, numpy 2.4) a single-transform cap of
-# 2^15 raised peak RSS 0.9 MiB above one of 2^14, for 1.5% more jobs
-# per second.
+# One routine, _fft_convolve, makes every FFT product. One that fits
+# _FFT_MAX_SIZE points is one cyclic transform of max(hi, la + lb - 1
+# - lo) rows: outputs past its length wrap onto rows below lo, which
+# are dropped, so the top half of a 2k-by-k product takes 2k points,
+# not 4k. A longer one is sectioned (overlap-add; Stockham, AFIPS 1966)
+# into row blocks, slices of each operand's _rows array, whose pairwise
+# products fit _FFT_MAX_SIZE points; each block is transformed once,
+# pairs that reach no kept row are skipped, and the rounded block
+# products are added exactly. Every pair meets the bound before any
+# transform runs, and passes the exact sum check over all its cyclic
+# outputs, wrapped ones included. So the block size, not the operand
+# length, fixes the rounding error and the float temporaries: about
+# four arrays of 2^14 floats, 512 KiB, and one spectrum per block of
+# the second operand, none kept between calls. A block holds at least
+# one row, so a row product past 2^14 points gets one longer transform.
+# On the series-wide benchmark (seed 5, 2 cores, numpy 2.4) a
+# single-transform cap of 2^15 raised peak RSS 0.9 MiB above one of
+# 2^14, for 1.5% more jobs per second.
 
 _FFT_MAX_SIZE = 1 << 14
 
@@ -326,51 +329,31 @@ def _fft_admits(x, y, d, amax, bmax, size):
     return x * y * d * d * (amax * bmax) ** 2 * (13 * lg + 3) ** 2 < 1 << 102
 
 
-def _fft_spectrum(x, v, m, k):
-    """The transform of m terms of v, or of m rows of k digits laid out
-    with stride 2k - 1, through the float buffer x, and the exact sum
-    of v: an exact int64 copy of v gives both."""
+def _rows(v, k=None):
+    """The flat int64 array of the integer sequence v, or with k of the
+    rows of k digits in v at stride 2k - 1: row i fills entries
+    i*(2k-1) .. i*(2k-1) + k - 1 and zeros the next k - 1, so that no
+    product of two rows spills into the next row's entries."""
     import numpy as np
-    x[:] = 0
-    if k:
-        v = np.fromiter(chain.from_iterable(v), np.int64, m * k)
-        s = 2 * k - 1
-        x[:m * s].reshape(m, s)[:, :k] = v.reshape(m, k)
-    else:
-        v = np.asarray(v, dtype=np.int64)
-        x[:m] = v
-    return np.fft.rfft(x), int(v.sum())
-
-
-def _fft_rounded(c, sa, sb, what):
-    """The inverse transform c rounded to int64, or InvariantViolation
-    when its sum is not sa * sb, exactly modulo 2^64 as int64 sums
-    wrap."""
-    import numpy as np
-    out = np.rint(c, out=c).astype(np.int64)
-    if (sa * sb - int(out.sum())) % (1 << 64):
-        raise InvariantViolation("FFT convolution of %s fails its sum "
-                                 "check" % what)
-    return out
+    if not k:  # an int64 array as it is, and ints through one fromiter
+        return (v if isinstance(v, np.ndarray)
+                else np.fromiter(v, np.int64, len(v)))
+    m, s = len(v), 2 * k - 1
+    x = np.zeros(m * s, dtype=np.int64)
+    x.reshape(m, s)[:, :k] = np.fromiter(chain.from_iterable(v), np.int64,
+                                         m * k).reshape(m, k)
+    return x
 
 
 def _fft_convolve(a, b, amax, bmax, k=None, hi=None, lo=0):
     """Rows lo .. hi - 1 of the convolution of nonempty integer
     sequences a and b (|a_i| <= amax, |b_j| <= bmax; hi defaults to
     every row) as a flat int64 array, or None when the rounding bound
-    refuses it. With k, a and b hold rows of k digits, laid out with
-    stride 2k - 1 so that no row product spills into the next: row
-    lo + r of the result is out[r*(2k-1):(r+1)*(2k-1)]; a row is one
-    term without k.
-
-    The transform is cyclic, of at least max(hi, la + lb - 1 - lo) rows:
-    the outputs past its length wrap around onto rows below lo, which
-    are dropped, so a middle product that keeps the top half of a
-    2k-by-k product takes 2k points, not 4k. Percival's bound is checked
-    at that length, and the sum check runs over every cyclic output,
-    wrapped ones included, as they still sum to sum(a) * sum(b).
-    Raises InvariantViolation when that sum fails, or past _FFT_MAX_SIZE
-    a block product's sum is not the product of its blocks' sums."""
+    refuses it. With k, a and b hold rows of k digits, laid out by
+    _rows: row lo + r of the result is out[r*(2k-1):(r+1)*(2k-1)]; a
+    row is one term without k. Raises InvariantViolation when a block
+    pair's rounded outputs do not sum to the product of its blocks'
+    sums."""
     d = k or 1
     s = 2 * d - 1
     if hi is not None:
@@ -378,67 +361,79 @@ def _fft_convolve(a, b, amax, bmax, k=None, hi=None, lo=0):
         a, b = a[:hi], b[:hi]
     la, lb = len(a), len(b)
     hi = la + lb - 1 if hi is None else min(hi, la + lb - 1)
-    n = max(hi, la + lb - 1 - lo) * s
+    n = max(hi, la + lb - 1 - lo) * s  # points of one cyclic transform
+    ba, bb, pairs = la, lb, [(0, 0)]
+    if n > _FFT_MAX_SIZE:
+        cap = max(_FFT_MAX_SIZE // s, 1)  # output rows per transform
+        bb = min(lb, max((cap + 1) // 2, cap + 1 - la))
+        ba = min(la, cap + 1 - bb)
+        n = (ba + bb - 1) * s
+        pairs = [(i, j) for i in range(0, min(la, hi), ba)
+                 for j in range(0, min(lb, hi - i), bb)
+                 if i + j + min(ba, la - i) + min(bb, lb - j) - 2 >= lo]
     size = 1 << (n - 1).bit_length()
-    if size > _FFT_MAX_SIZE:
-        return _fft_blocked(a, b, amax, bmax, k, hi, lo)
-    if not _fft_admits(la, lb, d, amax, bmax, size):
-        return None
-    import numpy as np
-
-    x = np.zeros(size)
-    fa, sa = _fft_spectrum(x, a, la, k)
-    fb, sb = _fft_spectrum(x, b, lb, k)
-    fa *= fb
-    del x, fb
-    c = np.fft.irfft(fa, size)[:(la + lb - 1) * s]
-    del fa
-    out = _fft_rounded(c, sa, sb, "%d by %d terms" % (la, lb))
-    return out[lo * s:hi * s]
-
-
-def _fft_blocked(a, b, amax, bmax, k, hi, lo):
-    """_fft_convolve past _FFT_MAX_SIZE points: rows lo .. hi - 1 of
-    the product, by overlap-add of block products. Blocks of ba and bb
-    rows with ba + bb - 1 <= cap fill one transform; a short operand
-    stays one block. Block pairs whose first output row is at or past
-    hi, or whose last is below lo, are skipped."""
-    d = k or 1
-    s = 2 * d - 1
-    la, lb = len(a), len(b)
-    cap = max(_FFT_MAX_SIZE // s, 1)  # output rows per transform
-    bb = min(lb, max((cap + 1) // 2, cap + 1 - la))
-    ba = min(la, cap + 1 - bb)
-    size = 1 << ((ba + bb - 1) * s - 1).bit_length()
-    pairs = [(i, j) for i in range(0, min(la, hi), ba)
-             for j in range(0, min(lb, hi - i), bb)
-             if i + j + min(ba, la - i) + min(bb, lb - j) - 2 >= lo]
     if not all(_fft_admits(min(ba, la - i), min(bb, lb - j), d, amax, bmax,
                            size) for i, j in pairs):
         return None
     import numpy as np
 
-    x = np.zeros(size)
-    fbs = {j: _fft_spectrum(x, b[j:j + bb], min(bb, lb - j), k)
-           for j in {j for _, j in pairs}}
-    out = np.zeros((hi - lo) * s, dtype=np.int64)
+    # A sectioned product's blocks, block products and inverse
+    # transforms go through one float and one complex buffer: fresh
+    # arrays of a block's size, with the float copy that rfft makes of
+    # an int64 block, made fpt:2:8 at 1,536 rows 15% slower (2 cores).
+    # A lone pair allocates what it needs.
+    one = len(pairs) == 1
+    buf = None if one else np.empty(size)
+    prod = None if one else np.empty(size // 2 + 1, dtype=complex)
+
+    def spectrum(z, i, n):
+        # the transform and the exact sum of rows i .. i + n - 1 of z
+        z = z[i * s:(i + n) * s]
+        if one:
+            return np.fft.rfft(z, size), int(z.sum())
+        buf[:len(z)] = z
+        buf[len(z):] = 0
+        return np.fft.rfft(buf), int(z.sum())
+
+    # the second operand's spectra come first, and its rows are freed
+    # before the first operand's are laid out: the peak of a call's
+    # temporaries, not their count, sets how much fresh memory it touches
+    y = _rows(b, k)
+    fbs = {}
+    for _, j in pairs:
+        if j not in fbs:
+            fbs[j] = spectrum(y, j, min(bb, lb - j))
+    x, y = _rows(a, k), None
+    out = None if one else np.zeros((hi - lo) * s, dtype=np.int64)
     last = None
     for i, j in pairs:
         xa, xb = min(ba, la - i), min(bb, lb - j)
         if i != last:
-            fa, sa = _fft_spectrum(x, a[i:i + ba], xa, k)
+            fa, sa = spectrum(x, i, xa)
             last = i
         fb, sb = fbs[j]
+        if one:
+            # nothing else is used again: multiply in place, and free the
+            # rows and the other spectrum before the inverse transform
+            fa *= fb
+            del x, fbs, fb
         m = (xa + xb - 1) * s
-        blk = _fft_rounded(np.fft.irfft(fa * fb, size)[:m], sa, sb,
-                           "rows %d and %d of %d by %d" % (i, j, la, lb))
+        c = np.fft.irfft(fa if one else np.multiply(fa, fb, out=prod), size,
+                         out=buf)[:m]
+        c = np.rint(c, out=c).astype(np.int64)
+        if (sa * sb - int(c.sum())) % (1 << 64):  # int64 sums wrap
+            raise InvariantViolation(
+                "FFT convolution of rows %d and %d of %d by %d fails its "
+                "sum check" % (i, j, la, lb))
+        off = (i + j - lo) * s
+        first, m = max(0, -off), min(m, (hi - lo) * s - off)
+        if one:
+            return c[first:m]
         # an output is at most min(la, lb) * d * amax * bmax, and the
         # bound keeps sqrt(xa * xb) * d * amax * bmax below 2^44, so the
         # int64 sums could wrap only past min(la, lb) = 2^19 *
         # sqrt(xa * xb): billions of digits
-        off = (i + j - lo) * s
-        first, m = max(0, -off), min(m, (hi - lo) * s - off)
-        out[off + first:off + m] += blk[first:m]
+        out[off + first:off + m] += c[first:m]
     return out
 
 
@@ -993,10 +988,11 @@ class FpTRing(_DigitRing):
         """Rows lo .. min(hi, len(a) + len(b) - 1) - 1 of a * b as a
         numpy array of K digits per row, reduced mod p: the one F_p[[t]]
         product kernel. Rows of K digits multiply as polynomials over
-        Z[t], packed with a stride that no row product overflows: the
-        FFT lane past _FFT_KRON_WORK, Kronecker packing into 2-, 4- or
-        8-byte digit slots below it (unsigned arrays), and wide
-        Kronecker limbs once a digit sum reaches 2^64 (object arrays).
+        Z[t], each operand laid out once at stride 2K - 1, where no row
+        product overflows: the FFT lane past _FFT_KRON_WORK and
+        Kronecker packing of the _rows array into 2-, 4- or 8-byte
+        digit slots below it (unsigned arrays); wide Kronecker limbs,
+        on Python ints, once a digit sum reaches 2^64 (object arrays).
         Only the kept rows are unpacked and reduced."""
         import numpy as np
         p, K = self.p, self.prec
@@ -1017,20 +1013,15 @@ class FpTRing(_DigitRing):
         C = None
         if la * lb * (2 * K * w) ** 2 >= _FFT_KRON_WORK:
             C = _fft_convolve(a, b, p - 1, p - 1, K, hi, lo)
-        if C is not None:
-            C = C.reshape(-1, s)
-        else:
+        if C is None:
             dt = "<u%d" % w
-            A = np.zeros((la, 2 * K), dtype=dt)
-            A[:, :K] = np.asarray(a, dtype=dt)
-            B = np.zeros((lb, 2 * K), dtype=dt)
-            B[:, :K] = np.asarray(b, dtype=dt)
-            cint = (int.from_bytes(A.tobytes(), "little")
-                    * int.from_bytes(B.tobytes(), "little"))
-            buf = cint.to_bytes((la + lb - 1) * 2 * K * w, "little")
-            C = np.frombuffer(buf, dtype=dt, count=(hi - lo) * 2 * K,
-                              offset=lo * 2 * K * w).reshape(hi - lo, 2 * K)
-        return C[:, :K] % p
+            cint = (int.from_bytes(_rows(a, K).astype(dt).tobytes(), "little")
+                    * int.from_bytes(_rows(b, K).astype(dt).tobytes(),
+                                     "little"))
+            buf = cint.to_bytes((la + lb - 1) * s * w, "little")
+            C = np.frombuffer(buf, dtype=dt, count=(hi - lo) * s,
+                              offset=lo * s * w)
+        return C.reshape(hi - lo, s)[:, :K] % p
 
     def convolve(self, a, b, hi, lo=0):
         rows = self._row_product(a, b, hi, lo).tolist()

@@ -10,7 +10,9 @@ one built on them takes either type: ring, x_prec, coeff(n), window(m)
 coefficients as a Series), deriv() (the formal derivative, a Series)
 and eval(x, ring) (f at a point of positive valuation, in f's ring or
 that ring at lower precision, as Poly.eval evaluates a polynomial).
-Windows and x_prec are capped at rings.SIZE_CAP (BudgetExceeded).
+Windows and x_prec are capped at rings.SIZE_CAP, and a series built
+from input over a finite ring at SERIES_CAP digits, x_prec * precision
+(BudgetExceeded).
 
 Operations: add, sub, mul, unit inversion, composition, compositional
 inverse, evaluation at a small point, and two rationality detectors
@@ -56,9 +58,17 @@ from .errors import (
 from .rings import SIZE_CAP, Ring, make_ring
 
 
-def check_x_prec(x_prec):
+# The most digits, x_prec * ring.prec, that a series over a finite ring
+# may hold as input: work and memory grow with their product, which
+# SIZE_CAP bounds only one factor at a time. 2^22 is 11.6 times the
+# largest series of the tests and the benchmark (zp:2:600 at window
+# 600, 360,000 digits; the benchmark's largest is zp:2:140 at 140).
+SERIES_CAP = 1 << 22
+
+
+def check_x_prec(x_prec, ring=None):
     """x_prec, or BadPrecision when it is below 1 and BudgetExceeded
-    past rings.SIZE_CAP."""
+    past rings.SIZE_CAP, or past SERIES_CAP digits over a finite ring."""
     if x_prec < 1:
         raise BadPrecision("series needs x_prec >= 1, got %d" % x_prec,
                            x_prec=x_prec)
@@ -66,6 +76,13 @@ def check_x_prec(x_prec):
         raise BudgetExceeded("series needs x_prec <= %d, got %d"
                              % (SIZE_CAP, x_prec),
                              needed=x_prec, budget=SIZE_CAP)
+    if ring is not None and ring.prec is not None:
+        digits = x_prec * ring.prec
+        if digits > SERIES_CAP:
+            raise BudgetExceeded(
+                "series needs x_prec * precision <= %d digits, got %d * %d "
+                "= %d" % (SERIES_CAP, x_prec, ring.prec, digits),
+                needed=digits, budget=SERIES_CAP)
     return x_prec
 
 
@@ -114,15 +131,17 @@ def _check_window(f, m):
 
 
 def make_series(ring, coeffs, x_prec=None):
-    """Canonicalize and zero-pad coeffs into a Series window."""
-    coeffs = [ring.canon(c) for c in coeffs]
+    """Canonicalize and zero-pad coeffs into a Series window; the
+    window's budget is checked first."""
+    coeffs = list(coeffs)
     if x_prec is None:
         x_prec = len(coeffs)
     if len(coeffs) > x_prec:
         raise ValueError("got %d coefficients for a window of %d"
                          % (len(coeffs), x_prec))
-    check_x_prec(x_prec)
-    coeffs = coeffs + [ring.zero()] * (x_prec - len(coeffs))
+    check_x_prec(x_prec, ring)
+    coeffs = ([ring.canon(c) for c in coeffs]
+              + [ring.zero()] * (x_prec - len(coeffs)))
     return Series(ring, x_prec, tuple(coeffs))
 
 
@@ -132,7 +151,7 @@ class OracleSeries:
     def __init__(self, ring, fn, x_prec):
         self.ring = ring
         self.fn = fn
-        self.x_prec = check_x_prec(x_prec)
+        self.x_prec = check_x_prec(x_prec, ring)
         self._memo = {}
 
     def coeff(self, n):

@@ -9,6 +9,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -834,6 +835,81 @@ def test_size_cap_is_budget_exceeded(tmp_path):
         assert err["type"] == "BudgetExceeded"
         assert err["message"].endswith("needs %s <= 1048576, got 3000000"
                                        % what)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_series_digit_budget_is_budget_exceeded(tmp_path, flags):
+    # x_prec * precision past series.SERIES_CAP = 2^22 fails before any
+    # coefficient is padded: 2^32 digits (which ran out of 1.5 GiB
+    # before the budget), one past the cap at 2048 * 2049, and the same
+    # through --ring; a child that runs out of memory fails with
+    # MemoryError, not the host
+    cases = (("", {"ring": {"kind": "fpt", "p": 2, "prec": 65536},
+                   "x_prec": 65536, "coeffs": [[1, 1], [1]]},
+              "65536 * 65536 = 4294967296"),
+             ("", {"ring": {"kind": "zp", "p": 2, "prec": 2049},
+                   "x_prec": 2048, "coeffs": ["1"]}, "2048 * 2049 = 4196352"),
+             ("--ring fpt:2:65536", {"x_prec": 65536,
+                                     "coeffs": [[1, 1], [1]]},
+              "65536 * 65536 = 4294967296"))
+    for ring, payload, sizes in cases:
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(payload))
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "prepkit", "series", "invert",
+             *ring.split(), "--in", str(f)], capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: _limit_address_space(3 << 29))
+        assert (res.returncode, res.stdout) == (1, ""), res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err == {"type": "BudgetExceeded",
+                       "message": "series needs x_prec * precision <= "
+                                  "4194304 digits, got " + sizes}
+
+
+_PHI_TOO_LONG = "Phi_%s needs degree of %d bits, budget is 65536"
+_PHI_118 = "Phi_118 needs degree %d, budget is 65536" % 2 ** (118 ** 2)
+
+
+@pytest.mark.parametrize("argv, error, message, at_118", [
+    (["phi", "--N", "120"], "BudgetExceeded",
+     _PHI_TOO_LONG % (120, 120 ** 2 + 1), _PHI_118),
+    (["bound", "--N", "119", "--K", "40"], "PrecisionTooLow",
+     "need precision of %d bits for a sound comparison, have 40"
+     % (120 ** 2 + 1), "need precision %d for a sound comparison, have 40"
+     % (2 ** (119 ** 2) + 1)),
+    (["certify", "--N", "200", "--K", "40", "--in", "cand.json"],
+     "BudgetExceeded", _PHI_TOO_LONG % (200, 200 ** 2 + 1), _PHI_118),
+    (["sweep", "--N", "200", "--K", "40", "--degree-cap", "1",
+      "--height-cap", "1"], "BudgetExceeded",
+     _PHI_TOO_LONG % (200, 200 ** 2 + 1), _PHI_118),
+    (["phi", "--N", "100000"], "BudgetExceeded",
+     _PHI_TOO_LONG % (100000, 100000 ** 2 + 1), _PHI_118)],
+    ids=["phi", "bound", "certify", "sweep", "phi-N100000"])
+def test_gap_errors_past_the_int_str_digit_limit(tmp_path, argv, error,
+                                                 message, at_118):
+    # b(N) = 2^(N^2) passes 4,300 digits at N = 120. Each op gives the
+    # error it gives at N = 118, with the number by its bit length, and
+    # decides it without building b(N) (2^(10^10) at N = 100000), within
+    # 1 s under a 1 GiB address-space limit; at N = 118 the number
+    # still prints in decimal
+    (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    for N, want in ((argv[2], message), ("118", at_118)):
+        t0 = time.perf_counter()
+        res = subprocess.run(
+            [sys.executable, "-m", "prepkit", "gap", argv[0], "--spec",
+             "zero", "--N", N, *argv[3:]], capture_output=True, text=True,
+            timeout=60, preexec_fn=_limit_address_space)
+        took = time.perf_counter() - t0
+        assert (res.returncode, res.stdout) == (1, ""), res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {"type": error,
+                                                 "message": want}
+        if N == argv[2]:
+            assert took < 1
 
 
 def test_malformed_decimal_element_is_usage_error(tmp_path):

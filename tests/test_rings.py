@@ -421,6 +421,26 @@ def _spy_fft(monkeypatch):
     return taken
 
 
+def _spy_transforms(monkeypatch):
+    """A list that gets, for each _fft_convolve call, the number of
+    inverse transforms it ran: 0 when the bound refused it, 1 for one
+    cyclic transform, more for a sectioned product."""
+    import numpy as np
+    counts = []
+    fft, irfft = rings._fft_convolve, np.fft.irfft
+
+    def spy(*args, **kw):
+        counts.append(0)
+        return fft(*args, **kw)
+
+    def counting(*args, **kw):
+        counts[-1] += 1
+        return irfft(*args, **kw)
+    monkeypatch.setattr(rings, "_fft_convolve", spy)
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    return counts
+
+
 # sizes past each kind's FFT work threshold, balanced and not, and on
 # both sides of the 2^14-point block: one transform up to 546 rows of
 # fpt:2:8, 1,170 of fpt:3:4 and 8,192 terms of zp and z, blocks past
@@ -535,20 +555,46 @@ def test_series_invert_across_the_fft_block(monkeypatch):
     R = make_ring("zp", 2, 8)
     rng = random.Random(8192)
     h = [rng.randrange(1, 256, 2)] + [rng.randrange(256) for _ in range(63)]
-    blocked = []
-    real = rings._fft_blocked
-
-    def spy(*args):
-        blocked.append(1)
-        return real(*args)
-    monkeypatch.setattr(rings, "_fft_blocked", spy)
+    transforms = _spy_transforms(monkeypatch)
     for m, blocks in ((8192, False), (12000, False), (16385, True)):
         f = oracles.pinv_series(h, m, 256)
-        blocked.clear()
+        transforms.clear()
         got = series_invert(make_series(R, f, m)).coeffs
         assert list(got) == h + [0] * (m - 64)
-        assert bool(blocked) == blocks
+        assert transforms and (max(transforms) > 1) == blocks
         assert list(series_invert(make_series(R, h, m)).coeffs) == f
+
+
+@pytest.mark.parametrize("kind, p, K", [("zp", 2, 8), ("fpt", 3, 4),
+                                        ("fpt", 2, 8), ("fpt", 2, 8200)])
+def test_fft_sections_only_past_the_block(monkeypatch, kind, p, K):
+    # full and middle products whose cyclic transform is cap - 1, cap
+    # and cap + 1 rows, cap = _FFT_MAX_SIZE // (2K - 1): the full product
+    # of n rows, and rows n // 2 - 1 .. n - 1 of n by n // 2 rows. Up to
+    # cap rows they take one inverse transform, past it more than one.
+    # At fpt:2:8200 one row product is longer than a block, so every 3
+    # by 3 product is sectioned
+    R = make_ring(kind, p, K)
+    s = 2 * K - 1 if kind == "fpt" else 1
+    cap = rings._FFT_MAX_SIZE // s
+    if cap:
+        cases = [(n, n > cap) for n in (cap - 1, cap, cap + 1)]
+        shapes = [((n + 1) // 2, n + 1 - (n + 1) // 2, n, 0, cut)
+                  for n, cut in cases]
+        shapes += [(n, n // 2, n, n // 2 - 1, cut) for n, cut in cases]
+    else:
+        shapes = [(3, 3, 5, 0, True), (3, 3, 5, 2, True)]
+    rng = random.Random("sections" + str(R))
+    transforms = _spy_transforms(monkeypatch)
+    for la, lb, hi, lo, cut in shapes:
+        a, b = _operands(R, la, rng), _operands(R, lb, rng)
+        if la * lb > 1 << 18:
+            keep = set(rng.sample(range(la), (1 << 16) // lb))
+            a = [x if i in keep else R.zero() for i, x in enumerate(a)]
+        transforms.clear()
+        got = R.convolve(a, b, hi, lo)
+        assert len(transforms) == 1 and (transforms[0] > 1) == cut
+        assert got == R.convolve_ref(a, b, hi)[lo:], (la, lb, hi, lo)
 
 
 @pytest.mark.parametrize("kind, p, K", [
@@ -695,18 +741,22 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
     # With the lane thresholds cut small, every product lane runs on
     # operands of at most 60 terms, and each result is checked against
     # convolve_ref with schoolbook element products: zp:3:4 takes
-    # numpy's direct loop, the FFT and the blocked FFT, and zp:2:24 the
-    # direct loop past the FFT's rounding bound; zmodpk:2:31 array
-    # Kronecker limbs and zp:5:30 wide ones; z the FFT (entries up to
-    # 100), the direct loop (2^24) and signed Kronecker (2^40); fpt its
-    # Kronecker slots, FFT and blocked FFT, and wide limbs at p =
-    # 4294967311; the F_p[t] element product (fpt and fpt_exact) its
+    # numpy's direct loop, the FFT in one transform and sectioned, and
+    # zp:2:24 the direct loop past the FFT's rounding bound; zmodpk:2:31
+    # array Kronecker limbs and zp:5:30 wide ones; z the FFT (entries up
+    # to 100), the direct loop (2^24) and signed Kronecker (2^40); fpt
+    # the FFT in one transform and sectioned, Kronecker packing of its
+    # rows at stride 2K - 1 into 2-byte (p = 2, 3), 4-byte (257) and
+    # 8-byte (536870909, past the FFT's bound) slots, and wide limbs at
+    # p = 4294967311; the F_p[t] element product (fpt and fpt_exact) its
     # schoolbook, mask, array, numpy and wide lanes. lift_product is
     # checked on the same products. Half the lengths are at most 6, so
     # that the lanes below the work thresholds run too. Below p^K = 2^62
     # (zp:3:4, zp:2:24, zmodpk:2:31 and zp:2:60, which takes wide
     # Kronecker limbs) both kernels run again on int64 arrays, and
-    # must give int64 arrays of the same values, from every lane.
+    # must give int64 arrays of the same values, from every lane. A
+    # product is sectioned when one _fft_convolve call runs more than
+    # one inverse transform.
     import numpy as np
     rng = random.Random(2126)
     cases = [(make_ring(*d), lim) for d, lim in (
@@ -715,14 +765,27 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
         (("z",), 60), (("fpt", 3, 3), 40), (("fpt", 2, 5), 30),
         (("fpt", 65537, 2), 20), (("fpt", 4294967311, 2), 20),
         (("fpt_exact", 2), 12), (("fpt_exact", 3), 12),
-        (("fpt_exact", 65537), 12))]
+        (("fpt_exact", 65537), 12), (("fpt", 257, 2), 20),
+        (("fpt", 536870909, 2), 20))]
     log = []
-    for name in ("_fft_convolve", "_fft_blocked", "_kron_signed",
-                 "_kron_unsigned", "b2_mul"):
+    transforms = _spy_transforms(monkeypatch)
+    for name in ("_fft_convolve", "_kron_signed", "_kron_unsigned",
+                 "b2_mul"):
         def spy(*args, _f=getattr(rings, name), _name=name, **kw):
             log.append(_name)
-            return _f(*args, **kw)
+            out = _f(*args, **kw)
+            if _name == "_fft_convolve" and transforms[-1] > 1:
+                log.append("sectioned")
+            return out
         monkeypatch.setattr(rings, name, spy)
+
+    def row_product(*args, _f=rings.FpTRing._row_product, **kw):
+        # the packed lane alone returns unsigned slots
+        out = _f(*args, **kw)
+        if out.dtype.kind == "u":
+            log.append("packed%d" % out.itemsize)
+        return out
+    monkeypatch.setattr(rings.FpTRing, "_row_product", row_product)
     array_lanes = set()
 
     def on_arrays(R, kernel, vectors, want):
@@ -789,10 +852,11 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
             if arrays:
                 on_arrays(R, lambda c, a, y: R.lift_product(c, a, y, n, s),
                           (c, a, y), want)
-    assert set(log) == {"_fft_convolve", "_fft_blocked", "_kron_signed",
-                        "_kron_unsigned", "b2_mul"}
+    assert set(log) == {"_fft_convolve", "sectioned", "_kron_signed",
+                        "_kron_unsigned", "b2_mul", "packed2", "packed4",
+                        "packed8"}
     assert array_lanes >= {(4, "direct"), (4, "_fft_convolve"),
-                           (4, "_fft_blocked"), (24, "direct"),
+                           (4, "sectioned"), (24, "direct"),
                            (31, "_kron_unsigned"), (60, "_kron_unsigned")}
 
 

@@ -17,7 +17,7 @@ from prepkit import (BadPrecision, BudgetExceeded, InsufficientXPrecision,
                      series_add, series_invert, series_mul, series_sub,
                      strong_factor)
 from prepkit import rings
-from prepkit.series import check_x_prec
+from prepkit.series import SERIES_CAP, check_x_prec
 
 Z4 = make_ring("zmodpk", 2, 2)
 F5 = make_ring("zp", 5, 1)
@@ -144,6 +144,23 @@ def test_x_prec_size_cap():
         with pytest.raises(BudgetExceeded) as e:
             build()
         assert e.value.data == {"needed": cap + 1, "budget": cap}
+
+
+def test_series_digit_budget():
+    # x_prec * ring.prec up to series.SERIES_CAP digits over a finite
+    # ring, for a payload series and an oracle alike; exact rings have
+    # no precision and only SIZE_CAP bounds them
+    cap = SERIES_CAP
+    for kind, p in (("zp", 2), ("zmodpk", 3), ("fpt", 2)):
+        R = make_ring(kind, p, 2048)
+        assert make_series(R, [R.one()], cap // 2048).x_prec == 2048
+        for build in (lambda: make_series(R, [R.one()], cap // 2048 + 1),
+                      lambda: OracleSeries(R, R.from_int, cap // 2048 + 1)):
+            with pytest.raises(BudgetExceeded) as e:
+                build()
+            assert e.value.data == {"needed": cap + 2048, "budget": cap}
+    assert OracleSeries(Z, lambda n: n, rings.SIZE_CAP).x_prec == (
+        rings.SIZE_CAP)
 
 
 def test_deriv_and_eval():

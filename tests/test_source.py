@@ -139,3 +139,30 @@ def test_division_and_series_leave_the_bulk_form_to_the_ring():
                         "numpy" in (getattr(node, "module", None) or "")):
                     found.append(where)
     assert not found, found
+
+
+def test_only_fft_convolve_transforms():
+    # one routine makes every FFT product, sectioned or not, so numpy's
+    # fft module is reached from rings._fft_convolve alone
+    root = os.path.dirname(os.path.abspath(prepkit.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(root, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        inside = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    inside.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and (name, inside.get(node)) != ("rings.py",
+                                                     "_fft_convolve")):
+                found.append("%s:%d" % (name, node.lineno))
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "fft" in ast.unparse(node)):
+                found.append("%s:%d" % (name, node.lineno))
+    assert not found, found
