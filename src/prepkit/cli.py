@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import jsonio
-from .errors import BudgetExceeded, IoError, PrepkitError, UsageError
+from .errors import IoError, UsageError
 from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, Inconclusive, LazyBP,
                   OverBudget, decision_probe, theta)
 from .padic_analysis import (bound_check_prime, certify_family,
@@ -78,15 +78,6 @@ def _read_json(path, text=None):
         return json.loads(text)
     except ValueError as e:
         raise UsageError("input %s is not JSON: %s" % (path, e))
-
-
-def _ring_flag(value):
-    try:
-        return jsonio.parse_ring_flag(value)
-    except (UsageError, BudgetExceeded):
-        raise
-    except (PrepkitError, ValueError) as e:
-        raise UsageError("--ring %s: %s" % (value, e))
 
 
 def _load_spec(value):
@@ -166,14 +157,14 @@ def _config(args, spec):
 # ------------------------------------------------------------------ verbs
 
 def _run_prepare(args, strong):
-    ring = _ring_flag(args.ring) if args.ring else None
+    ring = jsonio.parse_ring_flag(args.ring) if args.ring else None
     f, _ = _load(jsonio.series_from_json, _read_json(args.infile), ring)
     wf = strong_factor(f) if strong else prepare(f)
     return jsonio.wfact_to_json(wf), 0
 
 
 def _run_series(args):
-    ring = _ring_flag(args.ring) if args.ring else None
+    ring = jsonio.parse_ring_flag(args.ring) if args.ring else None
     payload = _read_json(args.infile)
     op = args.op
     if op in ("mul", "compose"):
@@ -222,7 +213,7 @@ def _run_rationality(args, f, okind):
 
 
 def _run_resultant(args):
-    ring = _ring_flag(args.ring) if args.ring else None
+    ring = jsonio.parse_ring_flag(args.ring) if args.ring else None
     payload = _read_json(args.infile)
     if not isinstance(payload, dict) or "f" not in payload or "g" not in payload:
         raise UsageError("resultant needs {\"f\":..., \"g\":...}")
@@ -237,7 +228,7 @@ def _run_resultant(args):
 def _run_hensel(args):
     if not args.ring:
         raise UsageError("hensel needs --ring")
-    ring = _ring_flag(args.ring)
+    ring = jsonio.parse_ring_flag(args.ring)
     if ring.prec is None:
         raise UsageError("hensel needs a finite-precision ring")
     payload = _read_json(args.infile)

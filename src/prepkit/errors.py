@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Every error carries a message plus a structured `data` dict so the CLI
-can render it as JSON. Exit-code policy: exceptions exit 1; exit 2 is
+Every error carries a message plus a structured `data` dict for
+library callers; the CLI writes only the error's type and message, as
+one JSON line on stderr. Exit-code policy: exceptions exit 1; exit 2 is
 reserved for honest inconclusive-at-budget verdicts, which are returned
 as values, never raised.
 """

@@ -15,7 +15,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import BudgetExceeded, PrepkitError, UsageError
 from .h10 import (DEFAULT_BIT_BUDGET, FPOracle, make_dio, parse_dio_inline,
                   parse_dio_text)
 from .padic_analysis import GapSpec, build_gap_series
@@ -57,14 +57,25 @@ def ring_to_json(ring):
     return out
 
 
+def _ring(what, kind, p, prec):
+    """make_ring(kind, p, prec), whose refusals other than BudgetExceeded
+    become a UsageError naming the input what."""
+    try:
+        return make_ring(kind, p, prec)
+    except BudgetExceeded:
+        raise
+    except (PrepkitError, ValueError) as e:
+        raise UsageError("%s: %s" % (what, e)) from None
+
+
 def ring_from_json(d):
     if not isinstance(d, dict) or "kind" not in d:
         raise UsageError("ring descriptor must be an object with a kind")
     p = d.get("p")
     prec = d.get("prec")
-    return make_ring(d["kind"],
-                     None if p is None else _decimal("ring p", p),
-                     None if prec is None else _decimal("ring prec", prec))
+    return _ring("ring", d["kind"],
+                 None if p is None else _decimal("ring p", p),
+                 None if prec is None else _decimal("ring prec", prec))
 
 
 def parse_ring_flag(text):
@@ -78,7 +89,7 @@ def parse_ring_flag(text):
         raise UsageError("ring flag %r is not kind[:p[:prec]]" % text)
     if len(parts) > 3:
         raise UsageError("ring flag %r is not kind[:p[:prec]]" % text)
-    return make_ring(kind, p, prec)
+    return _ring("--ring " + text, kind, p, prec)
 
 
 # ---------------------------------------------------------------- series

@@ -25,7 +25,7 @@ OracleSeries).
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from math import prod
@@ -65,7 +65,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class GapSpec:
     """A gap series, by its coefficient rule a_rule and exponent rule
-    b_rule. The memo (the values of b, the indices of a that passed
+    b_rule. The memo (the values of b, the coefficients that passed
     their checks, the exact ring) takes no part in comparisons, and
     dataclasses.replace starts a fresh one. A failing check is never
     memoized."""
@@ -80,8 +80,8 @@ class GapSpec:
     witness: int = 1
     _bs: list = field(default_factory=list, init=False, compare=False,
                       repr=False)
-    _checked_a: set = field(default_factory=set, init=False, compare=False,
-                            repr=False)
+    _as: dict = field(default_factory=dict, init=False, compare=False,
+                      repr=False)
 
     def __post_init__(self):
         if self.characteristic not in ("zero", "p"):
@@ -100,8 +100,7 @@ class GapSpec:
 
     @cached_property
     def _exact(self):
-        kind = "z" if self.characteristic == "zero" else "fpt_exact"
-        return make_ring(kind, self.p)
+        return self.work_ring(1).exact()
 
     def exact_ring(self):
         """Where the coefficients live: Z in characteristic zero, F_p[t]
@@ -152,7 +151,10 @@ class GapSpec:
 
     def b_past(self, n, cap):
         """Whether b(n) > cap. b increases, so the first m <= n with
-        b(m) > cap settles it, and no b past that m is built."""
+        b(m) > cap settles it, and no power b past that m is built; an
+        explicit rule's b(n), its input, raises what it raises."""
+        if self.b_rule["kind"] != "pow2_nsq":
+            return self.b(n) > cap
         m = 0
         while m < n and self.b(m) <= cap:
             m += 1
@@ -161,6 +163,8 @@ class GapSpec:
     def a(self, n):
         """The coefficient a_n in the exact ring, checked against
         admissibility conditions 1-3 (SpecViolation) on first read."""
+        if n in self._as:
+            return self._as[n]
         rule = self.a_rule
         if rule["kind"] == "const_after":
             v = rule["a0"] if n == 0 else rule["rest"]
@@ -176,12 +180,7 @@ class GapSpec:
             raise ValueError("unknown coefficient rule %r" % rule["kind"])
         exact = self._exact
         # library callers may give decimal strings
-        if self.characteristic == "zero":
-            v = int(v)
-        else:
-            v = exact.canon([int(d) for d in v])
-        if n in self._checked_a:
-            return v
+        v = exact.canon(exact.decode([v], "spec a")[0])
         val = exact.val(v)
         if n == 0:
             if val is None or val < 1:
@@ -194,22 +193,24 @@ class GapSpec:
                     "the witness coefficient a_%d must be a unit" % n,
                     condition=2, index=n)
         if n >= 1 and val is not None:
-            bn = self.b(n)
+            # the cap holds once b(n) passes a bound that a_n fixes (in
+            # characteristic zero, C^cd >= 2 for C > 1), so only a b(n)
+            # at or below it is built and compared
+            cn, cd = self.C.numerator, self.C.denominator
             if self.characteristic == "zero":
-                # C^b(n) has b(n) digits and more; _exceeds builds it
-                # only when bit lengths cannot settle the comparison
-                over = _exceeds(((abs(v), 1), (self.kappa.denominator, 1),
-                                 (self.C.denominator, bn)),
-                                ((self.kappa.numerator, 1),
-                                 (self.C.numerator, bn)))
+                x = abs(v) * self.kappa.denominator
+                over = not self.b_past(n, cd * x.bit_length()) and _exceeds(
+                    ((x, 1), (cd, self.b(n))),
+                    ((self.kappa.numerator, 1), (cn, self.b(n))))
             else:
-                over = (exact.deg(v) * self.C.denominator
-                        > self.C.numerator * bn)
+                d = exact.deg(v)
+                over = (not self.b_past(n, d * cd // cn)
+                        and d * cd > cn * self.b(n))
             if over:
                 raise SpecViolation(
                     "coefficient a_%d breaks the growth cap" % n,
                     condition=3, index=n)
-        self._checked_a.add(n)
+        self._as[n] = v
         return v
 
     def validate_core(self):
@@ -259,16 +260,12 @@ def _log2_bounds(factors):
 def reference_spec(characteristic="zero"):
     """The running example: p = 2, a_0 the uniformizer, unit higher
     coefficients, b(n) = 2^(n^2), C = kappa = 2."""
-    if characteristic == "zero":
-        a0 = 2
-        rest = 1
-    else:
-        a0 = (0, 1)
-        rest = (1,)
-    return GapSpec(characteristic, 2,
-                   {"kind": "const_after", "a0": a0, "rest": rest},
-                   {"kind": "pow2_nsq"},
+    spec = GapSpec(characteristic, 2, {}, {"kind": "pow2_nsq"},
                    Fraction(2), Fraction(2))
+    exact = spec.exact_ring()
+    return replace(spec, a_rule={"kind": "const_after",
+                                 "a0": exact.uniformizer(),
+                                 "rest": exact.one()})
 
 
 def build_gap_series(spec):
@@ -465,9 +462,7 @@ class BoundCheck:
 def _phi_val_at(spec, lam, N, ring):
     """Valuation of Phi_N(lam), with the precision soundness gate:
     K must exceed b(N+1) * val(lam) + val(a_(N+1))."""
-    vlam = ring.val(lam)
-    if vlam is None or vlam < 1:
-        raise PointNotSmall("the root must have positive valuation")
+    vlam = _small_val(lam, ring)
     spec.b_shown(N + 1)  # b(N+1)'s errors come before a(N+1)'s, as ever
     va = spec.exact_ring().val(spec.a(N + 1))
     if va is None:
@@ -495,6 +490,14 @@ def _phi_val_at(spec, lam, N, ring):
         raise InvariantViolation("a unit tail head forces equality: %d != %d"
                                  % (pv, lower), index=N + 1)
     return pv, lower, required, vlam
+
+
+def _small_val(lam, ring):
+    """v(lam), or PointNotSmall unless it is at least 1."""
+    v = ring.val(lam)
+    if v is None or v < 1:
+        raise PointNotSmall("the root must have positive valuation")
+    return v
 
 
 def bound_check_prime(spec, lam, N, ring):
@@ -734,8 +737,9 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
     exact resultants run on the sample alone. Every other family is
     certified candidate by candidate. budget caps Phi_N's degree as in
     phi_truncation. A family of more than FAMILY_CAP candidates is
-    refused with BudgetExceeded before any candidate is built, and an
-    empty one checks Phi_N's budget alone."""
+    refused with BudgetExceeded before any candidate is built. An empty
+    one checks Phi_N's budget and then v(lambda) >= 1, whose value its
+    margin takes, as every family's does."""
     spec.validate_core()
     total = family_size(spec, D, H)
     if total > FAMILY_CAP:
@@ -746,7 +750,8 @@ def certify_family(spec, lam, D, H, N, ring, budget=None):
     if total == 0:
         _phi_degree(spec, N, budget)
         return FamilySummary(0, 0, 0, 0, "empty", 0, None, None, (),
-                             family_margin(spec, D, H, N))
+                             family_margin(spec, D, H, N,
+                                           _small_val(lam, ring)))
     # Phi_N's budget and the precision gate run before the margin
     truncation = _truncation_data(spec, lam, N, ring, budget)
     fam_margin = truncation[2](_family_L(spec, D, H), D)

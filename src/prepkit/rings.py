@@ -723,10 +723,10 @@ class IntModRing(Ring):
     def exact(self):
         return ExactZRing(self.p)
 
-    # Bulk form: reduce, join, lift_residual and convolve give lists for
-    # lists, and arrays for arrays while the result's ring takes them,
-    # lists of ints otherwise. A list among the vectors of one call
-    # sends it down the list route.
+    # Bulk form: reduce, join, lift_residual and convolve take the array
+    # route when their first vector is an array and p^K < 2^62, where a
+    # list beside it is read as an array, and give lists of ints
+    # otherwise.
 
     def bulk(self, xs):
         """Ring.bulk: an int64 array while p^K < 2^62, ints past it."""
@@ -740,16 +740,6 @@ class IntModRing(Ring):
     def elements(self, v):
         return list(_ints(v))
 
-    def _keeps(self, *vs):
-        """Whether an array stays one over this ring next to the vectors
-        vs: p^K < 2^62, and none of vs is a list."""
-        if not self._arrays:
-            return False
-        for v in vs:
-            if isinstance(v, _LISTS):
-                return False
-        return True
-
     # The pi-adic digit split behind Weierstrass lifting and strong
     # factorization: every element is lo + p^s * hi, lo < p^s.
 
@@ -760,7 +750,7 @@ class IntModRing(Ring):
     def reduce(self, xs, k):
         """xs mod p^k, over at_prec(k)."""
         mod = self.p ** k
-        if isinstance(xs, _LISTS) or mod >= _ARRAY_MOD:
+        if isinstance(xs, _LISTS) or not self._arrays:
             return [x % mod for x in _ints(xs)]
         return xs % mod
 
@@ -775,15 +765,15 @@ class IntModRing(Ring):
         if hi is None:
             return list(lo) if isinstance(lo, _LISTS) else self.bulk(lo)
         ps = self.p ** s
-        if isinstance(lo, _LISTS) or not self._keeps(hi):
+        if isinstance(lo, _LISTS) or not self._arrays:
             return [a + ps * b for a, b in zip(_ints(lo), _ints(hi))]
-        return lo + ps * hi
+        return lo + ps * self.bulk(hi)
 
     def lift_residual(self, c, t, y, s):
         """(c - t - y) / p^s over at_prec(prec - s), termwise, for
         c - t - y = 0 mod p^s."""
         mod, ps = self.mod, self.p ** s
-        if isinstance(c, _LISTS) or not self._keeps(t, y):
+        if isinstance(c, _LISTS) or not self._arrays:
             return [(x - u - z) % mod // ps
                     for x, u, z in zip(_ints(c), _ints(t), _ints(y))]
         return (c - t - y) % mod // ps
@@ -799,7 +789,7 @@ class IntModRing(Ring):
     def convolve(self, a, b, hi, lo=0):
         """Ring.convolve in the form given: the int64 lanes hand their
         array on, and Kronecker substitution takes the arrays' ints."""
-        keep = not isinstance(a, _LISTS) and self._keeps(b)
+        keep = self._arrays and not isinstance(a, _LISTS)
         n = hi - lo
         if not len(a) or not len(b) or lo >= min(hi, len(a) + len(b) - 1):
             out = [0] * n

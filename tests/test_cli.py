@@ -288,7 +288,7 @@ def test_fpt_products_past_int64(tmp_path):
         '{"kind":"fpt","p":4294967311,"prec":2},"x_prec":2}\n'
         % json.dumps(str(pair)))
 
-    # a size-5 Sylvester matrix takes the generic F_p[t] Bareiss lane
+    # a size-5 Sylvester matrix takes the subresultant PRS of F_p[t]
     f = [[q, q], [1], [q, 1]]
     g = [[1, q], [q], [0, q], [q, q]]
     pair.write_text(json.dumps({"f": f, "g": g}))
@@ -910,6 +910,55 @@ def test_gap_errors_past_the_int_str_digit_limit(tmp_path, argv, error,
                                                  "message": want}
         if N == argv[2]:
             assert took < 1
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+@pytest.mark.parametrize("spec", ["zero", "p"])
+def test_gap_bound_at_huge_N_settles_the_growth_cap_first(spec, optimize):
+    # a_(N+1)'s growth cap holds once b(N+1) passes a bound that a_(N+1)
+    # fixes, so b_past settles it and the precision gate refuses K = 40
+    # without building b(100001) = 2^(10^10)
+    res = subprocess.run(
+        [sys.executable, *optimize, "-m", "prepkit", "gap", "bound",
+         "--spec", spec, "--N", "100000", "--K", "40"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert (res.returncode, res.stdout) == (1, ""), res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {
+        "type": "PrecisionTooLow",
+        "message": "need precision of %d bits for a sound comparison, "
+                   "have 40" % (100001 ** 2 + 1)}
+
+
+@pytest.mark.parametrize("ring, flag, message", [
+    ({"kind": "zq", "p": 3, "prec": 2}, "zq:3:2",
+     "unknown ring kind 'zq'; expected one of zp, fpt, zmodpk, z, "
+     "fpt_exact"),
+    ({"kind": "zp", "prec": 2}, "zp", "kind zp needs a prime base"),
+    ({"kind": "z", "p": 3, "prec": 2}, "z:3:2",
+     "kind z is exact; prec does not apply"),
+    ({"kind": "zp", "p": 3, "prec": 0}, "zp:3:0",
+     "kind zp needs prec >= 1, got 0")])
+def test_payload_ring_fails_as_ring_flag_does(tmp_path, ring, flag, message):
+    # make_ring's refusal is a UsageError naming the payload's ring field,
+    # as it names --ring for the flag
+    for read, name, field in ((jsonio.ring_from_json, ring, "ring"),
+                              (jsonio.parse_ring_flag, flag,
+                               "--ring " + flag)):
+        with pytest.raises(UsageError) as ei:
+            read(name)
+        assert type(ei.value) is UsageError
+        assert str(ei.value) == "%s: %s" % (field, message)
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"ring": ring, "coeffs": ["1", "1"]}))
+    res = run_cli("series", "invert", "--in", str(f))
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"type": "UsageError",
+                                             "message": "ring: " + message}
 
 
 def test_malformed_decimal_element_is_usage_error(tmp_path):

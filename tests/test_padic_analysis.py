@@ -106,6 +106,85 @@ def test_spec_violations_surface_lazily():
     assert ei.value.data["condition"] == 3
 
 
+def test_coefficients_decode_once_per_index(monkeypatch):
+    # a coefficient is decoded and checked on its first read only; a
+    # failing check is not stored, so every read raises it again
+    spec = GapSpec("zero", 2, {"kind": "explicit", "values": ["2", 1, -3],
+                               "rest": "5"},
+                   {"kind": "pow2_nsq"}, Fraction(2), Fraction(2))
+    exact = spec.exact_ring()
+    decoded = []
+
+    def decode(vs, what):
+        decoded.append(list(vs))
+        return type(exact).decode(exact, vs, what)
+
+    monkeypatch.setattr(exact, "decode", decode)
+    for _ in range(3):
+        assert [spec.a(n) for n in range(5)] == [2, 1, -3, 5, 5]
+        spec.sparse_terms_upto(2 ** 16)
+    assert decoded == [["2"], [1], [-3], ["5"], ["5"]]
+    growth = GapSpec("zero", 2, {"kind": "explicit",
+                                 "values": [2, 1, 2 ** 18]},
+                     {"kind": "pow2_nsq"}, Fraction(2), Fraction(2))
+    for _ in range(2):
+        with pytest.raises(SpecViolation) as ei:
+            growth.a(2)
+        assert (ei.value.data["condition"], ei.value.data["index"]) == (3, 2)
+
+
+def test_growth_cap_matches_the_exact_inequality():
+    # the cap is settled from b_past when b(n) is past the bound that a_n
+    # fixes, and by the exact comparison otherwise: the verdicts are
+    # those of |a_n| * kappa.den * C.den^b(n) > kappa.num * C.num^b(n) in
+    # characteristic zero and deg(a_n) * C.den > C.num * b(n) in
+    # characteristic p, on both sides of the bound
+    rng = random.Random(41)
+    for _ in range(300):
+        bs = [1]
+        for _ in range(5):
+            bs.append(bs[-1] + rng.randrange(1, 12))
+        C = Fraction(rng.randrange(2, 40), rng.randrange(1, 20))
+        if rng.random() < 0.5:
+            C = max(C, Fraction(21, 20))
+            kappa = Fraction(rng.randrange(21, 60), rng.randrange(1, 20))
+            vals = [2, 1] + [rng.choice((-1, 1))
+                             * (rng.randrange(1, 1 << 40) >> rng.randrange(40)
+                                or 1) for _ in range(4)]
+            spec = GapSpec("zero", 2, {"kind": "explicit", "values": vals},
+                           {"kind": "explicit", "values": bs}, C, kappa)
+            want = [abs(v) * kappa.denominator * C.denominator ** b
+                    > kappa.numerator * C.numerator ** b
+                    for v, b in zip(vals[2:], bs[2:])]
+        else:
+            degs = [rng.randrange(60) for _ in range(4)]
+            vals = [(0, 1), (1,)] + [(0,) * d + (1,) for d in degs]
+            spec = GapSpec("p", 2, {"kind": "explicit", "values": vals},
+                           {"kind": "explicit", "values": bs}, C,
+                           Fraction(2))
+            want = [d * C.denominator > C.numerator * b
+                    for d, b in zip(degs, bs[2:])]
+        for n, over in enumerate(want, 2):
+            try:
+                spec.a(n)
+                got = False
+            except SpecViolation as e:
+                assert (e.data["condition"], e.data["index"]) == (3, n)
+                got = True
+            assert got == over, (spec, n)
+
+
+def test_exponent_errors_come_before_the_growth_cap():
+    # an explicit exponent rule is input, so the cap's check builds b(n)
+    # and raises its errors, even where a smaller b(m) settles the cap
+    spec = GapSpec("zero", 2, {"kind": "explicit", "values": [2, 1, 1]},
+                   {"kind": "explicit", "values": [1, 100, 50]},
+                   Fraction(2), Fraction(2), witness=2)
+    with pytest.raises(SpecViolation) as ei:
+        small_root_of_gap(spec, 10)
+    assert (ei.value.data["condition"], ei.value.data["index"]) == ("b", 2)
+
+
 def test_gap_series_window():
     s = build_gap_series(REF0)
     got = s.window(20)
@@ -728,6 +807,26 @@ def test_empty_family_report():
     s = certify_family(REF0, lam, 0, 5, 1, ring)
     assert (s.route, s.total) == ("empty", 0)
     assert s.margin == family_margin(REF0, 0, 5, 1)
+
+
+def test_empty_family_margin_takes_v_lambda():
+    # a_0 = 4 gives the small root valuation 2; an empty family's margin
+    # takes it as a nonempty one's does, so its left side is
+    # p^(2 v(lambda) b(N+1))
+    spec = GapSpec("zero", 2, {"kind": "const_after", "a0": 4, "rest": 1},
+                   {"kind": "pow2_nsq"}, Fraction(2), Fraction(2))
+    ring = spec.work_ring(40)
+    lam = small_root_of_gap(spec, 40)
+    assert ring.val(lam) == 2
+    empty = certify_family(spec, lam, 0, 1, 1, ring)
+    assert (empty.route, empty.total) == ("empty", 0)
+    assert empty.margin.lhs_factors[0] == ("2", str(2 * 2 * spec.b(2)))
+    assert empty.margin == family_margin(spec, 0, 1, 1, 2)
+    one = certify_family(spec, lam, 1, 1, 1, ring)
+    assert one.margin.lhs_factors == empty.margin.lhs_factors
+    for point in (ring.one(), ring.zero()):
+        with pytest.raises(PointNotSmall):
+            certify_family(spec, point, 0, 1, 1, ring)
 
 # ------------------------------------------------------------ linear factor
 

@@ -886,6 +886,27 @@ _WIDE_ARRAYS_CODE = (
     "          and all(type(x) is int for x in got) else got)\n")
 
 
+def test_first_vector_picks_the_form():
+    # below 2^62 a kernel whose first vector is an int64 array gives an
+    # array, and reads lists beside it as arrays: the values are those
+    # of the list route
+    import numpy as np
+
+    rng = random.Random(7)
+    for kind, p, K in (("zp", 3, 4), ("zmodpk", 5, 3), ("zp", 2, 61)):
+        R = make_ring(kind, p, K)
+        mod = p ** K
+        a, b, c = ([rng.randrange(mod) for _ in range(9)] for _ in "abc")
+        for kernel in (lambda x, y, z: R.convolve(x, y, 12, 3),
+                       lambda x, y, z: R.join(R.reduce(x, 1), y, 1),
+                       lambda x, y, z: R.lift_residual(x, y, z, 0),
+                       lambda x, y, z: R.lift_product(x, y, z, 2, 0)):
+            want = kernel(a, b, c)
+            got = kernel(np.array(a, dtype=np.int64), b, c)
+            assert type(want) is list and isinstance(got, np.ndarray)
+            assert got.tolist() == want
+
+
 def test_wide_ring_takes_arrays_on_the_list_route_under_optimize_flag():
     res = subprocess.run([sys.executable, "-O", "-c", _WIDE_ARRAYS_CODE],
                          capture_output=True, text=True)

@@ -166,3 +166,75 @@ def test_only_fft_convolve_transforms():
                     and "fft" in ast.unparse(node)):
                 found.append("%s:%d" % (name, node.lineno))
     assert not found, found
+
+
+def test_gap_layer_leaves_kinds_and_layouts_to_the_ring():
+    # GapSpec takes its exact ring from work_ring(1).exact() and its
+    # reference elements from ring methods, so padic_analysis names no
+    # exact kind and writes no element as a literal tuple of digits
+    path = os.path.join(os.path.dirname(os.path.abspath(prepkit.__file__)),
+                        "padic_analysis.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in ("z",
+                                                             "fpt_exact"):
+            found.append("padic_analysis.py:%d" % node.lineno)
+        if (isinstance(node, ast.Tuple) and node.elts
+                and all(isinstance(e, ast.Constant) and type(e.value) is int
+                        for e in node.elts)):
+            found.append("padic_analysis.py:%d" % node.lineno)
+    assert not found, found
+
+
+def test_int_mod_ring_reads_its_array_bound_once():
+    # whether IntModRing vectors take the int64 array route is decided
+    # once, in __init__; each kernel then follows its first vector
+    path = os.path.join(os.path.dirname(os.path.abspath(prepkit.__file__)),
+                        "rings.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    inside = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                for node in ast.walk(fn):
+                    inside[node] = "%s.%s" % (cls.name,
+                                              getattr(fn, "name", ""))
+    reads = [inside.get(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_ARRAY_MOD"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads == ["IntModRing.__init__"], reads
+
+
+def test_every_benchmark_span_resolves():
+    # prepbench's traced runs wrap each SPANS entry of its tracer by
+    # name: a module function, or a method defined on its class. One
+    # that no longer resolves would drop its span and the per-layer
+    # metric behind it, so each is checked here, from the tracer's
+    # source and without importing it
+    import importlib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "prepbench", "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    spans = [node.value for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [ast.unparse(t) for t in node.targets] == ["SPANS"]]
+    assert len(spans) == 1
+    entries = [(e.elts[0].value, e.elts[1].value) for e in spans[0].elts]
+    assert entries
+    missing = []
+    for module, qual in entries:
+        mod = importlib.import_module("prepkit." + module)
+        owner, _, attr = qual.rpartition(".")
+        if owner:
+            cls = getattr(mod, owner, None)
+            ok = cls is not None and callable(vars(cls).get(attr))
+        else:
+            ok = callable(getattr(mod, attr, None))
+        if not ok:
+            missing.append("%s.%s" % (module, qual))
+    assert not missing, missing
