@@ -197,13 +197,17 @@ def _run_rationality(args, f, okind):
         verdict = detect_periodic_01(f.ring, vals)
         route = "periodic01"
     else:
-        if f.ring.fraction_field() is None:
+        if not (f.ring.is_field or f.ring.is_exact):
             where = "--ring " + args.ring if args.ring else "input"
             raise UsageError("%s: recurrence detection needs zp or zmodpk at "
                              "prec 1, z or fpt_exact, got kind %s with prec %r"
                              % (where, f.ring.kind, f.ring.prec))
         max_order = (_at_least("--degree-cap", args.degree_cap, 1)
                      if args.degree_cap is not None else (upto - 2) // 2)
+        if 2 * max_order + 2 > upto:
+            raise UsageError("--degree-cap %d needs at least %d coefficients, "
+                             "and rationality reads %d"
+                             % (max_order, 2 * max_order + 2, upto))
         verdict = detect_recurrence(f.truncate(upto), max_order)
         route = "recurrence"
     rep = jsonio.rationality_to_json(verdict)

@@ -340,7 +340,7 @@ def rationality_to_json(v):
     if v.is_rational:
         out["d"] = dec_str(v.d)
         out["s"] = None if v.s is None else dec_str(v.s)
-        out["q"] = None if v.q is None else list(map(v.q_ring.encode, v.q))
+        out["q"] = None if v.q is None else list(map(v.q_encode, v.q))
     return out
 
 

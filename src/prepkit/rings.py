@@ -549,6 +549,7 @@ class Ring:
 
     kind = None
     is_exact = False
+    is_field = False
 
     def desc(self):
         return (self.kind, self.p, self.prec)
@@ -646,10 +647,6 @@ class Ring:
         return self.lift_residual(c, self.convolve(a, y, n + len(c), n),
                                   y, s)
 
-    def fraction_field(self):
-        """The field that recurrence detection runs in, or None."""
-        return FractionField(self) if self.is_exact else None
-
     def matmul(self, A, B):
         """The matrix product A·B of row lists, A with len(B) columns:
         the block product of Brent-Kung composition. This generic route
@@ -676,6 +673,7 @@ class IntModRing(Ring):
         self.p = p
         self.prec = prec
         self.mod = p ** prec
+        self.is_field = prec == 1  # Z/p
         self._arrays = self.mod < _ARRAY_MOD
 
     def zero(self):
@@ -716,9 +714,6 @@ class IntModRing(Ring):
 
     def pow(self, a, e):
         return pow(a, e, self.mod)
-
-    def fraction_field(self):
-        return self if self.prec == 1 else None  # Z/p is a field
 
     def exact(self):
         return ExactZRing(self.p)
@@ -1093,8 +1088,9 @@ class ExactZRing(Ring):
     def unit_part(self, r):
         return -1 if r < 0 else 1
 
-    def encode_fraction(self, num, den):
-        """The JSON form of num / den: "n" or "n/d"."""
+    def encode_fraction(self, frac):
+        """The JSON form of the fraction (num, den): "n" or "n/d"."""
+        num, den = frac
         return dec_str(num) if den == 1 else dec_str(num) + "/" + dec_str(den)
 
     def pow(self, a, e):
@@ -1196,9 +1192,10 @@ class ExactFpTRing(_DigitRing):
     def unit_part(self, r):
         return (r[-1],) if r else self.one()
 
-    def encode_fraction(self, num, den):
-        """The JSON form of num / den: [num, den] as digit arrays."""
-        return [self.encode(num), self.encode(den)]
+    def encode_fraction(self, frac):
+        """The JSON form of the fraction (num, den): [num, den] as digit
+        arrays."""
+        return list(map(self.encode, frac))
 
     def monic(self, a):
         """a scaled to leading digit 1; zero stays zero."""
@@ -1212,69 +1209,6 @@ class ExactFpTRing(_DigitRing):
         while b:
             a, b = b, self.divmod(a, b)[1]
         return self.monic(a)
-
-
-class FractionField:
-    """The fraction field of an exact ring R: (num, den) pairs over R in
-    lowest terms, den unit-normal (positive over Z, monic over F_p[t]),
-    so equal fractions are equal pairs. It answers the Ring names that
-    recurrence detection uses, from R's gcd, exact_div, invert_unit,
-    mul and unit_part alone; R.gcd must be unit-normal. R writes a
-    fraction's JSON form."""
-
-    def __init__(self, R):
-        self.R, self._r1 = R, R.one()
-
-    def _norm(self, num, den):
-        # den and the gcd are unit-normal, so their quotient is too
-        R = self.R
-        if R.is_zero(num):
-            return self.zero()
-        g = R.gcd(num, den)
-        if g == self._r1:
-            return (num, den)
-        return (R.exact_div(num, g), R.exact_div(den, g))
-
-    def zero(self):
-        return (self.R.zero(), self._r1)
-
-    def one(self):
-        return (self._r1, self._r1)
-
-    def canon(self, c):
-        return (self.R.canon(c), self._r1)
-
-    def encode(self, c):
-        return self.R.encode_fraction(*c)
-
-    def is_zero(self, a):
-        return self.R.is_zero(a[0])
-
-    def add(self, a, b):
-        R = self.R
-        return self._norm(R.add(R.mul(a[0], b[1]), R.mul(b[0], a[1])),
-                          R.mul(a[1], b[1]))
-
-    def sub(self, a, b):
-        R = self.R
-        return self._norm(R.sub(R.mul(a[0], b[1]), R.mul(b[0], a[1])),
-                          R.mul(a[1], b[1]))
-
-    def mul(self, a, b):
-        R = self.R
-        return self._norm(R.mul(a[0], b[0]), R.mul(a[1], b[1]))
-
-    def invert_unit(self, a):
-        R = self.R
-        num, den = a
-        if R.is_zero(num):
-            raise ZeroInput("zero has no inverse in a fraction field")
-        # den / num is in lowest terms; num's unit part moves up
-        u = R.unit_part(num)
-        if u == self._r1:
-            return (den, num)
-        u = R.invert_unit(u)
-        return (R.mul(den, u), R.mul(num, u))
 
 
 _KINDS = ("zp", "fpt", "zmodpk", "z", "fpt_exact")

@@ -16,8 +16,9 @@ from input over a finite ring at SERIES_CAP digits, x_prec * precision
 
 Operations: add, sub, mul, unit inversion, composition, compositional
 inverse, evaluation at a small point, and two rationality detectors
-(eventual 0/1 periodicity, and linear recurrence over the field that
-ring.fraction_field() names).
+(eventual 0/1 periodicity, and linear recurrence by Berlekamp-Massey on
+the coefficient ring itself: over Z/p, or fraction-free over Z and
+F_p[t]).
 
 Every product is one Ring.convolve. Unit inversion is Newton doubling
 that solves only the unknown half of each window: from g = f^-1 mod x^k,
@@ -38,7 +39,7 @@ step.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import isqrt
 
 from .errors import (
@@ -55,7 +56,7 @@ from .errors import (
     RingMismatch,
     WindowTooSmall,
 )
-from .rings import SIZE_CAP, Ring, make_ring
+from .rings import SIZE_CAP, Ring, dec_str
 
 
 # The most digits, x_prec * ring.prec, that a series over a finite ring
@@ -339,8 +340,8 @@ class RationalityVerdict:
     s: int = None
     q: tuple = None
     budget: int = None
-    # the ring or field that q's entries lie in, whose encode writes them
-    q_ring: object = field(default=None, compare=False, repr=False)
+    # writes one entry of q in its JSON form
+    q_encode: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_rational(self):
@@ -366,7 +367,7 @@ def detect_periodic_01(ring, vals):
                 q = (1,) + (0,) * (d - 1) + (-1,)
                 return RationalityVerdict("rational", d=d, s=s, q=q,
                                           budget=budget,
-                                          q_ring=make_ring("z"))
+                                          q_encode=dec_str)
     return RationalityVerdict("irrational_at_budget", budget=budget)
 
 
@@ -376,42 +377,55 @@ def detect_recurrence(f, max_order):
     n in [d, M). The window must satisfy M >= 2 * max_order + 2, which
     makes the shortest recurrence, and so q, unique.
 
-    One Berlekamp-Massey pass (Massey 1969) over the window finds the
-    linear complexity L and its connection polynomial in O(M * L) field
-    operations. L never decreases, so the pass stops as soon as L
-    exceeds max_order. An all-zero window (L = 0) reports d = 1, and q
-    is zero-padded to d + 1 entries when its degree falls below d. q's
-    entries lie in ring.fraction_field(): ints over Z/p, (num, den)
-    pairs over z and fpt_exact; with no such field, ValueError."""
-    ring = f.ring
-    F = ring.fraction_field()
-    if F is None:
+    One Berlekamp-Massey pass (Massey 1969) over the window, on f's ring
+    itself, finds the linear complexity L and its connection polynomial
+    C in O(M * L) ring operations. Over Z/p (ring.is_field) C(0) = 1 and
+    each update is C <- C - (delta / b) * x^s * B. Over z and fpt_exact
+    (ring.is_exact) it is fraction-free, C <- b * C - delta * x^s * B
+    (Kaltofen and Yuhasz, Linear Algebra Appl. 439 (2013)), and C is
+    then divided by the gcd of its entries, which keeps them from
+    growing exponentially; q = C / C(0) is formed once, at the end, as
+    (num, den) pairs in lowest terms with den positive over Z and monic
+    over F_p[t]. Any other ring: ValueError. L never decreases, so the
+    pass stops as soon as L exceeds max_order. An all-zero window
+    (L = 0) reports d = 1, and q is zero-padded to d + 1 entries when
+    its degree falls below d."""
+    R = f.ring
+    is_field = R.is_field
+    if not (is_field or R.is_exact):
         raise ValueError("recurrence detection needs a field or exact domain, "
-                         "got kind %s with prec %r" % (ring.kind, ring.prec))
+                         "got kind %s with prec %r" % (R.kind, R.prec))
     m = f.x_prec
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if m < 2 * max_order + 2:
         raise WindowTooSmall("window %d is below 2*%d+2" % (m, max_order),
                              have=m, needed=2 * max_order + 2)
-    c = [F.canon(x) for x in f.coeffs]
-    one = F.one()
+    c = f.coeffs
+    zero, one = R.zero(), R.one()
     # C is the current connection polynomial, B the one before the last
     # length change, b the discrepancy that forced that change and
     # shift the x-power between them; len(C) <= L + 1 throughout.
     C, B, L, b, shift = [one], [one], 0, one, 1
     for n in range(m):
-        delta = c[n]
+        delta = c[n] if is_field else R.mul(C[0], c[n])
         for i in range(1, len(C)):
-            delta = F.add(delta, F.mul(C[i], c[n - i]))
-        if F.is_zero(delta):
+            delta = R.add(delta, R.mul(C[i], c[n - i]))
+        if R.is_zero(delta):
             shift += 1
             continue
-        coef = F.mul(delta, F.invert_unit(b))
         T = C
-        C = C + [F.zero()] * (shift + len(B) - len(C))
+        if is_field:
+            coef = R.mul(delta, R.invert_unit(b))
+        else:
+            coef, C = delta, [R.mul(b, x) for x in C]
+        C = C + [zero] * (shift + len(B) - len(C))
         for i, y in enumerate(B):
-            C[shift + i] = F.sub(C[shift + i], F.mul(coef, y))
+            C[shift + i] = R.sub(C[shift + i], R.mul(coef, y))
+        if not is_field:
+            g = reduce(R.gcd, C)  # unit-normal, and nonzero as C(0) is
+            if g != one:
+                C = [R.exact_div(x, g) for x in C]
         if 2 * L <= n:
             L, B, b, shift = n + 1 - L, T, delta, 1
             if L > max_order:
@@ -419,5 +433,20 @@ def detect_recurrence(f, max_order):
         else:
             shift += 1
     d = max(L, 1)
-    q = tuple(C) + (F.zero(),) * (d + 1 - len(C))
-    return RationalityVerdict("rational", d=d, s=0, q=q, budget=m, q_ring=F)
+    C = C + [zero] * (d + 1 - len(C))
+    if is_field:
+        q, q_encode = tuple(C), R.encode
+    else:
+        q, q_encode = tuple(_ratio(R, x, C[0]) for x in C), R.encode_fraction
+    return RationalityVerdict("rational", d=d, s=0, q=q, budget=m,
+                              q_encode=q_encode)
+
+
+def _ratio(R, num, den):
+    """num / den over the exact ring R as a (num, den) pair in lowest
+    terms, den unit-normal; zero over one for zero."""
+    if R.is_zero(num):
+        return (num, R.one())
+    g = R.gcd(num, den)
+    u = R.invert_unit(R.unit_part(den))
+    return (R.mul(R.exact_div(num, g), u), R.mul(R.exact_div(den, g), u))

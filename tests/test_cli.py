@@ -709,7 +709,17 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
     (["h10", "encode", "--in", "bad.json"], None, "bad.json is not JSON"),
     (["h10", "probe", "--in", "bad.json"], None, "bad.json is not JSON"),
     (["gap", "probe", "--in", "bad.json"], None, "bad.json is not JSON"),
-], ids=["argv%d" % i for i in range(43)])
+    # a cap the coefficients read cannot decide, through --budget or
+    # the window alone, is refused before detection runs
+    (["series", "rationality", "--ring", "zp:7:1", "--in", "r20.json",
+      "--budget", "6", "--degree-cap", "5"], None,
+     "--degree-cap 5 needs at least 12 coefficients, and rationality "
+     "reads 6"),
+    (["series", "rationality", "--ring", "zp:7:1", "--in", "r.json",
+      "--degree-cap", "3"], None,
+     "--degree-cap 3 needs at least 8 coefficients, and rationality "
+     "reads 6"),
+], ids=["argv%d" % i for i in range(45)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     zp = {"kind": "zp", "p": 3, "prec": 2}
@@ -754,6 +764,8 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
         (tmp_path / (name + ".json")).write_text(json.dumps(spec))
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
     (tmp_path / "r3.json").write_text('["1","2","3"]')
+    (tmp_path / "r20.json").write_text(json.dumps([str(n) for n in
+                                                   range(1, 21)]))
     for n in (3, 8):
         (tmp_path / ("per%d.json" % n)).write_text(json.dumps({
             "ring": {"kind": "zp", "p": 3, "prec": 4}, "x_prec": n,

@@ -5,7 +5,6 @@ kernels."""
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -955,92 +954,3 @@ def test_unit_inverse_is_involutive():
         u = R.from_int(n)
         assert R.mul(u, R.invert_unit(u)) == R.one()
         assert R.invert_unit(R.invert_unit(u)) == u
-
-
-def test_fraction_field_of_each_kind():
-    for R in (make_ring("zp", 7, 1), make_ring("zmodpk", 3, 1)):
-        assert R.fraction_field() is R
-    for R in (make_ring("zp", 7, 2), make_ring("zmodpk", 2, 3),
-              make_ring("fpt", 3, 1), make_ring("fpt", 2, 4)):
-        assert R.fraction_field() is None
-    for R in (make_ring("z"), make_ring("fpt_exact", 5)):
-        F = R.fraction_field()
-        assert isinstance(F, rings.FractionField) and F.R is R
-
-
-def test_fraction_field_over_z_matches_fraction():
-    # seeded add/sub/mul/invert chains: every step equals Fraction's
-    # result in Fraction's own normal form
-    F = make_ring("z").fraction_field()
-    rng = random.Random(9100)
-    for _ in range(150):
-        x, want = F.one(), Fraction(1)
-        for _ in range(10):
-            n = rng.randint(-40, 40)
-            d = rng.choice([-1, 1]) * rng.randint(1, 12)
-            y, w = F.mul(F.canon(n), F.invert_unit(F.canon(d))), Fraction(n, d)
-            assert y == (w.numerator, w.denominator)
-            op = rng.randrange(4)
-            if op == 0:
-                x, want = F.add(x, y), want + w
-            elif op == 1:
-                x, want = F.sub(x, y), want - w
-            elif op == 2:
-                x, want = F.mul(x, y), want * w
-            elif not F.is_zero(x):
-                x, want = F.invert_unit(x), 1 / want
-            assert x == (want.numerator, want.denominator)
-            assert F.is_zero(x) == (want == 0)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_fraction_field_over_fpt_is_lowest_terms_monic(p):
-    # every result is coprime with a monic denominator and equals its
-    # operands' value after clearing denominators
-    R = make_ring("fpt_exact", p)
-    F = R.fraction_field()
-    rng = random.Random(9200 + p)
-
-    def poly(lo):
-        return R.from_digits([rng.randrange(p)
-                              for _ in range(rng.randint(lo, 5))])
-
-    for _ in range(120):
-        x = F.one()
-        for _ in range(8):
-            y = F.mul(F.canon(poly(0)),
-                      F.invert_unit(F.canon(poly(1) or R.one())))
-            op = rng.randrange(4)
-            if op == 3 and F.is_zero(x):
-                op = 2
-            if op == 3:
-                r = F.invert_unit(x)
-                lhs, rhs = R.mul(r[0], x[0]), R.mul(r[1], x[1])
-            else:
-                r = (F.add, F.sub, F.mul)[op](x, y)
-                if op == 2:
-                    top = R.mul(x[0], y[0])
-                else:
-                    cross = R.add if op == 0 else R.sub
-                    top = cross(R.mul(x[0], y[1]), R.mul(y[0], x[1]))
-                lhs, rhs = R.mul(r[0], R.mul(x[1], y[1])), R.mul(top, r[1])
-            assert lhs == rhs
-            num, den = r
-            assert R.gcd(num, den) == R.one() or (num, den) == F.zero()
-            assert den and den[-1] == 1
-            x = r
-    assert F.zero() == ((), (1,)) and F.canon((0, 1, 0)) == ((0, 1), (1,))
-
-
-def test_fraction_field_inverse_of_zero_survives_optimize_flag():
-    code = (
-        "from prepkit import ZeroInput, make_ring\n"
-        "for R in (make_ring('z'), make_ring('fpt_exact', 3)):\n"
-        "    F = R.fraction_field()\n"
-        "    try:\n"
-        "        F.invert_unit(F.zero())\n"
-        "    except ZeroInput:\n"
-        "        print('raised')\n")
-    res = subprocess.run([sys.executable, "-O", "-c", code],
-                         capture_output=True, text=True)
-    assert (res.returncode, res.stdout) == (0, "raised\nraised\n"), res.stderr

@@ -3,6 +3,7 @@ compositional inverse, evaluation, and rationality detection."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,10 +328,20 @@ def test_detect_recurrence_window_guard():
     f = make_series(F5, [1, 2, 3, 4], 4)
     with pytest.raises(WindowTooSmall):
         detect_recurrence(f, 3)
-    # Z/3^4 is neither a field nor an exact domain
-    f = make_series(make_ring("zp", 3, 4), [1, 2, 3, 4, 5, 6], 6)
-    with pytest.raises(ValueError, match="got kind zp with prec 4"):
-        detect_recurrence(f, 2)
+    # the route takes Z/p (is_field) and the exact kinds (is_exact), and
+    # refuses Z/p^k for k > 1 and every fpt ring, F_p[[t]]/t included
+    for desc in ("zp:7:1", "zmodpk:3:1", "z", "fpt_exact:5"):
+        R = jsonio.parse_ring_flag(desc)
+        assert R.is_field != R.is_exact, desc
+        f = make_series(R, [R.from_int(n) for n in range(1, 7)], 6)
+        assert detect_recurrence(f, 2).budget == 6, desc
+    for desc in ("zp:7:2", "zmodpk:2:3", "fpt:3:1", "fpt:2:4"):
+        R = jsonio.parse_ring_flag(desc)
+        assert not (R.is_field or R.is_exact), desc
+        f = make_series(R, [R.from_int(n) for n in range(1, 7)], 6)
+        with pytest.raises(ValueError, match="got kind %s with prec %d"
+                           % (R.kind, R.prec)):
+            detect_recurrence(f, 2)
 
 
 def _recurrence_windows(rng, p, count):
@@ -376,7 +387,7 @@ def test_detect_recurrence_matches_scan_fp(p):
 def test_detect_recurrence_matches_scan_q():
     rng = random.Random(8001)
     for k in range(60):
-        mo = rng.randint(1, 4)
+        mo = rng.randint(1, 12)
         M = 2 * mo + 2 + rng.randint(0, 4)
         if k % 3 == 0:
             seq = [rng.randint(-9, 9) for _ in range(M)]
@@ -391,7 +402,10 @@ def test_detect_recurrence_matches_scan_q():
         if want is None:
             assert v.kind == "irrational_at_budget"
         else:
-            # q entries are (num, den) pairs in lowest terms over Z
+            # q entries are (num, den) pairs in lowest terms over Z, with
+            # den > 0: Fraction would hide an unreduced pair, so each is
+            # checked first
+            assert all(gcd(num, den) == 1 and den > 0 for num, den in v.q)
             q = [Fraction(num, den) for num, den in v.q]
             assert (v.kind, v.d, q) == ("rational", want[0], want[1])
 
@@ -408,12 +422,13 @@ def _fp_poly_add(a, b, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_detect_recurrence_rational_functions_annihilate(p):
-    # q's entries are (numerator, denominator) pairs over F_p[t]; with
-    # every denominator cleared, each row sum_i q_i a_(n-i) must vanish
+    # q's entries are (numerator, denominator) pairs over F_p[t], coprime
+    # with den monic; with every denominator cleared, each row
+    # sum_i q_i a_(n-i) must vanish
     rng = random.Random(8100 + p)
     R = make_ring("fpt_exact", p)
     for _ in range(24):
-        mo = rng.randint(1, 4)
+        mo = rng.randint(1, 6)
         M = 2 * mo + 2 + rng.randint(0, 3)
         order = rng.randint(1, mo)
         digits = lambda: [rng.randrange(p) for _ in range(rng.randint(0, 3))]
@@ -427,6 +442,10 @@ def test_detect_recurrence_rational_functions_annihilate(p):
         v = detect_recurrence(make_series(R, [tuple(c) for c in seq], M), mo)
         assert v.kind == "rational" and v.d <= order
         assert len(v.q) == v.d + 1 and v.q[0] == ((1,), (1,))
+        for num, den in v.q:
+            assert den and den[-1] == 1
+            assert not oracles.fp_gcd_nonconstant(list(num) or [0],
+                                                  list(den), p)
         for n in range(v.d, M):
             row = []
             for i, (num, _) in enumerate(v.q):

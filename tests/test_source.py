@@ -238,3 +238,25 @@ def test_every_benchmark_span_resolves():
         if not ok:
             missing.append("%s.%s" % (module, qual))
     assert not missing, missing
+
+
+def test_recurrence_runs_on_the_ring_itself():
+    # Berlekamp-Massey updates on f's ring, fraction-free over the exact
+    # kinds, so no module defines a fraction field to run it in, and the
+    # report writes q through the verdict's q_encode, not a q_ring
+    root = os.path.dirname(os.path.abspath(prepkit.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(root, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef) and node.name == "FractionField"
+                    or isinstance(node, ast.FunctionDef)
+                    and node.name == "fraction_field"
+                    or name == "jsonio.py" and isinstance(node, ast.Attribute)
+                    and node.attr == "q_ring"):
+                found.append("%s:%d" % (name, node.lineno))
+    assert not found, found
