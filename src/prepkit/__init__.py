@@ -24,8 +24,7 @@ from .series import (OracleSeries, RationalityVerdict, Series, comp_inverse,
 from .weierstrass import (WFactorization, prepare, reduction_index,
                           strong_factor, weierstrass_divide)
 from .resultant import (BoundReport, Poly, hadamard_check, make_poly,
-                        resultant, resultant_generic, sylvester_matrix,
-                        tdegree_check)
+                        resultant, tdegree_check)
 from .padic_analysis import (BoundCheck, CertificateReport, FamilySummary,
                              GapSpec, MarginReport, bound_check_prime,
                              build_gap_series, certify_family,

@@ -115,7 +115,16 @@ def series_from_json(d):
     vals = ring.decode(coeffs, "series coeffs")
     x_prec = check_x_prec(_decimal("x_prec", d["x_prec"]) if "x_prec" in d
                           else len(vals), ring)
-    return make_series(ring, vals, x_prec), None
+    return _window(ring, vals, x_prec), None
+
+
+def _window(ring, vals, x_prec):
+    """make_series(ring, vals, x_prec), with more values than x_prec a
+    UsageError."""
+    if len(vals) > x_prec:
+        raise UsageError("got %d coefficients for x_prec %d"
+                         % (len(vals), x_prec))
+    return make_series(ring, vals, x_prec)
 
 
 def _series_from_oracle(d):
@@ -129,7 +138,7 @@ def _series_from_oracle(d):
     if kind == "explicit":
         ring = ring_from_json(d.get("ring", {}))
         vals = ring.decode(spec.get("coeffs", []), "oracle coeffs")
-        return make_series(ring, vals, x_prec), None
+        return _window(ring, vals, x_prec), None
     if kind == "periodic":
         ring = ring_from_json(d.get("ring", {}))
         prefix = _decimals("prefix", spec.get("prefix", []))
@@ -222,11 +231,15 @@ def gapspec_from_json(d):
         b["values"] = _decimals("spec b.values", _field(braw, "b", "values"))
     elif b["kind"] != "pow2_nsq":
         raise UsageError("unknown exponent rule %r" % b["kind"])
-    spec = GapSpec(d["char"], _decimal("spec p", d.get("p", 2)), {}, b,
-                   _fraction("spec C", d.get("C", "2")),
-                   _fraction("spec kappa", d.get("kappa", "2")),
-                   _decimal("spec budget", d.get("budget", 65536)),
-                   _decimal("spec witness", d.get("witness", 1)))
+    fields = (d["char"], _decimal("spec p", d.get("p", 2)), {}, b,
+              _fraction("spec C", d.get("C", "2")),
+              _fraction("spec kappa", d.get("kappa", "2")),
+              _decimal("spec budget", d.get("budget", 65536)),
+              _decimal("spec witness", d.get("witness", 1)))
+    try:
+        spec = GapSpec(*fields)
+    except (PrepkitError, ValueError) as e:
+        raise UsageError("spec: %s" % e) from None
     # coefficients decode as elements of the spec's exact ring, kept as
     # given (before canon) so that the report echoes them
     ring = spec.exact_ring()

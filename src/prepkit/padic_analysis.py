@@ -668,8 +668,7 @@ def _family_coeffs(spec, H):
     positive in characteristic zero and nonzero in characteristic p."""
     if spec.characteristic == "zero":
         return range(-H, H + 1), range(1, H + 1)
-    # the coefficient with index m has the base-p digits of m
-    lows = [_base_digits(m, spec.p) for m in range(spec.p ** (H + 1))]
+    lows = spec.exact_ring().below_degree(H + 1)
     return lows, lows[1:]
 
 
@@ -683,14 +682,6 @@ def enumerate_family(spec, D, H):
         yield from itertools.product(*[lows] * deg, leads)
 
 
-def _base_digits(m, p):
-    out = []
-    while m:
-        m, d = divmod(m, p)
-        out.append(d)
-    return tuple(out)
-
-
 def _structural_charp_certificate(spec, N):
     """Once-per-family irreducibility certificate for Phi_N over
     F_2[t]: Phi = A0(x) + t * A1(x) with every coefficient t-linear
@@ -702,12 +693,13 @@ def _structural_charp_certificate(spec, N):
     terms = spec.sparse_terms_upto(spec.b(N))
     if any(R.deg(c) > 1 for _, c in terms):
         return False
-    A0 = [0] * (spec.b(N) + 1)
-    A1 = [0] * (spec.b(N) + 1)
-    for e, c in terms:
-        for A, d in zip((A0, A1), c):
-            A[e] = d
-    return R.gcd(R.canon(A0), R.canon(A1)) == R.one()
+    # each coefficient is c1 * t + c0, and A0, A1 in F_2[x] are held
+    # as F_2[t] elements, which is evaluation at x = t
+    t = R.uniformizer()
+    split = [(e, R.divmod(c, t)) for e, c in terms]
+    A0 = _sparse_eval(R, [(e, c0) for e, (_, c0) in split], t)
+    A1 = _sparse_eval(R, [(e, c1) for e, (c1, _) in split], t)
+    return R.gcd(A0, A1) == R.one()
 
 
 @dataclass(frozen=True)

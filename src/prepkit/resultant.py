@@ -8,9 +8,9 @@ constants raise BothConstant.
 
 `resultant` computes that determinant by the subresultant polynomial
 remainder sequence, which needs only the ring's mul, sub and exact_div
-and so serves the integers and F_p[t] alike. `resultant_generic`
-eliminates the Sylvester matrix fraction-free (Bareiss); it is the
-reference route the tests hold `resultant` equal to.
+and so serves the integers and F_p[t] alike. The tests hold it equal to
+fraction-free (Bareiss) elimination of the Sylvester matrix, which
+their oracles keep as the reference route.
 """
 
 from dataclasses import dataclass
@@ -72,52 +72,6 @@ def _sylvester_dims(f, g):
     if m == 0 and n == 0:
         raise BothConstant("both polynomials are constant")
     return m, n
-
-
-def sylvester_matrix(f, g):
-    """Sylvester matrix as a list of rows of ring elements."""
-    ring = f.ring
-    m, n = _sylvester_dims(f, g)
-    fd = [f.coeff(m - i) for i in range(m + 1)]
-    gd = [g.coeff(n - i) for i in range(n + 1)]
-    size = m + n
-    z = ring.zero()
-    rows = []
-    for i in range(n):
-        rows.append([z] * i + fd + [z] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([z] * i + gd + [z] * (size - i - n - 1))
-    return rows
-
-
-def _bareiss_ring(ring, mat):
-    m = [row[:] for row in mat]
-    size = len(m)
-    neg = False
-    prev = ring.one()
-    for k in range(size - 1):
-        if ring.is_zero(m[k][k]):
-            swap = next((i for i in range(k + 1, size)
-                         if not ring.is_zero(m[i][k])), None)
-            if swap is None:
-                return ring.zero()
-            m[k], m[swap] = m[swap], m[k]
-            neg = not neg
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = ring.sub(ring.mul(m[i][j], m[k][k]),
-                               ring.mul(m[i][k], m[k][j]))
-                m[i][j] = ring.exact_div(num, prev)
-            m[i][k] = ring.zero()
-        prev = m[k][k]
-    out = m[size - 1][size - 1]
-    return ring.neg(out) if neg else out
-
-
-def resultant_generic(f, g):
-    """Reference route: fraction-free elimination of the Sylvester
-    matrix."""
-    return _bareiss_ring(f.ring, sylvester_matrix(f, g))
 
 
 def _prem(ring, A, B):

@@ -16,7 +16,10 @@ fpt_exact  polynomial ring F_p[t]  trimmed digits, () is zero  [d, ...]  list
 zp and zmodpk are one class. ring.encode writes an element's JSON and
 ring.decode reads a list of them: "n" is a decimal string, and decode
 also takes JSON ints, and digits as decimal strings. ring.exact() is
-the exact ring that a finite kind truncates.
+the exact ring that a finite kind truncates. fpt_exact's
+below_degree(n) lists the elements of degree < n, the m-th with the
+base-p digits of m: the gap sweep's candidate coefficients, in the
+order that fixes its samples.
 
 A vector's bulk form is what ring.bulk(xs) makes of a list of elements
 and ring.elements(v) turns back into one: the form that reduce, join,
@@ -59,7 +62,7 @@ object ints past that and over z.
 import re
 import sys
 from array import array
-from itertools import chain, zip_longest
+from itertools import chain, product, zip_longest
 from math import gcd
 
 from .errors import (
@@ -1157,6 +1160,11 @@ class ExactFpTRing(_DigitRing):
 
     def deg(self, r):
         return len(r) - 1
+
+    def below_degree(self, n):
+        """Every element of degree < n, in order: the m-th has the
+        base-p digits of m, so the constant digit varies fastest."""
+        return [_trim(ds[::-1]) for ds in product(range(self.p), repeat=n)]
 
     def invert_unit(self, r):
         if len(r) == 1 and r[0] % self.p != 0:

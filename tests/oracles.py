@@ -266,13 +266,13 @@ def contraction_quotient(ring, g, alpha, binv, n, m):
 # ---------------------------------------------------------------------------
 # integer and GF(2)[t] determinants (Bareiss), Sylvester layout
 
-def sylvester(fc, gc):
+def sylvester(fc, gc, zero=0):
     """Sylvester matrix from ascending coefficient lists, zero polys as
     degree-0 constants. deg g rows of f (descending, shifted) then deg f
-    rows of g."""
+    rows of g. zero is the coefficient ring's zero element."""
     def deg(c):
         d = len(c) - 1
-        while d > 0 and c[d] == 0:
+        while d > 0 and c[d] == zero:
             d -= 1
         return d
     m, n = deg(fc), deg(gc)
@@ -282,9 +282,9 @@ def sylvester(fc, gc):
     gd = list(reversed(gc[: n + 1]))
     rows = []
     for i in range(n):
-        rows.append([0] * i + fd + [0] * (size - i - m - 1))
+        rows.append([zero] * i + fd + [zero] * (size - i - m - 1))
     for i in range(m):
-        rows.append([0] * i + gd + [0] * (size - i - n - 1))
+        rows.append([zero] * i + gd + [zero] * (size - i - n - 1))
     return rows
 
 
@@ -336,6 +336,48 @@ def res_int(fc, gc):
 
 def res_b2(fc, gc):
     return bareiss_b2(sylvester(fc, gc))
+
+
+# ---------------------------------------------------------------------------
+# the generic reference resultant: Bareiss elimination of the Sylvester
+# matrix of two library polynomials, in their ring's own arithmetic
+# (zero, one, mul, sub, neg, is_zero, exact_div) and no other library code
+
+def sylvester_matrix(f, g):
+    """The Sylvester matrix of the polynomials f and g, as rows of ring
+    elements."""
+    z = f.ring.zero()
+    return sylvester(list(f.coeffs) or [z], list(g.coeffs) or [z], z)
+
+
+def bareiss_ring(ring, mat):
+    m = [row[:] for row in mat]
+    size = len(m)
+    neg = False
+    prev = ring.one()
+    for k in range(size - 1):
+        if ring.is_zero(m[k][k]):
+            swap = next((i for i in range(k + 1, size)
+                         if not ring.is_zero(m[i][k])), None)
+            if swap is None:
+                return ring.zero()
+            m[k], m[swap] = m[swap], m[k]
+            neg = not neg
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = ring.sub(ring.mul(m[i][j], m[k][k]),
+                               ring.mul(m[i][k], m[k][j]))
+                m[i][j] = ring.exact_div(num, prev)
+            m[i][k] = ring.zero()
+        prev = m[k][k]
+    out = m[size - 1][size - 1]
+    return ring.neg(out) if neg else out
+
+
+def resultant_generic(f, g):
+    """Res(f, g) by fraction-free elimination of the Sylvester matrix:
+    the reference route for prepkit's resultant."""
+    return bareiss_ring(f.ring, sylvester_matrix(f, g))
 
 
 # ---------------------------------------------------------------------------

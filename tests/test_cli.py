@@ -719,7 +719,21 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
       "--degree-cap", "3"], None,
      "--degree-cap 3 needs at least 8 coefficients, and rationality "
      "reads 6"),
-], ids=["argv%d" % i for i in range(45)])
+    # more coefficients than the window, plain or through an oracle
+    (["series", "invert", "--in", "many.json"], None,
+     "got 3 coefficients for x_prec 2"),
+    (["series", "invert", "--in", "omany.json"], None,
+     "got 3 coefficients for x_prec 2"),
+    # a gap spec that GapSpec refuses
+    (["gap", "root", "--K", "8", "--spec", "char_q.json"], None,
+     "spec: characteristic must be 'zero' or 'p'"),
+    (["gap", "root", "--K", "8", "--spec", "budget0.json"], None,
+     "spec: budget must be positive"),
+    (["gap", "root", "--K", "8", "--spec", "p4.json"], None,
+     "spec: base 4 is not prime"),
+    (["gap", "root", "--K", "8", "--spec", "c_one.json"], None,
+     "spec: growth constants must exceed 1"),
+], ids=["argv%d" % i for i in range(51)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     zp = {"kind": "zp", "p": 3, "prec": 2}
@@ -740,7 +754,10 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
             ("sprefix", {"ring": zp, "x_prec": 8,
                          "oracle": dict(periodic, prefix="1")}),
             ("scycle", {"ring": zp, "x_prec": 8,
-                        "oracle": dict(periodic, cycle="01")})):
+                        "oracle": dict(periodic, cycle="01")}),
+            ("many", {"ring": zp, "x_prec": 2, "coeffs": ["1", "2", "3"]}),
+            ("omany", {"ring": zp, "x_prec": 2, "oracle": {
+                "kind": "explicit", "coeffs": ["1", "2", "3"]}})):
         (tmp_path / (name + ".json")).write_text(json.dumps(payload))
     (tmp_path / "terms.json").write_text('{"d":1,"terms":[[1]]}')
     (tmp_path / "bad.json").write_text('{"d":1,"terms":')
@@ -760,7 +777,11 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
                                                "a0": "2"})),
                        ("nobvalues", dict(ref, b={"kind": "explicit"})),
                        ("astr", dict(ref, a="x")),
-                       ("bint", dict(ref, b=5))):
+                       ("bint", dict(ref, b=5)),
+                       ("char_q", dict(ref, char="q")),
+                       ("budget0", dict(ref, budget=0)),
+                       ("p4", dict(ref, p=4)),
+                       ("c_one", dict(ref, C="1"))):
         (tmp_path / (name + ".json")).write_text(json.dumps(spec))
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
     (tmp_path / "r3.json").write_text('["1","2","3"]')

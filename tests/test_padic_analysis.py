@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import resultant_generic
 from prepkit import (BudgetExceeded, CompositeModulus, DegreeAboveOne,
                      GapSpec, HenselConditionFails, PointNotSmall,
                      PrecisionTooLow, SpecViolation, bound_check_prime,
                      build_gap_series, certify_family, certify_not_root,
                      enumerate_family, evaluate, family_margin,
                      gap_linear_factor, hensel_lift, make_poly, make_ring,
-                     make_series, phi_truncation, prepare,
-                     resultant_generic, small_root_of_gap)
+                     make_series, phi_truncation, prepare, small_root_of_gap)
 from prepkit import padic_analysis
 from prepkit.padic_analysis import (VERDICT_CERTIFIED, VERDICT_INCONCLUSIVE,
                                     VERDICT_SHARED, reference_spec)
@@ -657,6 +657,43 @@ def test_certify_family_charp_fallback_route():
     assert s.total == 4 * 3 + 4 * 4 * 3
     # Phi_1 = t + x + x^2 sits inside this family, hence one shared hit
     assert (s.n_certified, s.n_shared) == (s.total - 1, 1)
+
+
+def _charp_spec(p, a_rule):
+    return GapSpec("p", p, a_rule, {"kind": "pow2_nsq"}, Fraction(2),
+                   Fraction(2))
+
+
+@pytest.mark.parametrize("spec, N, K, counts", [
+    # p = 3: the certificate is for F_2[t] alone
+    (_charp_spec(3, {"kind": "const_after", "a0": (0, 2), "rest": (1, 1)}),
+     1, 24, (72, 72, 0)),
+    # a_0 = t + t^2 + t^3 is not t-linear (read as c1 * t + c0 it would
+    # give gcd(A0, A1) = gcd(t + t^2, 1 + t + t^2) = 1)
+    (_charp_spec(2, {"kind": "const_after", "a0": (0, 1, 1, 1),
+                     "rest": (1,)}),
+     1, 24, (12, 12, 0)),
+    # every coefficient is t-linear, but Phi_2 = t + x + x^2 + t x^16
+    # = (1 + x)(x + t (1 + x)^15)
+    (_charp_spec(2, {"kind": "explicit",
+                     "values": [(0, 1), (1,), (0, 1), (0, 1)]}),
+     2, 520, (12, 9, 3)),
+], ids=["p3", "tdegree3", "factors"])
+def test_structural_certificate_refusals_sweep_per_candidate(spec, N, K,
+                                                             counts):
+    # the family margin has flipped and D = 1 < b(N), so only the
+    # irreducibility certificate sends these sweeps down the per-candidate
+    # route; the shared count is checked against the Bareiss reference
+    lam = small_root_of_gap(spec, K)
+    s = certify_family(spec, lam, 1, 1, N, spec.work_ring(K))
+    assert s.margin.flipped and 1 < spec.b(N)
+    assert s.route == "per_candidate"
+    assert (s.total, s.n_certified, s.n_shared, s.n_inconclusive) == (
+        *counts, 0)
+    R, phi = spec.exact_ring(), phi_truncation(spec, N)
+    assert s.n_shared == sum(
+        R.is_zero(resultant_generic(make_poly(R, list(c)), phi))
+        for c in enumerate_family(spec, 1, 1))
 
 
 

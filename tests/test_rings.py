@@ -365,6 +365,22 @@ def test_exact_fpt_sub_monic_gcd():
     assert E3.gcd((), ()) == ()
 
 
+def test_exact_fpt_below_degree_counts_in_base_p():
+    # the m-th element has the base-p digits of m, ascending in t: the
+    # gap sweep's candidate order, which fixes its sampled reports
+    for p in (2, 3, 5):
+        E = make_ring("fpt_exact", p)
+        for n in range(5):
+            want = []
+            for m in range(p ** n):
+                digits = []
+                while m:
+                    m, d = divmod(m, p)
+                    digits.append(d)
+                want.append(tuple(digits))
+            assert E.below_degree(n) == want
+
+
 def test_exact_div_remainder_survives_optimize_flag():
     code = (
         "from prepkit import InvariantViolation, make_ring\n"

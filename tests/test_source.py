@@ -171,11 +171,31 @@ def test_only_fft_convolve_transforms():
 def test_gap_layer_leaves_kinds_and_layouts_to_the_ring():
     # GapSpec takes its exact ring from work_ring(1).exact() and its
     # reference elements from ring methods, so padic_analysis names no
-    # exact kind and writes no element as a literal tuple of digits
+    # exact kind and writes no element as a literal tuple of digits.
+    # The family's coefficients come from ExactFpTRing.below_degree and
+    # Phi_N's t-split from R.divmod, so it writes no base-p digits
+    # (divmod or % by p) and reads none from a sparse term's
+    # coefficient (iterating, zipping or indexing it)
     path = os.path.join(os.path.dirname(os.path.abspath(prepkit.__file__)),
                         "padic_analysis.py")
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
+
+    def is_base(node):
+        return (isinstance(node, ast.Name) and node.id == "p"
+                or isinstance(node, ast.Attribute) and node.attr == "p")
+
+    def read(node):
+        # what node iterates, zips or indexes
+        if (isinstance(node, ast.Call) and ast.unparse(node.func)
+                in ("zip", "enumerate", "iter", "list", "tuple", "len")):
+            return node.args
+        if isinstance(node, (ast.For, ast.comprehension)):
+            return [node.iter]
+        if isinstance(node, ast.Subscript):
+            return [node.value]
+        return []
+
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and node.value in ("z",
@@ -185,7 +205,28 @@ def test_gap_layer_leaves_kinds_and_layouts_to_the_ring():
                 and all(isinstance(e, ast.Constant) and type(e.value) is int
                         for e in node.elts)):
             found.append("padic_analysis.py:%d" % node.lineno)
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "divmod"
+                and is_base(node.args[1])
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and is_base(node.right)):
+            found.append("padic_analysis.py:%d" % node.lineno)
+        # a loop over sparse terms (e, c) and what it encloses
+        loops = ([(node, node)] if isinstance(node, ast.For) else
+                 [(gen, node) for gen in getattr(node, "generators", ())])
+        for loop, scope in loops:
+            target = loop.target
+            if ("terms" in ast.unparse(loop.iter)
+                    and isinstance(target, ast.Tuple) and len(target.elts) == 2
+                    and isinstance(target.elts[1], ast.Name)):
+                c = target.elts[1].id
+                found += ["padic_analysis.py:%d" % x.lineno
+                          for inner in ast.walk(scope) if inner is not loop
+                          for x in read(inner)
+                          if isinstance(x, ast.Name) and x.id == c]
     assert not found, found
+    # the Bareiss reference resultant lives with the tests' oracles
+    for name in ("resultant_generic", "sylvester_matrix"):
+        assert not hasattr(prepkit, name), name
 
 
 def test_int_mod_ring_reads_its_array_bound_once():
