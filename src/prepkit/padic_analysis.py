@@ -39,6 +39,7 @@ from .errors import (
     PointNotSmall,
     PrecisionTooLow,
     SpecViolation,
+    UsageError,
     ZeroAtPrecision,
 )
 from .rings import check_prec, dec_str, is_prime, make_ring
@@ -123,7 +124,8 @@ class GapSpec:
             elif rule["kind"] == "explicit":
                 vals = rule["values"]
                 if m >= len(vals):
-                    raise ValueError("explicit exponent rule exhausted at %d" % m)
+                    raise UsageError("spec b.values holds %d exponents, and "
+                                     "b(%d) is needed" % (len(vals), m))
                 v = int(vals[m])
             else:
                 raise ValueError("unknown exponent rule %r" % rule["kind"])
@@ -175,7 +177,8 @@ class GapSpec:
             elif "rest" in rule:
                 v = rule["rest"]
             else:
-                raise ValueError("explicit coefficient rule exhausted at %d" % n)
+                raise UsageError("spec a.values holds %d coefficients and no "
+                                 "rest, and a_%d is needed" % (len(vals), n))
         else:
             raise ValueError("unknown coefficient rule %r" % rule["kind"])
         exact = self._exact

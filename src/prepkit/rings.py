@@ -9,7 +9,7 @@ inversion, bulk convolution, and the JSON form of their elements.
 kind       ring                    element                     JSON      bulk
 zp         p-adic ints mod p^K     int in [0, p^K)             "n"       int64*
 zmodpk     Z/p^k, Artinian local   int in [0, p^k)             "n"       int64*
-fpt        F_p[[t]] mod t^K        K digits in [0, p)          [d, ...]  list
+fpt        F_p[[t]] mod t^K        K digits in [0, p)          [d, ...]  int64**
 z          rational integers       int                         "n"       list
 fpt_exact  polynomial ring F_p[t]  trimmed digits, () is zero  [d, ...]  list
 
@@ -27,7 +27,10 @@ lift_residual, lift_product and convolve keep, so that Weierstrass
 lifting and Newton inversion convert once each way and not at every
 product. (*) zp and zmodpk keep a numpy int64 array while p^K < 2^62,
 where c - t - y and lo + p^s * hi stay inside int64, and a list of ints
-from 2^62 on; such a ring takes arrays given to it as their ints.
+from 2^62 on; such a ring takes arrays given to it as their ints. (**)
+fpt keeps one (m, K) int64 array of the m elements' digits while
+p < 2^62, where c - t - y stays inside int64, and a list of digit
+tuples from 2^62 on. A kernel's first vector picks the form it returns.
 
 Convolution of coefficient lists is the single multiplication engine
 shared by all series operations, with a quadratic reference
@@ -38,10 +41,11 @@ product. Large products take a float FFT while its proved rounding
 bound admits the sizes (_fft_convolve; see the account above it).
 Below its work threshold, or past the bound, zp, zmodpk and z take
 numpy's direct convolution while sums fit in int64 and Kronecker
-substitution through big-int multiplication otherwise; fpt lays its
-digit rows out once per product at stride 2K - 1 (_rows) and packs
-that array with Kronecker substitution into 2-, 4- or 8-byte slots,
-or, past 2^64, its digits as Python ints into wide limbs.
+substitution through big-int multiplication otherwise, which packs
+an int64 array's words as limbs of up to 16 bytes (_kron_words); fpt
+lays its digit rows out once per product at stride 2K - 1 (_rows) and
+packs that array with Kronecker substitution into 2-, 4- or 8-byte
+slots, or, past 2^64, its digits as Python ints into wide limbs.
 The residual of a Weierstrass lifting step, Ring.lift_product, is one
 such middle product; fpt takes it from the product's digit array,
 before any row becomes a tuple. Both t-adic kinds multiply their
@@ -239,6 +243,35 @@ def _kron_unsigned(a, b, mod, hi=None, lo=0):
             for i in range(lo, hi)]
 
 
+def _kron_words(a, b, mod, hi, lo):
+    """_kron_unsigned on int64 vectors of residues below mod < 2^62, as
+    an int64 array, while limbs fit 16 bytes (None past that). Each
+    word's bytes are a limb's low 8, so a uint8 view packs an operand,
+    and an output limb unpacks as two uint64 halves: the low one masked
+    when mod is a power of 2, both joined as ints otherwise."""
+    import numpy as np
+    w = max(((mod - 1) ** 2 * min(len(a), len(b))).bit_length() + 7, 64) // 8
+    if w > 16:
+        return None
+
+    def pack(v):
+        limbs = np.zeros((len(v), w), dtype=np.uint8)
+        limbs[:, :8] = np.ascontiguousarray(v, "<i8").view(np.uint8).reshape(
+            -1, 8)
+        return int.from_bytes(limbs.tobytes(), "little")
+
+    n = len(a) + len(b) - 1
+    hi = min(hi, n)
+    # 8 bytes past the last limb, so that each half reads 8 bytes in place
+    buf = (pack(a) * pack(b)).to_bytes(n * w + 8, "little")
+    low, high = (np.ndarray(hi - lo, "<u8", buf, lo * w + at, (w,))
+                 for at in (0, 8))
+    if mod & (mod - 1) == 0:
+        return (low & np.uint64(mod - 1)).astype(np.int64)
+    high = (high & np.uint64((1 << 8 * (w - 8)) - 1)).astype(object)
+    return ((high << 64 | low.astype(object)) % mod).astype(np.int64)
+
+
 def _kron_signed(a, b, hi=None, lo=0):
     """Terms lo .. hi - 1 of a * b (all by default) for nonempty
     sequences of ints. Limbs are whole bytes, so each operand packs in
@@ -334,7 +367,7 @@ def _fft_admits(x, y, d, amax, bmax, size):
 
 def _rows(v, k=None):
     """The flat int64 array of the integer sequence v, or with k of the
-    rows of k digits in v at stride 2k - 1: row i fills entries
+    (m, k) digit array v at stride 2k - 1: row i fills entries
     i*(2k-1) .. i*(2k-1) + k - 1 and zeros the next k - 1, so that no
     product of two rows spills into the next row's entries."""
     import numpy as np
@@ -343,8 +376,7 @@ def _rows(v, k=None):
                 else np.fromiter(v, np.int64, len(v)))
     m, s = len(v), 2 * k - 1
     x = np.zeros(m * s, dtype=np.int64)
-    x.reshape(m, s)[:, :k] = np.fromiter(chain.from_iterable(v), np.int64,
-                                         m * k).reshape(m, k)
+    x.reshape(m, s)[:, :k] = v
     return x
 
 
@@ -475,8 +507,10 @@ def _pad(coeffs, out_len):
     return coeffs[:out_len]
 
 
-# Below this modulus an IntModRing's bulk form is an int64 array: a sum
-# c - t - y of three residues, and lo + p^s * hi, stay inside int64.
+# Below this bound the bulk form is an int64 array: of residues for an
+# IntModRing whose modulus p^K is below it, and of digits for an FpTRing
+# whose p is, as a sum c - t - y of three residues or digits, and
+# lo + p^s * hi, stay inside int64.
 _ARRAY_MOD = 1 << 62
 
 
@@ -786,13 +820,16 @@ class IntModRing(Ring):
 
     def convolve(self, a, b, hi, lo=0):
         """Ring.convolve in the form given: the int64 lanes hand their
-        array on, and Kronecker substitution takes the arrays' ints."""
+        array on, Kronecker substitution packs arrays from their words
+        while limbs fit 16 bytes, and takes their ints past that."""
         keep = self._arrays and not isinstance(a, _LISTS)
         n = hi - lo
         if not len(a) or not len(b) or lo >= min(hi, len(a) + len(b) - 1):
             out = [0] * n
         else:
             arr = _int64_convolve(a, b, self.mod - 1, self.mod - 1, hi, lo)
+            if arr is None and keep:
+                arr = _kron_words(a, b, self.mod, hi, lo)
             if arr is None:
                 out = _pad(_kron_unsigned(_ints(a), _ints(b), self.mod,
                                           hi, lo), n)
@@ -866,6 +903,7 @@ class FpTRing(_DigitRing):
     def __init__(self, p, prec):
         self.p = p
         self.prec = prec
+        self._arrays = p < _ARRAY_MOD
 
     def zero(self):
         return (0,) * self.prec
@@ -924,6 +962,41 @@ class FpTRing(_DigitRing):
             g += [-x % p for x in ge[:k2 - k]]
         return tuple(g)
 
+    # Bulk form: the (m, K) array of the digits of m elements, int64
+    # while p < 2^62. reduce, split, join, lift_residual, lift_product
+    # and convolve give an array when their first vector is one, and
+    # read lists beside it as arrays; from a list they give lists of
+    # digit tuples.
+
+    def bulk(self, xs):
+        """Ring.bulk: an (m, K) int64 digit array while p < 2^62, digit
+        tuples past it."""
+        return self._grid(xs) if self._arrays else Ring.bulk(self, xs)
+
+    def elements(self, v):
+        if isinstance(v, _LISTS):
+            return list(v)
+        return list(map(tuple, v.tolist()))
+
+    def _grid(self, xs):
+        """The (m, K) digit array of the m elements xs: xs itself when
+        it is an array, and one fromiter of the digits, int64 while
+        p < 2^62 and object ints past it, when it is a list."""
+        import numpy as np
+        if not isinstance(xs, _LISTS):
+            return xs
+        K = self.prec
+        return np.fromiter(chain.from_iterable(xs),
+                           np.int64 if self._arrays else object,
+                           len(xs) * K).reshape(len(xs), K)
+
+    def _like(self, v, D):
+        """The digit array D in the form of the vector v: an int64 array
+        after an array, digit tuples after a list."""
+        if isinstance(v, _LISTS):
+            return self.elements(D)
+        return D.astype("int64", copy=False)
+
     # Digit slicing at t^s: every element is lo + t^s * hi.
 
     def at_prec(self, k):
@@ -932,28 +1005,39 @@ class FpTRing(_DigitRing):
 
     def reduce(self, xs, k):
         """xs mod t^k, over at_prec(k)."""
-        return [x[:k] for x in xs]
+        if isinstance(xs, _LISTS):
+            return [x[:k] for x in xs]
+        return xs[:, :k]
 
     def split(self, xs, s):
         """(lo, hi) with x = lo + t^s * hi, over at_prec(s) and
         at_prec(prec - s)."""
-        return [x[:s] for x in xs], [x[s:] for x in xs]
+        if isinstance(xs, _LISTS):
+            return [x[:s] for x in xs], [x[s:] for x in xs]
+        return xs[:, :s], xs[:, s:]
 
     def join(self, lo, hi, s):
         """lo + t^s * hi over this ring; hi None lifts lo unchanged."""
-        if hi is None:
-            pad = (0,) * (self.prec - s)
-            return [a + pad for a in lo]
-        return [a + b for a, b in zip(lo, hi)]
+        if isinstance(lo, _LISTS):
+            if hi is None:
+                pad = (0,) * (self.prec - s)
+                return [a + pad for a in lo]
+            return [a + b for a, b in zip(lo, hi)]
+        import numpy as np
+        out = np.zeros((len(lo), self.prec), dtype=np.int64)
+        out[:, :s] = lo
+        if hi is not None:
+            out[:, s:] = hi
+        return out
 
     def lift_residual(self, c, t, y, s):
         """(c - t - y) / t^s over at_prec(prec - s), termwise, for
-        c - t - y = 0 mod t^s: digit by digit from digit s, as F_p
-        digits carry nothing."""
-        p = self.p
-        return [tuple([(a - b - d) % p
-                       for a, b, d in zip(x[s:], u[s:], z[s:])])
-                for x, u, z in zip(c, t, y)]
+        c - t - y = 0 mod t^s, on len(c) terms: digit by digit from
+        digit s, as F_p digits carry nothing."""
+        m = len(c)
+        D = self._grid(c)[:, s:] - self._grid(t[:m])[:, s:]
+        D -= self._grid(y[:m])[:, s:]
+        return self._like(c, D % self.p)
 
     def matmul(self, A, B):
         """Entries multiply as polynomials in t cut at t^K, so digit d of
@@ -986,7 +1070,7 @@ class FpTRing(_DigitRing):
         p, K = self.p, self.prec
         la, lb = len(a), len(b)
         hi = min(la + lb - 1, hi)
-        if not a or not b or hi <= lo:
+        if not la or not lb or hi <= lo:
             return np.zeros((0, K), dtype=np.int64)
         bound = min(la, lb) * K * (p - 1) ** 2
         w = (2 if bound < 1 << 16 else 4 if bound < 1 << 32
@@ -994,10 +1078,10 @@ class FpTRing(_DigitRing):
         s = 2 * K - 1
         if w is None:
             pad = (0,) * (K - 1)
-            flat = _kron_unsigned([d for r in a for d in r + pad],
-                                  [d for r in b for d in r + pad], p,
-                                  hi * s, lo * s)
+            flat = _kron_unsigned(*[[d for r in _ints(v) for d in (*r, *pad)]
+                                    for v in (a, b)], p, hi * s, lo * s)
             return np.array(flat, dtype=object).reshape(hi - lo, s)[:, :K]
+        a, b = self._grid(a), self._grid(b)
         C = None
         if la * lb * (2 * K * w) ** 2 >= _FFT_KRON_WORK:
             C = _fft_convolve(a, b, p - 1, p - 1, K, hi, lo)
@@ -1012,25 +1096,21 @@ class FpTRing(_DigitRing):
         return C.reshape(hi - lo, s)[:, :K] % p
 
     def convolve(self, a, b, hi, lo=0):
-        rows = self._row_product(a, b, hi, lo).tolist()
-        out = [tuple(row) for row in rows]
-        return out + [self.zero()] * (hi - lo - len(out))
+        C = self._row_product(a, b, hi, lo)
+        if len(C) < hi - lo:  # zero rows past the product
+            import numpy as np
+            C = np.concatenate((C, np.zeros((hi - lo - len(C), self.prec),
+                                            dtype=C.dtype)))
+        return self._like(a, C)
 
     def lift_product(self, c, a, y, n, s):
         """Ring.lift_product from the digit array of a * y: the residual
-        is taken before any product row becomes a tuple."""
-        import numpy as np
-        p, K, m = self.p, self.prec, len(c)
-        T = self._row_product(a, y, n + m, n)[:, s:]
-        # Kronecker lanes give unsigned digits: subtract in int64
-        dt = object if T.dtype == object else np.int64
-
-        def digits(v):
-            return np.fromiter(chain.from_iterable(v), dt, m * K).reshape(m, K)
-
-        D = digits(c)[:, s:] - digits(y)[:, s:]
-        D[:len(T)] -= T.astype(dt, copy=False)
-        return [tuple(row) for row in (D % p).tolist()]
+        is taken before any product row is unpacked."""
+        T = self._row_product(a, y, n + len(c), n)[:, s:]
+        D = self._grid(c)[:, s:] - self._grid(y)[:, s:]
+        # Kronecker lanes give unsigned digits: subtract in D's type
+        D[:len(T)] -= T.astype(D.dtype, copy=False)
+        return self._like(c, D % self.p)
 
 
 class ExactZRing(Ring):

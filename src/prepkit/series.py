@@ -25,8 +25,9 @@ that solves only the unknown half of each window: from g = f^-1 mod x^k,
 e = coefficients k .. 2k - 1 of f·g is one middle product, which the
 ring computes without the low half it would discard, and g·e mod x^k
 gives the next k coefficients. The steps run on the ring's bulk form
-(Ring.bulk), an int64 array over zp and zmodpk while p^K < 2^62: -f
-and g are converted once, and g back into elements once. Composition
+(Ring.bulk), an int64 array over zp and zmodpk while p^K < 2^62, and
+one (m, K) int64 array of digits over fpt while p < 2^62: -f and g
+are converted once, and g back into elements once. Composition
 on a window of m is Brent and Kung's baby-step/giant-step algorithm
 (J. ACM 25 (1978), Alg. 2.1): about 2*sqrt(m) products plus one block
 product, Ring.matmul, of f's coefficient chunks against g's baby

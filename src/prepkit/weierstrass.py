@@ -21,10 +21,12 @@ mod pi^k comes from y mod pi^ceil(k/2) and one correction solved at
 the remaining precision, one product gamma * y per level, so most of
 the arithmetic runs at a fraction of the ring's precision (Dixon's
 p-adic lifting, as Newton-Hensel lifting). Each node works on its
-ring's bulk form (Ring.bulk), over Z/p^k an int64 array below p^k =
-2^62: a vector becomes an array where the tree first drops below that
-bound, stays one down to the leaves, and the root's result becomes ints
-once. The reference route, which iterates the contraction in q itself,
+ring's bulk form (Ring.bulk): over Z/p^k an int64 array below p^k =
+2^62, so that a vector becomes an array where the tree first drops
+below that bound, and over F_p[[t]] one (m, k) int64 array of digits
+for p < 2^62, from the root on. It stays one down to the leaves, and
+the root's result becomes elements once. The reference route, which
+iterates the contraction in q itself,
 lives in the tests; they put it in place of `_quotient`, so both
 quotients pass the same checks and must agree bit for bit.
 

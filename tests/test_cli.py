@@ -733,7 +733,13 @@ def test_h10_encode_empty_window_is_json_error(optimize, n):
      "spec: base 4 is not prime"),
     (["gap", "root", "--K", "8", "--spec", "c_one.json"], None,
      "spec: growth constants must exceed 1"),
-], ids=["argv%d" % i for i in range(51)])
+    # an explicit rule shorter than the index a verb needs
+    (["gap", "phi", "--spec", "a_short.json", "--N", "4", "--budget",
+      "100000"], None,
+     "spec a.values holds 4 coefficients and no rest, and a_4 is needed"),
+    (["gap", "bound", "--spec", "b_short.json", "--N", "3", "--K", "40"],
+     None, "spec b.values holds 3 exponents, and b(3) is needed"),
+], ids=["argv%d" % i for i in range(53)])
 def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     (tmp_path / "cand.json").write_text('{"coeffs":["-2","1"]}')
     zp = {"kind": "zp", "p": 3, "prec": 2}
@@ -781,7 +787,12 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
                        ("char_q", dict(ref, char="q")),
                        ("budget0", dict(ref, budget=0)),
                        ("p4", dict(ref, p=4)),
-                       ("c_one", dict(ref, C="1"))):
+                       ("c_one", dict(ref, C="1")),
+                       ("a_short", dict(ref, char="p", a={
+                           "kind": "explicit",
+                           "values": [[0, 1], [1], [0, 1], [0, 1]]})),
+                       ("b_short", dict(ref, b={
+                           "kind": "explicit", "values": ["1", "2", "16"]}))):
         (tmp_path / (name + ".json")).write_text(json.dumps(spec))
     (tmp_path / "r.json").write_text('["1","2","3","4","5","6"]')
     (tmp_path / "r3.json").write_text('["1","2","3"]')
@@ -805,6 +816,26 @@ def test_negative_probe_points_is_usage_error(tmp_path, argv, env, flag):
     assert len(lines) == 1
     err = json.loads(lines[0])["error"]
     assert err["type"] == "UsageError" and flag in err["message"]
+
+
+@pytest.mark.parametrize("rule, argv, message", [
+    ({"char": "p", "a": {"kind": "explicit", "values": [[0, 1], [1]]}},
+     ["gap", "phi", "--N", "2", "--budget", "100000"], "a_2 is needed"),
+    ({"b": {"kind": "explicit", "values": ["1", "2"]}},
+     ["gap", "bound", "--N", "1", "--K", "40"], "b(2) is needed")],
+    ids=["a", "b"])
+def test_exhausted_gap_rule_is_usage_error_under_optimize_flag(
+        tmp_path, rule, argv, message):
+    spec = {"char": "zero", "p": 2, "b": {"kind": "pow2_nsq"},
+            "a": {"kind": "const_after", "a0": "2", "rest": "1"}}
+    (tmp_path / "s.json").write_text(json.dumps(dict(spec, **rule)))
+    res = subprocess.run([sys.executable, "-O", "-m", "prepkit", *argv,
+                          "--spec", str(tmp_path / "s.json")],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (1, "")
+    [line] = res.stderr.splitlines()
+    err = json.loads(line)["error"]
+    assert err["type"] == "UsageError" and message in err["message"]
 
 
 def test_h10_infile_text_format(tmp_path):

@@ -312,8 +312,9 @@ def test_lift_product_matches_residual_of_convolve(kind, p, K):
     # (c - x^-n * (a * y) - y) / pi^s against lift_residual of the cut
     # product (Ring's route) and the digits put in; fpt takes its
     # Kronecker lanes at 5 terms, the FFT lane at 90 and the blocked
-    # FFT at 600 (fpt:2:8), and wide limbs at p = 4294967311. zp and
-    # zmodpk run again on int64 arrays, which give an int64 array.
+    # FFT at 600 (fpt:2:8), and wide limbs at p = 4294967311. Every
+    # kind runs again on int64 arrays, which give an int64 array: of
+    # residues for zp and zmodpk, of m rows of K - s digits for fpt.
     rng = random.Random("lift%s%d" % (kind, p))
     R = make_ring(kind, p, K)
 
@@ -334,9 +335,10 @@ def test_lift_product_matches_residual_of_convolve(kind, p, K):
             assert type(got) is list
             assert got == rings.Ring.lift_product(R, c, a, y, n, s)
             assert got == R.reduce(e, K - s)
-            if kind != "fpt":
-                arr = R.lift_product(*map(R.bulk, (c, a, y)), n, s)
-                assert arr.dtype.name == "int64" and arr.tolist() == got
+            arr = R.lift_product(*map(R.bulk, (c, a, y)), n, s)
+            assert arr.dtype.name == "int64" and R.elements(arr) == got
+            assert arr.shape == ((m - n, K - s) if kind == "fpt"
+                                 else (m - n,))
 
 
 def test_exact_fpt_sub_monic_gcd():
@@ -767,11 +769,15 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
     # schoolbook, mask, array, numpy and wide lanes. lift_product is
     # checked on the same products. Half the lengths are at most 6, so
     # that the lanes below the work thresholds run too. Below p^K = 2^62
-    # (zp:3:4, zp:2:24, zmodpk:2:31 and zp:2:60, which takes wide
-    # Kronecker limbs) both kernels run again on int64 arrays, and
-    # must give int64 arrays of the same values, from every lane. A
-    # product is sectioned when one _fft_convolve call runs more than
-    # one inverse transform.
+    # (zp:3:4, zp:2:24, zmodpk:2:31, zp:2:60, zp:2:61 and zmodpk:3:30)
+    # and below p = 2^62 for fpt, both kernels run again on int64
+    # arrays, and must give int64 arrays of the same values (fpt: one
+    # (m, K) array of digits), from every lane. On arrays Kronecker
+    # substitution packs limbs of up to 16 bytes from the words
+    # (zmodpk:2:31 and zp:2:60, and zmodpk:3:30, whose limbs unpack
+    # through both halves), and wider ones (zp:2:61 at 65 terms) as
+    # ints. A product is sectioned when one _fft_convolve call runs more
+    # than one inverse transform.
     import numpy as np
     rng = random.Random(2126)
     cases = [(make_ring(*d), lim) for d, lim in (
@@ -781,11 +787,12 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
         (("fpt", 65537, 2), 20), (("fpt", 4294967311, 2), 20),
         (("fpt_exact", 2), 12), (("fpt_exact", 3), 12),
         (("fpt_exact", 65537), 12), (("fpt", 257, 2), 20),
-        (("fpt", 536870909, 2), 20))]
+        (("fpt", 536870909, 2), 20), (("zp", 2, 61), 130),
+        (("zmodpk", 3, 30), 40))]
     log = []
     transforms = _spy_transforms(monkeypatch)
     for name in ("_fft_convolve", "_kron_signed", "_kron_unsigned",
-                 "b2_mul"):
+                 "_kron_words", "b2_mul"):
         def spy(*args, _f=getattr(rings, name), _name=name, **kw):
             log.append(_name)
             out = _f(*args, **kw)
@@ -809,8 +816,10 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
         start = len(log)
         got = kernel(*map(R.bulk, vectors))
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
-        assert got.tolist() == want
-        array_lanes.update((R.prec, lane)
+        assert got.shape == (len(want),) + ((len(want[0]),) if R.kind ==
+                                            "fpt" else ())
+        assert R.elements(got) == want
+        array_lanes.update((R.kind, R.p, R.prec, lane)
                            for lane in set(log[start:]) or {"direct"})
 
     def elems(R, n, top):
@@ -846,7 +855,8 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
             got = R.convolve(a, b, hi, lo)
             assert type(got) is list and got == want, (R, la, lb, hi, lo)
             assert R.convolve_ref(a, b, hi)[lo:] == want
-            arrays = isinstance(R, rings.IntModRing) and R.mod < 1 << 62
+            arrays = (isinstance(R, rings.IntModRing) and R.mod < 1 << 62
+                      or R.kind == "fpt" and R.p < 1 << 62)
             if arrays and la and lb and lo < min(hi, la + lb - 1):
                 on_arrays(R, lambda a, b: R.convolve(a, b, hi, lo), (a, b),
                           want)
@@ -868,11 +878,17 @@ def test_convolve_lanes_match_reference_at_small_thresholds(monkeypatch):
                 on_arrays(R, lambda c, a, y: R.lift_product(c, a, y, n, s),
                           (c, a, y), want)
     assert set(log) == {"_fft_convolve", "sectioned", "_kron_signed",
-                        "_kron_unsigned", "b2_mul", "packed2", "packed4",
-                        "packed8"}
-    assert array_lanes >= {(4, "direct"), (4, "_fft_convolve"),
-                           (4, "sectioned"), (24, "direct"),
-                           (31, "_kron_unsigned"), (60, "_kron_unsigned")}
+                        "_kron_unsigned", "_kron_words", "b2_mul",
+                        "packed2", "packed4", "packed8"}
+    assert array_lanes >= {
+        ("zp", 3, 4, "direct"), ("zp", 3, 4, "_fft_convolve"),
+        ("zp", 3, 4, "sectioned"), ("zp", 2, 24, "direct"),
+        ("zmodpk", 2, 31, "_kron_words"), ("zp", 2, 60, "_kron_words"),
+        ("zp", 2, 61, "_kron_unsigned"), ("zmodpk", 3, 30, "_kron_words"),
+        ("fpt", 3, 3, "packed2"),
+        ("fpt", 2, 5, "packed2"), ("fpt", 257, 2, "packed4"),
+        ("fpt", 536870909, 2, "packed8"), ("fpt", 3, 3, "_fft_convolve"),
+        ("fpt", 3, 3, "sectioned"), ("fpt", 4294967311, 2, "_kron_unsigned")}
 
 
 # int64 arrays given to a ring of p^K >= 2^62, whose bulk form is a
@@ -920,6 +936,47 @@ def test_first_vector_picks_the_form():
             got = kernel(np.array(a, dtype=np.int64), b, c)
             assert type(want) is list and isinstance(got, np.ndarray)
             assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p, K", [(3, 4), (4294967311, 3),
+                                  (4611686018427388039, 3)])
+def test_fpt_bulk_form_is_a_digit_array_below_2_62(p, K):
+    # below p = 2^62 the bulk form of m elements of F_p[[t]] is one
+    # (m, K) int64 digit array, and a kernel whose first vector is one
+    # gives one, reading lists beside it as arrays; from 2^62 on (p =
+    # 2^62 + 135, where c - t - y would wrap in int64) bulk keeps the
+    # list of digit tuples. Either way the values are the list route's,
+    # whose digits are Python ints
+    import numpy as np
+
+    R = make_ring("fpt", p, K)
+    rng = random.Random(p)
+    a, b, c = ([R.from_digits([rng.randrange(p) for _ in range(K)])
+                for _ in range(9)] for _ in "abc")
+    v = R.bulk(a)
+    if p < 1 << 62:
+        assert v.dtype == np.int64 and v.shape == (9, K)
+    else:
+        assert type(v) is list and v == a
+    assert R.elements(v) == a
+    assert R.convolve(a, b, 12, 3) == R.convolve_ref(a, b, 12)[3:]
+    for kernel in (lambda x, y, z: R.convolve(x, y, 12, 3),
+                   lambda x, y, z: R.reduce(x, 2),
+                   lambda x, y, z: R.split(x, 1)[1],
+                   lambda x, y, z: R.join(R.reduce(x, 1), R.split(y, 1)[1],
+                                          1),
+                   lambda x, y, z: R.join(R.reduce(x, 2), None, 2),
+                   lambda x, y, z: R.lift_residual(x, y, z, 0),
+                   lambda x, y, z: R.lift_product(x, y, z, 2, 1)):
+        want = kernel(a, b, c)
+        assert type(want) is list
+        assert all(type(d) is int for x in want for d in x)
+        got = kernel(R.bulk(a), b, c)
+        if p < 1 << 62:
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        else:
+            assert type(got) is list
+        assert R.elements(got) == want
 
 
 def test_wide_ring_takes_arrays_on_the_list_route_under_optimize_flag():
